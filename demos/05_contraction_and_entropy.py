@@ -23,8 +23,7 @@ x = grid.cell_centers()
 ua = dw.Field(grid, 0.5 + 0.25 * np.sin(2 * np.pi * x))
 ub = dw.Field(grid, 0.5 - 0.25 * np.cos(2 * np.pi * x))
 params = dw.SchemeParams(t_end=1.5, snapshot_times=tuple(np.linspace(0, 1.5, 13)))
-ra = dw.run(phi, g, ua, params)
-rb = dw.run(phi, g, ub, params, _dt=ra.dt)
+ra, rb = dw.run_many(phi, g, [ua, ub], params)  # one shared time step
 mon = dw.contraction_monitor(ra, rb)
 print("  t     ||uA - uB||_1")
 for t, v in mon.series[::2]:

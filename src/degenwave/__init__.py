@@ -71,7 +71,7 @@ from .scenarios import (
     run_suite,
     serialize_config,
 )
-from .solver import RunResult, SchemeParams, eo_flux, max_stable_dt, run, step
+from .solver import RunResult, SchemeParams, eo_flux, max_stable_dt, run, run_many, step
 from .structure import StructureReport, analyze, band_project_mean, cutoff
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from . import grid as gridmod
 from .errors import UnsupportedTestFnError
 from .grid import Field, constant_field, l1_distance, positive_part_distance, shift
 from .piecewise import PiecewiseFunction
-from .solver import RunResult, SchemeParams, max_stable_dt, run
+from .solver import RunResult, SchemeParams, run, run_many, shared_dt
 from .structure import StructureReport, cutoff
 
 # Sup norms of the standard bump exp(1 - 1/(1 - s^2)) and its derivatives,
@@ -379,11 +379,7 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
     upper0 = Field(grid, u0.values + su)
     lower0 = Field(grid, u0.values + sl)
     params = run_result.params
-    dt_shared = run_result.dt
-    for f0 in (upper0, lower0):
-        cap = params.cfl_safety * max_stable_dt(
-            phi, g, float(f0.values.min()), float(f0.values.max()), grid.dx)
-        dt_shared = min(dt_shared, cap)
+    dt_shared = min(run_result.dt, shared_dt(phi, g, [upper0, lower0], params))
     if dt_shared == run_result.dt:
         base = run_result
     else:
@@ -485,10 +481,10 @@ def t_nonexpansive_check(phi: PiecewiseFunction, g: PiecewiseFunction,
 
     When both runs share a nondegenerate affine interval (hence one speed)
     the profiles compare directly in L1; otherwise the profiles separate and
-    the distance reduces to the gap between the means.
+    the distance reduces to the gap between the means. Both runs share one
+    time step, so their snapshot times match.
     """
-    run_a = run(phi, g, u01, params)
-    run_b = run(phi, g, u02, params)
+    run_a, run_b = run_many(phi, g, [u01, u02], params)
     return t_nonexpansive_from_runs(run_a, run_b, tolerance)
 
 

@@ -210,10 +210,11 @@ class PiecewiseFunction:
             t = arr - self.breakpoints[0]
             c = self.pieces[0]
             deg = cache["degree"]
-            out = np.full_like(t, c[0]) if deg == 0 else c[0] + t * c[1]
-            if deg >= 2:
-                out = c[0] + t * (c[1] + t * (c[2] if deg == 2 else c[2] + t * c[3]))
-            return out
+            if deg == 0:
+                return np.full_like(t, c[0])
+            if deg == 1:
+                return c[0] + t * c[1]
+            return c[0] + t * (c[1] + t * (c[2] if deg == 2 else c[2] + t * c[3]))
         idx = np.searchsorted(cache["bp_inner"], arr, side="right")
         t = arr - np.take(cache["lefts"], idx)
         deg = cache["degree"]

@@ -23,7 +23,7 @@ from . import diagnostics as diag
 from .errors import DegenwaveError, RangeError, SchemaError
 from .grid import Field, Grid
 from .piecewise import DEFAULT_TOL, PiecewiseFunction, burgers, constant, identity, linear
-from .solver import RunResult, SchemeParams, max_stable_dt, run
+from .solver import RunResult, SchemeParams, run, run_many
 
 THREADS_ENV_VAR = "DEGENWAVE_THREADS"
 DEFAULT_SNAPSHOT_COUNT = 33
@@ -89,6 +89,14 @@ class SuiteSummary:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def _number(value, path: str) -> float:
+    """``float(value)``, or a SchemaError at ``path`` when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(path, f"expected a number, got {value!r}") from e
+
+
 # -- initial-data builders -----------------------------------------------------
 
 
@@ -128,9 +136,9 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
     if kind in ("sine", "step") and not isinstance(body, dict):
         raise SchemaError(f"{path}/{kind}", "expected an object of parameters")
     if kind == "sine":
-        mean = float(body.get("mean", 0.0))
-        amp = float(body.get("amplitude", 0.0))
-        freq = float(body.get("frequency", 1.0))
+        mean, amp, freq = (_number(body.get(key, default), f"{path}/sine/{key}")
+                           for key, default in (("mean", 0.0), ("amplitude", 0.0),
+                                                ("frequency", 1.0)))
         return Field(grid, mean + amp * np.sin(2.0 * np.pi * freq * x))
     if kind == "step":
         try:
@@ -170,18 +178,21 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
         raise SchemaError(path, "expected an object")
     if "kind" in spec:
         kind = spec["kind"]
-        lo = float(spec.get("lo", -2.0))
-        hi = float(spec.get("hi", 2.0))
+
+        def num(key, default):
+            return _number(spec.get(key, default), f"{path}/{key}")
+
+        lo = num("lo", -2.0)
+        hi = num("hi", 2.0)
         try:
             if kind == "burgers":
                 return burgers(lo, hi)
             if kind == "linear":
-                return linear(float(spec.get("slope", 1.0)),
-                              float(spec.get("intercept", 0.0)), lo, hi)
+                return linear(num("slope", 1.0), num("intercept", 0.0), lo, hi)
             if kind == "identity":
                 return identity(lo, hi)
             if kind == "constant":
-                return constant(float(spec.get("value", 0.0)), lo, hi)
+                return constant(num("value", 0.0), lo, hi)
         except ValueError as e:
             raise RangeError(path, str(e)) from e
         raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
@@ -247,8 +258,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     scheme_spec = doc.get("scheme")
     if not isinstance(scheme_spec, dict) or "t_end" not in scheme_spec:
         raise SchemaError(f"{path}/scheme", "scheme.t_end is required")
-    t_end = float(scheme_spec["t_end"])
-    cfl = scheme_spec.get("cfl_safety", 0.5)
+    t_end = _number(scheme_spec["t_end"], f"{path}/scheme/t_end")
+    cfl = _number(scheme_spec.get("cfl_safety", 0.5), f"{path}/scheme/cfl_safety")
     times = scheme_spec.get("snapshot_times")
     if times is None:
         if t_end > 0.0:
@@ -256,9 +267,11 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
                      for i in range(DEFAULT_SNAPSHOT_COUNT)]
         else:
             times = [0.0]
+    if not isinstance(times, list):
+        raise SchemaError(f"{path}/scheme/snapshot_times", "expected a list of times")
+    times = [_number(t, f"{path}/scheme/snapshot_times/{i}") for i, t in enumerate(times)]
     try:
-        scheme = SchemeParams(t_end=t_end, cfl_safety=float(cfl),
-                              snapshot_times=tuple(float(t) for t in times))
+        scheme = SchemeParams(t_end=t_end, cfl_safety=cfl, snapshot_times=tuple(times))
     except ValueError as e:
         sub = "cfl_safety" if "cfl" in str(e) else (
             "snapshot_times" if "snapshot" in str(e) else "t_end")
@@ -281,6 +294,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
                     f"must cover [-{sup!r}, {sup!r}] for this initial data",
                 )
     checks: list[CheckSpec] = []
+    if not isinstance(doc.get("checks", []), list):
+        raise SchemaError(f"{path}/checks", "expected a list of checks")
     for i, entry in enumerate(doc.get("checks", [])):
         cpath = f"{path}/checks/{i}"
         if isinstance(entry, str):
@@ -304,12 +319,14 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             if key not in allowed:
                 raise SchemaError(f"{cpath}/{key}",
                                   f"{cname} does not accept parameter {key!r}")
-            params.append((key, float(val)))
+            params.append((key, _number(val, f"{cpath}/{key}")))
         checks.append(CheckSpec(cname, tuple(sorted(params))))
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
-    tol = float(doc.get("tol", DEFAULT_TOL))
+    tol = _number(doc.get("tol", DEFAULT_TOL), f"{path}/tol")
+    if not 0.0 <= tol < math.inf:
+        raise SchemaError(f"{path}/tol", "tol must be finite and nonnegative")
     return ScenarioConfig(
         name=name, phi=phi, g=g, initial=_freeze_initial(doc["initial"]),
         grid_cells=n_cells, scheme=scheme, checks=tuple(checks),
@@ -452,19 +469,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     error = None
     reports: list[diag.CheckReport] = []
     try:
-        result = run(cfg.phi, cfg.g, u0, cfg.scheme, cfg.tol)
-        result_b = None
-        if cfg.initial_b is not None:
+        if cfg.initial_b is None:
+            result, result_b = run(cfg.phi, cfg.g, u0, cfg.scheme, cfg.tol), None
+        else:
             # both trajectories advance with one shared admissible step so the
             # pair checks compare states at identical times
             u0b = build_initial(initial_spec_dict(cfg.initial_b), grid)
-            cap_b = cfg.scheme.cfl_safety * max_stable_dt(
-                cfg.phi, cfg.g, float(u0b.values.min()), float(u0b.values.max()),
-                grid.dx)
-            dt_shared = min(result.dt, cap_b)
-            if dt_shared != result.dt:
-                result = run(cfg.phi, cfg.g, u0, cfg.scheme, cfg.tol, _dt=dt_shared)
-            result_b = run(cfg.phi, cfg.g, u0b, cfg.scheme, cfg.tol, _dt=dt_shared)
+            result, result_b = run_many(cfg.phi, cfg.g, [u0, u0b], cfg.scheme, cfg.tol)
     except DegenwaveError as e:
         error = f"{type(e).__name__}: {e}"
         reports = [_failed_report(spec.name, e) for spec in cfg.checks]

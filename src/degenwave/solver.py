@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CflViolationError
+from .errors import CflViolationError, GridMismatchError
 from .grid import Field
 from .piecewise import (
     DEFAULT_TOL,
@@ -115,15 +115,58 @@ def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
     return math.inf if denom == 0.0 else 1.0 / denom
 
 
-def _apply_step(phi_up: PiecewiseFunction, phi_down: PiecewiseFunction,
-                g: PiecewiseFunction, values: np.ndarray,
-                dx: float, dt: float) -> np.ndarray:
-    up = phi_up._eval_unchecked(values)
-    down = phi_down._eval_unchecked(values)
-    flux = up + np.roll(down, -1)          # interface j+1/2 lives at index j
-    diff = g._eval_unchecked(values)
-    lap = np.roll(diff, -1) - 2.0 * diff + np.roll(diff, 1)
-    return values - (dt / dx) * (flux - np.roll(flux, 1)) + (dt / (dx * dx)) * lap
+@lru_cache(maxsize=64)
+def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
+    """One breakpoint table for ``phi_up``, ``phi_down`` and ``g``.
+
+    The merged inner breakpoints locate a value with one ``searchsorted``.
+    Each row of the coefficient table holds, per merged piece, one function's
+    left end or one of its coefficients (highest degree first); ``parts``
+    holds each function's slice of rows. Every function is then evaluated in
+    its own piece-local variable, exactly as ``_eval_unchecked`` would.
+    """
+    funcs = (*_split(phi), g)
+    inner = np.array(sorted({float(b) for f in funcs for b in f._cache["bp_inner"]}))
+    rows, parts = [], []
+    for f in funcs:
+        cache = f._cache
+        own = np.concatenate(([0], np.searchsorted(cache["bp_inner"], inner, side="right")))
+        columns = [cache["lefts"]] + [cache[f"c{d}"] for d in range(cache["degree"], -1, -1)]
+        parts.append(slice(len(rows), len(rows) + len(columns)))
+        rows += [np.take(c, own) for c in columns]
+    return inner, np.array(rows), parts
+
+
+def _apply_step(table, values: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """One explicit update of the cell values ``values``.
+
+    The values are padded with periodic ghost cells, so neighbours are slices
+    of one contiguous array, and one gather fetches the piece data of all
+    three functions. The arithmetic matches
+    ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
+    operation for operation, so the output is the same to the bit.
+    """
+    inner, coeffs, parts = table
+    v = np.concatenate((values[-1:], values, values[:1]))   # one ghost cell per side
+    rows = np.take(coeffs, np.searchsorted(inner, v, side="right"), axis=1)
+    evaluated = []
+    for part in parts:
+        left, acc, *rest = rows[part]
+        t = v - left
+        for c in rest:                     # Horner in the function's own variable
+            acc *= t
+            acc += c
+        evaluated.append(acc)
+    flux, down, G = evaluated
+    flux[:-1] += down[1:]                  # F_{j+1/2} = up_j + down_{j+1}
+    out = flux[1:-1] - flux[:-2]
+    out *= dt / dx
+    np.subtract(values, out, out=out)
+    lap = G[2:] - 2.0 * G[1:-1]
+    lap += G[:-2]
+    lap *= dt / (dx * dx)
+    out += lap
+    return out
 
 
 def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
@@ -136,8 +179,23 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
             f"dt={dt!r} exceeds the monotone limit {dt_max!r} for data in "
             f"[{u_min!r}, {u_max!r}]"
         )
-    phi_up, phi_down = _split(phi)
-    return Field(u.grid, _apply_step(phi_up, phi_down, g, u.values, u.grid.dx, dt))
+    return Field(u.grid, _apply_step(_kernel_table(phi, g), u.values, u.grid.dx, dt))
+
+
+def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
+              params: SchemeParams) -> float:
+    """One time step admissible for every field of ``u0s``.
+
+    The smallest ``cfl_safety * max_stable_dt`` over the members' data
+    ranges; only when every member's limit is infinite, ``t_end`` (or 1 for
+    a zero horizon).
+    """
+    dt = params.cfl_safety * min(
+        max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
+        for u in u0s)
+    if math.isinf(dt):
+        return params.t_end if params.t_end > 0.0 else 1.0
+    return dt
 
 
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
@@ -148,34 +206,31 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     The time step is fixed for the whole run from the initial data range,
     which stays valid because the range never grows (max principle). The
     step count is deterministic for a given configuration. ``_dt`` forces a
-    specific (still admissible) step, so companion runs can share one step
-    and stay exactly comparable.
+    specific (still admissible) step; ``run_many`` passes its shared step
+    this way.
     """
     structure = analyze(phi, g, u0, tol)
-    u_min = float(u0.values.min())
-    u_max = float(u0.values.max())
-    dt_max = max_stable_dt(phi, g, u_min, u_max, u0.grid.dx)
-    if _dt is not None:
+    if _dt is None:
+        dt = shared_dt(phi, g, [u0], params)
+    else:
+        dt_max = max_stable_dt(phi, g, float(u0.values.min()), float(u0.values.max()),
+                               u0.grid.dx)
         if _dt > dt_max * (1.0 + _STEP_SLACK):
             raise CflViolationError(
                 f"forced dt={_dt!r} exceeds the monotone limit {dt_max!r}")
         dt = _dt
-    elif math.isinf(dt_max):
-        dt = params.t_end if params.t_end > 0.0 else 1.0
-    else:
-        dt = params.cfl_safety * dt_max
     snapshots: list[tuple[float, Field]] = [(0.0, u0.copy())]
     requested = [t for t in params.snapshot_times if t > 0.0]
     ptr = 0
     values = u0.values
-    phi_up, phi_down = _split(phi)
+    table = _kernel_table(phi, g)
     dx = u0.grid.dx
     k = 0
     if params.t_end > 0.0:
         while True:
             k += 1
             t = k * dt
-            values = _apply_step(phi_up, phi_down, g, values, dx, dt)
+            values = _apply_step(table, values, dx, dt)
             final = t >= params.t_end - _STEP_SLACK * dt
             due = ptr < len(requested) and t >= requested[ptr] - _STEP_SLACK * dt
             if final or due:
@@ -185,3 +240,22 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
             if final:
                 break
     return RunResult(snapshots, structure, k, dt, params)
+
+
+def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
+             params: SchemeParams, tol: float = DEFAULT_TOL) -> list[RunResult]:
+    """Advance every field of ``u0s`` to ``t_end`` with one shared time step.
+
+    The step is ``shared_dt`` of the members, so it is admissible for each of
+    them, and by the discrete comparison principle the trajectories stay
+    exactly comparable: same snapshot times, order and L1 contraction between
+    them. Each member is one ``run``; results come back in the order of
+    ``u0s``.
+    """
+    u0s = list(u0s)
+    if not u0s:
+        raise ValueError("run_many needs at least one initial field")
+    if any(u0.grid != u0s[0].grid for u0 in u0s):
+        raise GridMismatchError("all initial fields of one run must share a grid")
+    dt = shared_dt(phi, g, u0s, params)
+    return [run(phi, g, u0, params, tol, _dt=dt) for u0 in u0s]

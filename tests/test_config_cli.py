@@ -97,6 +97,29 @@ class TestParsing:
             parse_config(json.dumps(minimal(initial={"expression": "exp(3*x)"})))
         assert err.value.path == "/initial/expression"
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"scheme": {"t_end": "abc"}}, "/scheme/t_end"),
+        ({"scheme": {"t_end": 0.5, "snapshot_times": 5}}, "/scheme/snapshot_times"),
+        ({"checks": 5}, "/checks"),
+        ({"checks": [{"name": "decay", "threshold": "x"}]}, "/checks/0/threshold"),
+        ({"tol": "x"}, "/tol"),
+        ({"tol": -1.0}, "/tol"),
+        ({"phi": {"kind": "burgers", "lo": "x", "hi": 1}}, "/phi/lo"),
+        ({"initial": {"sine": {"mean": 0.5, "amplitude": "x"}}}, "/initial/sine/amplitude"),
+        ({"scheme": {"t_end": 0.5, "cfl_safety": "x"}}, "/scheme/cfl_safety"),
+        ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, "x"]}},
+         "/scheme/snapshot_times/1"),
+    ])
+    def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
+        doc = minimal(**overrides)
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == path
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli(["analyze", "--config", str(cfg)]) == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_config(b"{not json")

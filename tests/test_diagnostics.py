@@ -26,6 +26,7 @@ from degenwave import (
     positive_part_distance,
     profile_operator,
     run,
+    run_many,
     squeeze_bounds,
     t_nonexpansive_check,
     total_variation,
@@ -163,8 +164,8 @@ class TestMonitors:
         grid = Grid(64)
         phi, g = burgers(-1, 1), constant(0.0, -1, 1)
         params = SchemeParams(t_end=0.5, snapshot_times=tuple(np.linspace(0, 0.5, 26)))
-        lo_run = run(phi, g, sine_field(grid, 0.4, 0.2), params)
-        hi_run = run(phi, g, sine_field(grid, 0.55, 0.2), params, _dt=lo_run.dt)
+        lo_run, hi_run = run_many(phi, g, [sine_field(grid, 0.4, 0.2),
+                                           sine_field(grid, 0.55, 0.2)], params)
         rep = contraction_monitor(lo_run, hi_run)
         assert rep.passed
         for (_, a), (_, b) in zip(lo_run.snapshots, hi_run.snapshots):
@@ -174,8 +175,8 @@ class TestMonitors:
         grid = Grid(96)
         phi, g = burgers(-1, 1), constant(0.0, -1, 1)
         params = SchemeParams(t_end=1.0, snapshot_times=tuple(np.linspace(0, 1, 21)))
-        ra = run(phi, g, sine_field(grid, 0.5, 0.25), params)
-        rb = run(phi, g, sine_field(grid, 0.5, 0.25, phase=1.0), params, _dt=ra.dt)
+        ra, rb = run_many(phi, g, [sine_field(grid, 0.5, 0.25),
+                                   sine_field(grid, 0.5, 0.25, phase=1.0)], params)
         assert contraction_monitor(ra, rb).passed
 
     def test_conservation(self):

@@ -21,6 +21,7 @@ from degenwave import (
     mean,
     positive_part_distance,
     run,
+    run_many,
     shift,
     step,
 )
@@ -183,6 +184,21 @@ class TestRun:
         phi = linear(2.0, 0.0, -1, 1)
         with pytest.raises(CflViolationError):
             run(phi, constant(0.0, -1, 1), u0, SchemeParams(t_end=0.1), _dt=grid.dx)
+
+    def test_shared_dt_is_admissible_for_every_member(self):
+        grid = Grid(16)
+        phi, g = linear(2.0, 0.0, -1, 1), constant(0.0, -1, 1)
+        members = [sine_field(grid, 0.0, 0.5), sine_field(grid, 0.1, 0.2),
+                   sine_field(grid, -0.2, 0.7)]
+        params = SchemeParams(t_end=0.1, cfl_safety=0.7)
+        runs = run_many(phi, g, members, params)
+        for u0, res in zip(members, runs):
+            cap = params.cfl_safety * max_stable_dt(
+                phi, g, float(u0.values.min()), float(u0.values.max()), grid.dx)
+            assert res.dt <= cap
+        # the one-step call keeps its guard against an inadmissible step
+        with pytest.raises(CflViolationError):
+            step(phi, g, members[0], grid.dx)
 
 
 class TestSchemeParams:
