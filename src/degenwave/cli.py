@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     cfg = _load(args.config)
     cfgs = cfg if isinstance(cfg, list) else [cfg]
-    summary = scenarios.run_suite(cfgs, args.out, threads=args.threads)
+    summary = scenarios.run_suite(cfgs, args.out)
     for res in summary.results:
         status = "pass" if res.passed else "FAIL"
         print(f"{res.name}: {status} ({len(res.reports)} checks, {res.elapsed:.2f}s)")
@@ -102,8 +102,6 @@ def cli(argv) -> int:
         p.add_argument("--config", required=True)
         if needs_out:
             p.add_argument("--out", required=True)
-        if name == "suite":
-            p.add_argument("--threads", type=int, default=None)
         p.set_defaults(handler=fn)
     try:
         args = parser.parse_args(argv)

@@ -73,26 +73,26 @@ def _require_same_grid(u: Field, v: Field) -> None:
 
 def l1_distance(u: Field, v: Field) -> float:
     _require_same_grid(u, v)
-    return math.fsum(np.abs(u.values - v.values)) * u.grid.dx
+    return math.fsum(np.abs(u.values - v.values).tolist()) * u.grid.dx
 
 
 def positive_part_distance(u: Field, v: Field) -> float:
     """Integral over the circle of (u - v)^+."""
     _require_same_grid(u, v)
-    return math.fsum(np.maximum(u.values - v.values, 0.0)) * u.grid.dx
+    return math.fsum(np.maximum(u.values - v.values, 0.0).tolist()) * u.grid.dx
 
 
 def mean(u: Field) -> float:
-    return math.fsum(u.values) * u.grid.dx
+    return math.fsum(u.values.tolist()) * u.grid.dx
 
 
 def l1_to_constant(u: Field, value: float) -> float:
-    return math.fsum(np.abs(u.values - value)) * u.grid.dx
+    return math.fsum(np.abs(u.values - value).tolist()) * u.grid.dx
 
 
 def total_variation(u: Field) -> float:
     """Circular total variation of the cell values."""
-    return math.fsum(np.abs(np.roll(u.values, -1) - u.values))
+    return math.fsum(np.abs(np.roll(u.values, -1) - u.values).tolist())
 
 
 def shift(u: Field, cells: int) -> Field:

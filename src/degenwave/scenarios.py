@@ -13,7 +13,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from .grid import Field, Grid
 from .piecewise import DEFAULT_TOL, PiecewiseFunction, burgers, constant, identity, linear
 from .solver import RunResult, SchemeParams, run, run_many
 
-THREADS_ENV_VAR = "DEGENWAVE_THREADS"
 DEFAULT_SNAPSHOT_COUNT = 33
 
 SINGLE_CHECKS = {
@@ -377,32 +375,32 @@ def config_to_json(cfg) -> str:
 # -- execution -------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_text_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """One line per row of plain floats, each written as ``repr`` (shortest round trip)."""
+    lines = header + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _write_snapshots_csv(path: Path, result: RunResult) -> None:
-    lines = [",".join([_fmt(t)] + [_fmt(v) for v in f.values])
-             for t, f in result.snapshots]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = ([float(t)] + f.values.tolist() for t, f in result.snapshots)
+    _write_text_atomic(path, _csv_text([], rows))
 
 
 def _write_series_csv(path: Path, series) -> None:
-    lines = ["time,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in series]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = np.asarray(series, dtype=float).tolist()
+    _write_text_atomic(path, _csv_text(["time,value"], rows))
 
 
 def _write_profile_csv(path: Path, estimate: diag.ProfileEstimate) -> None:
     centers = estimate.profile.grid.cell_centers()
-    lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}"
-                           for x, v in zip(centers, estimate.profile.values)]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = zip(centers.tolist(), estimate.profile.values.tolist())
+    _write_text_atomic(path, _csv_text(["x,value"], rows))
 
 
 def _failed_report(name: str, exc: Exception) -> diag.CheckReport:
@@ -496,32 +494,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
                           time.perf_counter() - started)
 
 
-def _thread_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def run_suite(cfgs: list[ScenarioConfig], out_dir, threads: int | None = None) -> SuiteSummary:
-    """Run a batch of scenarios (optionally in parallel) and write summary.json.
-
-    Scenarios share nothing, so parallelism cannot change any output; the
-    summary lists scenarios in config order regardless of completion order.
-    """
+def run_suite(cfgs: list[ScenarioConfig], out_dir) -> SuiteSummary:
+    """Run a batch of scenarios in config order and write summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = min(_thread_count(threads), max(len(cfgs), 1))
-    if workers == 1:
-        results = [run_scenario(cfg, out) for cfg in cfgs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cfg: run_scenario(cfg, out), cfgs))
+    results = [run_scenario(cfg, out) for cfg in cfgs]
     overall = all(r.passed for r in results)
     summary = {
         "scenarios": [

@@ -6,9 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenwave import SchemaError, parse_config, run_scenario, run_suite
+from degenwave import Field, Grid, SchemaError, SchemeParams, parse_config, run_scenario, run_suite
 from degenwave.cli import cli
-from degenwave.scenarios import config_to_json
+from degenwave.diagnostics import ProfileEstimate
+from degenwave.scenarios import (
+    _write_profile_csv,
+    _write_series_csv,
+    _write_snapshots_csv,
+    config_to_json,
+)
+from degenwave.solver import RunResult
 
 MINIMAL = {
     "name": "burgers_min",
@@ -270,6 +277,37 @@ class TestRunScenario:
             assert a == b, fname
 
 
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 1 / 3]
+EDGE_TEXT = ["-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "0.1",
+             "0.3333333333333333"]
+
+
+def test_csv_writers_keep_repr_bytes(tmp_path):
+    # the text repr(float(x)) gives for each value, numpy scalars included
+    grid = Grid(len(EDGE_VALUES))
+    field = Field(grid, EDGE_VALUES)
+    times = (0.0, 1e-05, 1 / 3)
+    result = RunResult([(t, field) for t in times], structure=None, step_count=2,
+                       dt=1e-05, params=SchemeParams(t_end=1 / 3, snapshot_times=times))
+    _write_snapshots_csv(tmp_path / "snapshots.csv", result)
+    assert (tmp_path / "snapshots.csv").read_bytes() == "".join(
+        ",".join([t] + EDGE_TEXT) + "\n" for t in ("0.0", "1e-05", "0.3333333333333333")
+    ).encode()
+
+    series = tuple(zip(map(np.float64, EDGE_VALUES), reversed(EDGE_VALUES)))
+    _write_series_csv(tmp_path / "series.csv", series)
+    assert (tmp_path / "series.csv").read_bytes() == "".join(
+        ["time,value\n"] + [f"{a},{b}\n" for a, b in zip(EDGE_TEXT, reversed(EDGE_TEXT))]
+    ).encode()
+
+    estimate = ProfileEstimate(field, 0.0, ((0.0, 0.0),), True, 1.0)
+    _write_profile_csv(tmp_path / "profile.csv", estimate)
+    centers = [repr(float(x)) for x in grid.cell_centers()]
+    assert (tmp_path / "profile.csv").read_bytes() == "".join(
+        ["x,value\n"] + [f"{x},{v}\n" for x, v in zip(centers, EDGE_TEXT)]
+    ).encode()
+
+
 class TestSuite:
     def configs(self):
         return parse_config(json.dumps([
@@ -290,19 +328,6 @@ class TestSuite:
             for c in sc["checks"]:
                 assert set(c) == {"name", "passed", "observed", "threshold"}
         assert summary.timings.keys() == {"s1", "s2"}
-
-    def test_parallelism_does_not_change_outputs(self, tmp_path):
-        run_suite(self.configs(), tmp_path / "serial", threads=1)
-        run_suite(self.configs(), tmp_path / "parallel", threads=2)
-        for rel in ("summary.json", "s1/checks.json", "s2/checks.json",
-                    "s1/snapshots.csv", "s2/snapshots.csv"):
-            assert (tmp_path / "serial" / rel).read_bytes() == \
-                (tmp_path / "parallel" / rel).read_bytes(), rel
-
-    def test_thread_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENWAVE_THREADS", "2")
-        summary = run_suite(self.configs(), tmp_path)
-        assert summary.overall_pass
 
 
 class TestCli:
