@@ -104,7 +104,8 @@ class PiecewiseFunction:
 
     ``pieces[i]`` are the coefficients of the polynomial on
     ``[breakpoints[i], breakpoints[i+1]]`` in the variable
-    ``t = u - breakpoints[i]``, lowest degree first, degree <= 3.
+    ``t = u - breakpoints[i]``, lowest degree first, degree <= 3; a -0.0
+    coefficient is stored as +0.0.
 
     Instances are immutable (and therefore safe to share between threads).
     Construction validates strict breakpoint ordering, continuity of
@@ -146,6 +147,9 @@ class PiecewiseFunction:
                     f"{left_val!r} vs {given!r}"
                 )
             anchored.append((left_val,) + raw[i][1:])
+        # x + 0.0 turns -0.0 into +0.0 and keeps every other x; the step
+        # kernel's +0.0-padded Horner rows rely on it (solver._kernel_table)
+        anchored = [tuple(c + 0.0 for c in p) for p in anchored]
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", tuple(anchored))
         if self.monotone_nondecreasing:

@@ -88,11 +88,14 @@ class SuiteSummary:
 
 
 def _number(value, path: str) -> float:
-    """``float(value)``, or a SchemaError at ``path`` when it is not a number."""
+    """``float(value)``, or a SchemaError at ``path`` when it is not a finite number."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as e:
         raise SchemaError(path, f"expected a number, got {value!r}") from e
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 # -- initial-data builders -----------------------------------------------------
@@ -137,25 +140,24 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
         mean, amp, freq = (_number(body.get(key, default), f"{path}/sine/{key}")
                            for key, default in (("mean", 0.0), ("amplitude", 0.0),
                                                 ("frequency", 1.0)))
-        return Field(grid, mean + amp * np.sin(2.0 * np.pi * freq * x))
-    if kind == "step":
+        vals = mean + amp * np.sin(2.0 * np.pi * freq * x)
+    elif kind == "step":
         try:
-            left = float(body["left"])
-            right = float(body["right"])
-            split = float(body["split"])
+            left, right, split = (float(body[key]) for key in ("left", "right", "split"))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}/step", f"need numeric left/right/split: {e}") from e
-        return Field(grid, np.where(x < split, left, right))
-    if kind == "cells":
+        if not all(map(math.isfinite, (left, right, split))):
+            raise SchemaError(f"{path}/step", "left/right/split must be finite")
+        vals = np.where(x < split, left, right)
+    elif kind == "cells":
         try:
-            arr = np.asarray(body, dtype=float)
+            vals = np.asarray(body, dtype=float)
         except (TypeError, ValueError) as e:
             raise SchemaError(f"{path}/cells", f"values must be numbers: {e}") from e
-        if arr.shape != (grid.n_cells,):
+        if vals.shape != (grid.n_cells,):
             raise SchemaError(f"{path}/cells",
-                              f"expected {grid.n_cells} values, got {arr.size}")
-        return Field(grid, arr)
-    if kind == "expression":
+                              f"expected {grid.n_cells} values, got {vals.size}")
+    elif kind == "expression":
         vals = np.zeros_like(x)
         for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
             if fn == "const":
@@ -164,8 +166,11 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                 vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
             else:
                 vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
-        return Field(grid, vals)
-    raise SchemaError(path, f"unknown initial-data kind {kind!r}")
+    else:
+        raise SchemaError(path, f"unknown initial-data kind {kind!r}")
+    if not np.isfinite(vals).all():
+        raise SchemaError(f"{path}/{kind}", "initial values must be finite")
+    return Field(grid, vals)
 
 
 # -- function specs ------------------------------------------------------------
@@ -323,8 +328,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     if not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
     tol = _number(doc.get("tol", DEFAULT_TOL), f"{path}/tol")
-    if not 0.0 <= tol < math.inf:
-        raise SchemaError(f"{path}/tol", "tol must be finite and nonnegative")
+    if tol < 0.0:
+        raise SchemaError(f"{path}/tol", "tol must be nonnegative")
     return ScenarioConfig(
         name=name, phi=phi, g=g, initial=_freeze_initial(doc["initial"]),
         grid_cells=n_cells, scheme=scheme, checks=tuple(checks),

@@ -40,9 +40,9 @@ _STEP_SLACK = 1e-9
 class SchemeParams:
     """Run controls: CFL safety factor, horizon, and snapshot schedule.
 
-    ``snapshot_times`` must be nondecreasing and lie in [0, t_end]. The run
-    records the state at the first step time at or past each requested time
-    (plus the initial state and the final state, always).
+    ``snapshot_times`` must be finite, nondecreasing and lie in [0, t_end].
+    The run records the state at the first step time at or past each
+    requested time (plus the initial state and the final state, always).
     """
 
     t_end: float
@@ -55,6 +55,8 @@ class SchemeParams:
         if self.t_end < 0.0 or not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite and nonnegative")
         times = tuple(float(t) for t in self.snapshot_times)
+        if not all(map(math.isfinite, times)):
+            raise ValueError("snapshot_times must be finite")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("snapshot_times must be nondecreasing")
         if times and (times[0] < 0.0 or times[-1] > self.t_end * (1.0 + 1e-12)):
@@ -117,47 +119,47 @@ def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
 
 @lru_cache(maxsize=64)
 def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
-    """One breakpoint table for ``phi_up``, ``phi_down`` and ``g``.
+    """One stacked breakpoint table for ``phi_up``, ``phi_down`` and ``g``.
 
     The merged inner breakpoints locate a value with one ``searchsorted``.
-    Each row of the coefficient table holds, per merged piece, one function's
-    left end or one of its coefficients (highest degree first); ``parts``
-    holds each function's slice of rows. Every function is then evaluated in
-    its own piece-local variable, exactly as ``_eval_unchecked`` would.
+    The table, of shape ``(D+2, 3, m)`` for ``m`` merged pieces, holds per
+    function and piece its own left end (row 0), then its coefficients from
+    degree ``D`` down to 0. ``D`` is the highest degree with a nonzero
+    coefficient in any piece of the three (the flux split stores cubics).
+
+    Every value is bit-identical to ``_eval_unchecked``: above a piece's top
+    nonzero coefficient ``c`` (or ``c0``) both see only +0.0, so both reach
+    ``c`` from a signed zero or start at it, ``±0 + c == c`` for every ``c``
+    but -0.0, and ``PiecewiseFunction`` stores no -0.0 coefficient.
     """
     funcs = (*_split(phi), g)
     inner = np.array(sorted({float(b) for f in funcs for b in f._cache["bp_inner"]}))
-    rows, parts = [], []
-    for f in funcs:
-        cache = f._cache
-        own = np.concatenate(([0], np.searchsorted(cache["bp_inner"], inner, side="right")))
-        columns = [cache["lefts"]] + [cache[f"c{d}"] for d in range(cache["degree"], -1, -1)]
-        parts.append(slice(len(rows), len(rows) + len(columns)))
-        rows += [np.take(c, own) for c in columns]
-    return inner, np.array(rows), parts
+    # per function and merged piece: its own left end, then c0..c3
+    pieces = np.array([np.column_stack((f._cache["lefts"], f._cache["C"]))[np.concatenate(
+        ([0], np.searchsorted(f._cache["bp_inner"], inner, side="right")))] for f in funcs])
+    top = np.flatnonzero(pieces[:, :, 1:].any(axis=(0, 1))).max(initial=0)
+    rows = [0, *range(top + 1, 0, -1)]       # left end, then c_D down to c0
+    return inner, np.ascontiguousarray(pieces[:, :, rows].transpose(2, 0, 1))
 
 
 def _apply_step(table, values: np.ndarray, dx: float, dt: float) -> np.ndarray:
     """One explicit update of the cell values ``values``.
 
     The values are padded with periodic ghost cells, so neighbours are slices
-    of one contiguous array, and one gather fetches the piece data of all
-    three functions. The arithmetic matches
+    of one contiguous array. One gather fetches the piece data of all three
+    functions, and one stacked Horner scheme evaluates them, each in its own
+    piece-local variable. The arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
     operation for operation, so the output is the same to the bit.
     """
-    inner, coeffs, parts = table
+    inner, coeffs = table
     v = np.concatenate((values[-1:], values, values[:1]))   # one ghost cell per side
-    rows = np.take(coeffs, np.searchsorted(inner, v, side="right"), axis=1)
-    evaluated = []
-    for part in parts:
-        left, acc, *rest = rows[part]
-        t = v - left
-        for c in rest:                     # Horner in the function's own variable
-            acc *= t
-            acc += c
-        evaluated.append(acc)
-    flux, down, G = evaluated
+    left, acc, *rest = np.take(coeffs, np.searchsorted(inner, v, side="right"), axis=2)
+    t = v - left
+    for c in rest:
+        acc *= t
+        acc += c
+    flux, down, G = acc
     flux[:-1] += down[1:]                  # F_{j+1/2} = up_j + down_{j+1}
     out = flux[1:-1] - flux[:-2]
     out *= dt / dx

@@ -116,6 +116,18 @@ class TestParsing:
         ({"scheme": {"t_end": 0.5, "cfl_safety": "x"}}, "/scheme/cfl_safety"),
         ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, "x"]}},
          "/scheme/snapshot_times/1"),
+        ({"initial": {"cells": [1e999] + [0.0] * 63}}, "/initial/cells"),
+        ({"initial": {"expression": "1e999"}}, "/initial/expression"),
+        ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}}, "/initial/step"),
+        pytest.param({"initial": {"sine": {"mean": 1e308, "amplitude": 1e308}}},
+                     "/initial/sine", marks=pytest.mark.filterwarnings("ignore:overflow")),
+        ({"initial_b": {"cells": [0.0] * 63 + [-1e999]}, "checks": ["contraction"]},
+         "/initial_b/cells"),
+        ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, float("nan")]}},
+         "/scheme/snapshot_times/1"),
+        ({"checks": [{"name": "decay", "threshold": float("inf")}]}, "/checks/0/threshold"),
+        ({"initial": {"sine": {"mean": float("nan"), "amplitude": 0.25}}},
+         "/initial/sine/mean"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -126,6 +138,15 @@ class TestParsing:
         cfg.write_text(json.dumps(doc))
         assert cli(["analyze", "--config", str(cfg)]) == 2
         assert f"config error at {path}:" in capsys.readouterr().err
+
+    def test_non_finite_literal_in_suite_is_exit_2(self, tmp_path, capsys):
+        # 1e999 parses to inf; it must stop the suite before any stepping
+        cfg = tmp_path / "bad.json"
+        doc = minimal(initial={"step": {"left": 12345.0, "right": 0.0, "split": 0.5}})
+        cfg.write_text(json.dumps([doc]).replace("12345.0", "1e999"))
+        assert cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /0/initial/step:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):

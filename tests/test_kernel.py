@@ -1,6 +1,8 @@
-"""Bit-identity of the fused step kernel and the shared-dt rule of run_many."""
+"""Bit-identity of the stacked step kernel and the shared-dt rule of run_many."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,13 +61,84 @@ def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
 
-@pytest.mark.parametrize("g", [constant(0.0), constant(-0.25), from_breakpoints(
-    (-2.0, 0.5, 2.0), [[0.0], [0.0, 0.3]], monotone=True)])
-def test_signed_zero_data_matches_reference(g):
-    # -0.0 - (+0.0) keeps the sign; the reference then adds a +0.0 stencil
-    values = np.full((2, 16), -0.0)
+def linear_model(rng, g_degree):
+    """Piecewise-linear flux that rises on one piece and falls on another, and
+    a monotone g of trimmed degree ``g_degree`` (0: flat pieces only, 1: linear)."""
+    bps = rm.random_breakpoints(rng)
+    if len(bps) == 2:
+        bps.insert(1, float(rng.uniform(-1.5, 1.5)))
+    k = len(bps) - 1
+    signs = rng.choice([-1.0, 0.0, 1.0], size=k)
+    signs[rng.choice(k, size=2, replace=False)] = (1.0, -1.0)
+    phi = from_breakpoints(bps, [[0.0, s] for s in signs * rng.uniform(0.1, 1.5, size=k)])
+    gbps = rm.random_breakpoints(rng)
+    slopes = rng.choice([0.0, 1.0], size=len(gbps) - 1) * rng.uniform(0.01, 0.5)
+    if g_degree:
+        slopes[rng.integers(len(slopes))] = 0.2
+    else:
+        slopes[:] = 0.0
+    g = from_breakpoints(gbps, [[float(rng.uniform(-1, 1)), s] for s in slopes], monotone=True)
+    return phi, g
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 64, 5000]), g_degree=st.sampled_from([0, 1]))
+def test_all_linear_table_matches_reference_bit_for_bit(seed, n, g_degree):
+    # phi_up and phi_down are stored as cubics and trim to degree 1, so the
+    # table holds one Horner pair (D = 1); a flat g is padded up from degree 0
+    rng = np.random.default_rng(seed)
+    phi, g = linear_model(rng, g_degree)
+    up, down = _split(phi)
+    assert up._cache["degree"] == down._cache["degree"] == 3
+    inner, coeffs = _kernel_table(phi, g)
+    assert coeffs.shape[0] == 3                      # left ends, c1, c0
+    assert coeffs[1, 0].any() and coeffs[1, 1].any()
+    assert coeffs[1, 2].any() == bool(g_degree)
+    values = random_values(rng, phi, g, n)
+    dx = 1.0 / n
+    dt = float(rng.uniform(0.1, 1.0)) * min(max_stable_dt(phi, g, -2.0, 2.0, dx), 1.0)
+    out = _apply_step((inner, coeffs), values, dx, dt)
+    assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
+
+
+def test_band_squeeze_table_is_linear():
+    # the mixed_band model: flux kink at 0, g flat below 0.8; three merged pieces
+    bundle = Path(__file__).resolve().parent.parent / "configs" / "acceptance_suite.json"
+    (spec,) = [s for s in json.loads(bundle.read_text()) if s["name"] == "mixed_band"]
+    phi, g = (PiecewiseFunction.from_dict(spec[k]) for k in ("phi", "g"))
+    inner, table = _kernel_table(phi, g)
+    assert inner.tolist() == [0.0, 0.8]
+    assert table.shape == (3, 3, 3) and table.flags.c_contiguous
+
+
+def test_zero_coefficients_are_stored_as_plus_zero():
+    f = PiecewiseFunction((-2.0, 0.0, 2.0), ((-0.0, -0.0, 1.0), (4.0, -0.0, -0.0)))
+    assert all(math.copysign(1.0, c) == 1.0 for p in f.pieces for c in p)
+    assert not np.signbit(f._cache["C"]).any()
+
+
+# a flux flat on the left and quadratic on the right, so D = 2 and the
+# fluxes of the alternating row cancel to +0.0 there
+FLAT_LEFT = PiecewiseFunction((-2.0, 0.0, 2.0), ((0.0,), (0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("phi, g", [
+    (burgers(), constant(0.0)),
+    (burgers(), constant(-0.25)),
+    (burgers(), from_breakpoints((-2.0, 0.5, 2.0), [[0.0], [0.0, 0.3]], monotone=True)),
+    (burgers(0.0, 2.0), constant(-0.0, 0.0, 2.0)),
+    (PiecewiseFunction((-2.0, 0.0, 2.0), ((-0.0, -1.0), (-2.0, 0.5))), constant(0.1)),
+    (FLAT_LEFT, PiecewiseFunction((-2.0, 0.0, 2.0), ((-0.0, -0.0), (0.0, 0.3)), True)),
+], ids=["g0", "g1", "g2", "g_const_minus_zero", "phi_minus_zero_first_piece",
+        "g_minus_zero_piece"])
+def test_signed_zero_data_matches_reference(phi, g):
+    # -0.0 data on the breakpoint 0.0 gives t = -0.0 - 0.0 = -0.0; a -0.0 cell
+    # with zero fluxes stays -0.0 only if its Laplacian is -0.0 too (g -0.0 at
+    # both neighbours, +0.0 at the cell), which the last model's third row builds
+    side = -0.25 if max(phi.lo, g.lo) < 0.0 else 0.25
+    values = np.full((3, 16), -0.0)
     values[1, 5:9] = 0.25
-    phi = burgers()
+    values[2, ::2] = side
     up, down = _split(phi)
     for row in values:
         got = _apply_step(_kernel_table(phi, g), row, 1.0 / 16, 1e-3)

@@ -213,3 +213,9 @@ class TestSchemeParams:
             SchemeParams(t_end=1.0, snapshot_times=(0.5, 0.2))
         with pytest.raises(ValueError):
             SchemeParams(t_end=1.0, snapshot_times=(0.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_snapshot_times_must_be_finite(self, bad):
+        # every ordering and range comparison with NaN is False
+        with pytest.raises(ValueError, match="finite"):
+            SchemeParams(t_end=1.0, snapshot_times=(0.0, bad))
