@@ -61,7 +61,6 @@ from .piecewise import (
     maximal_affine_interval,
     maximal_constant_interval,
     monotone_split,
-    total_variation_between,
 )
 from .scenarios import (
     ScenarioConfig,
@@ -71,7 +70,7 @@ from .scenarios import (
     run_suite,
     serialize_config,
 )
-from .solver import RunResult, SchemeParams, eo_flux, max_stable_dt, run, run_many, step
+from .solver import RunResult, SchemeParams, max_stable_dt, run, run_many, step
 from .structure import StructureReport, analyze, band_project_mean, cutoff
 
 __version__ = "0.1.0"

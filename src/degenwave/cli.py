@@ -22,7 +22,7 @@ from pathlib import Path
 from . import scenarios
 from .errors import DegenwaveError, SchemaError
 from .grid import Grid
-from .scenarios import CheckSpec, ScenarioConfig, build_initial, initial_spec_dict
+from .scenarios import CheckSpec, ScenarioConfig, ScenarioResult, build_initial
 from .structure import analyze
 
 
@@ -41,14 +41,17 @@ def _load_single(path: str) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_run(args) -> int:
-    result = scenarios.run_scenario(_load_single(args.config), args.out)
+def _report(result: ScenarioResult) -> int:
     for rep in result.reports:
         print(f"{result.name}/{rep.name}: {'pass' if rep.passed else 'FAIL'} "
               f"(observed={rep.observed:g}, threshold={rep.threshold:g})")
     if result.error:
         print(f"{result.name}: error: {result.error}", file=sys.stderr)
     return 0 if result.passed else 1
+
+
+def _cmd_run(args) -> int:
+    return _report(scenarios.run_scenario(_load_single(args.config), args.out))
 
 
 def _cmd_suite(args) -> int:
@@ -65,7 +68,7 @@ def _cmd_suite(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
     grid = Grid(cfg.grid_cells)
-    u0 = build_initial(initial_spec_dict(cfg.initial), grid)
+    u0 = build_initial(json.loads(cfg.initial), grid)
     report = analyze(cfg.phi, cfg.g, u0, cfg.tol)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -79,11 +82,7 @@ def _cmd_pair(args) -> int:
     extra = [CheckSpec(n) for n in ("contraction", "t_nonexpansive") if n not in names]
     if extra:
         cfg = replace(cfg, checks=cfg.checks + tuple(extra))
-    result = scenarios.run_scenario(cfg, args.out)
-    for rep in result.reports:
-        print(f"{result.name}/{rep.name}: {'pass' if rep.passed else 'FAIL'} "
-              f"(observed={rep.observed:g}, threshold={rep.threshold:g})")
-    return 0 if result.passed else 1
+    return _report(scenarios.run_scenario(cfg, args.out))
 
 
 def cli(argv) -> int:

@@ -486,18 +486,3 @@ def monotone_split(f: PiecewiseFunction) -> tuple[PiecewiseFunction, PiecewiseFu
     f_up = PiecewiseFunction(tuple(bps), tuple(up_pieces))
     f_down = PiecewiseFunction(tuple(bps), tuple(down_pieces))
     return f_up, f_down
-
-
-def total_variation_between(f: PiecewiseFunction, a: float, b: float) -> float:
-    """Exact integral of |f'| over [min(a,b), max(a,b)]."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    f._require_inside(lo, hi)
-    pts = [lo]
-    for (l, r, _) in refine_at_derivative_roots(f):
-        if lo < l < hi:
-            pts.append(l)
-        if lo < r < hi:
-            pts.append(r)
-    pts.append(hi)
-    pts = sorted(set(pts))
-    return math.fsum(abs(f.eval(q) - f.eval(p)) for p, q in zip(pts, pts[1:]))

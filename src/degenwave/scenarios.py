@@ -12,8 +12,9 @@ import json
 import math
 import os
 import re
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +27,28 @@ from .solver import RunResult, SchemeParams, run, run_many
 
 DEFAULT_SNAPSHOT_COUNT = 33
 
-SINGLE_CHECKS = {
-    "conservation": (),
-    "decay": ("threshold",),
-    "cutoff_convergence": ("band_lo", "band_hi", "threshold"),
-    "entropy_residual": ("comparison_constant",),
-    "squeeze_bounds": ("shift_upper", "shift_lower"),
-    "profile": ("t_lo", "threshold"),
+# Every named check: name -> (accepted params, needs initial_b, callable). A
+# callable takes (cfg, result, result_b, params, out) and returns a CheckReport;
+# it looks its diagnostics function up at call time, so a wrapper installed on
+# the module later (a profiler, a test stub) is the one that runs.
+CHECKS = {
+    "conservation": ((), False, lambda cfg, r, rb, p, out: diag.conservation_monitor(r)),
+    "decay": (("threshold",), False, lambda cfg, r, rb, p, out: diag.decay_metric(r, **p)),
+    "cutoff_convergence": (("band_lo", "band_hi", "threshold"), False,
+                           lambda cfg, r, rb, p, out: diag.cutoff_convergence(r, **p)),
+    "entropy_residual": (("comparison_constant",), False,
+                         lambda cfg, r, rb, p, out: diag.entropy_residual(r, cfg.phi, cfg.g, **p)),
+    "squeeze_bounds": (("shift_upper", "shift_lower"), False,
+                       lambda cfg, r, rb, p, out: diag.squeeze_bounds(r, cfg.phi, cfg.g, **p)),
+    "profile": (("t_lo", "threshold"), False,
+                lambda cfg, r, rb, p, out: _profile_check(cfg, r, p, out)),
+    "contraction": ((), True, lambda cfg, r, rb, p, out: diag.contraction_monitor(r, rb)),
+    "t_nonexpansive": (("tolerance",), True,
+                       lambda cfg, r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb, **p)),
 }
-PAIR_CHECKS = {
-    "contraction": (),
-    "t_nonexpansive": ("tolerance",),
+_INITIAL_PARAMS = {  # parameters of the object-valued initial-data kinds, with defaults
+    "sine": {"mean": 0.0, "amplitude": 0.0, "frequency": 1.0},
+    "step": {"left": None, "right": None, "split": None},
 }
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -59,11 +71,11 @@ class ScenarioConfig:
     name: str
     phi: PiecewiseFunction
     g: PiecewiseFunction
-    initial: tuple[tuple[str, object], ...]   # canonicalized JSON items
+    initial: str                  # JSON text of the initial-data spec
     grid_cells: int
     scheme: SchemeParams
     checks: tuple[CheckSpec, ...] = ()
-    initial_b: tuple[tuple[str, object], ...] | None = None
+    initial_b: str | None = None
     seed: int = 0
     tol: float = DEFAULT_TOL
 
@@ -84,18 +96,15 @@ class ScenarioResult:
 class SuiteSummary:
     results: list[ScenarioResult]
     overall_pass: bool
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def _number(value, path: str) -> float:
-    """``float(value)``, or a SchemaError at ``path`` when it is not a finite number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(path, f"expected a number, got {value!r}") from e
-    if not math.isfinite(number):
+    """``value`` as a float, or a SchemaError at ``path`` unless it is a finite JSON number."""
+    # bool is an int subclass; the bound also rejects nan, inf and ints beyond float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
         raise SchemaError(path, f"expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 # -- initial-data builders -----------------------------------------------------
@@ -134,40 +143,41 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
         raise SchemaError(path, "expected exactly one of sine/step/cells/expression")
     ((kind, body),) = spec.items()
     x = grid.cell_centers()
-    if kind in ("sine", "step") and not isinstance(body, dict):
-        raise SchemaError(f"{path}/{kind}", "expected an object of parameters")
-    if kind == "sine":
-        mean, amp, freq = (_number(body.get(key, default), f"{path}/sine/{key}")
-                           for key, default in (("mean", 0.0), ("amplitude", 0.0),
-                                                ("frequency", 1.0)))
-        vals = mean + amp * np.sin(2.0 * np.pi * freq * x)
-    elif kind == "step":
-        try:
-            left, right, split = (float(body[key]) for key in ("left", "right", "split"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{path}/step", f"need numeric left/right/split: {e}") from e
-        if not all(map(math.isfinite, (left, right, split))):
-            raise SchemaError(f"{path}/step", "left/right/split must be finite")
-        vals = np.where(x < split, left, right)
-    elif kind == "cells":
-        try:
-            vals = np.asarray(body, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{path}/cells", f"values must be numbers: {e}") from e
-        if vals.shape != (grid.n_cells,):
-            raise SchemaError(f"{path}/cells",
-                              f"expected {grid.n_cells} values, got {vals.size}")
-    elif kind == "expression":
-        vals = np.zeros_like(x)
-        for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
-            if fn == "const":
-                vals = vals + coef
-            elif fn == "sin":
-                vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
-            else:
-                vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
-    else:
-        raise SchemaError(path, f"unknown initial-data kind {kind!r}")
+    if kind in _INITIAL_PARAMS:
+        if not isinstance(body, dict):
+            raise SchemaError(f"{path}/{kind}", "expected an object of parameters")
+        for key in body:
+            if key not in _INITIAL_PARAMS[kind]:
+                raise SchemaError(f"{path}/{kind}/{key}", f"{kind} does not accept {key!r}")
+    # overflowing data is reported below as a config error, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "sine":
+            mean, amp, freq = (_number(body.get(key, default), f"{path}/sine/{key}")
+                               for key, default in _INITIAL_PARAMS["sine"].items())
+            vals = mean + amp * np.sin(2.0 * np.pi * freq * x)
+        elif kind == "step":
+            left, right, split = (_number(body.get(key), f"{path}/step")
+                                  for key in _INITIAL_PARAMS["step"])
+            vals = np.where(x < split, left, right)
+        elif kind == "cells":
+            try:
+                vals = np.asarray(body, dtype=float)
+            except (TypeError, ValueError) as e:
+                raise SchemaError(f"{path}/cells", f"values must be numbers: {e}") from e
+            if vals.shape != (grid.n_cells,):
+                raise SchemaError(f"{path}/cells",
+                                  f"expected {grid.n_cells} values, got {vals.size}")
+        elif kind == "expression":
+            vals = np.zeros_like(x)
+            for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
+                if fn == "const":
+                    vals = vals + coef
+                elif fn == "sin":
+                    vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
+                else:
+                    vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
+        else:
+            raise SchemaError(path, f"unknown initial-data kind {kind!r}")
     if not np.isfinite(vals).all():
         raise SchemaError(f"{path}/{kind}", "initial values must be finite")
     return Field(grid, vals)
@@ -209,29 +219,6 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
 
 
 # -- config parsing -------------------------------------------------------------
-
-
-def _freeze_initial(spec: dict) -> tuple[tuple[str, object], ...]:
-    def freeze(obj):
-        if isinstance(obj, dict):
-            return tuple((k, freeze(v)) for k, v in obj.items())
-        if isinstance(obj, list):
-            return tuple(freeze(v) for v in obj)
-        return obj
-
-    return freeze(spec)
-
-
-def _thaw(items):
-    if isinstance(items, tuple):
-        if all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in items):
-            return {k: _thaw(v) for k, v in items}
-        return [_thaw(v) for v in items]
-    return items
-
-
-def initial_spec_dict(cfg_initial) -> dict:
-    return _thaw(cfg_initial)
 
 
 def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
@@ -287,7 +274,7 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     initial_b = None
     if "initial_b" in doc:
         fields.append(build_initial(doc["initial_b"], grid, f"{path}/initial_b"))
-        initial_b = _freeze_initial(doc["initial_b"])
+        initial_b = json.dumps(doc["initial_b"])
     for f0 in fields:
         sup = float(np.max(np.abs(f0.values)))
         for fname, fn in (("phi", phi), ("g", g)):
@@ -306,15 +293,12 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaError(cpath, "check must be a name or an object with one")
         cname = entry["name"]
-        if cname in PAIR_CHECKS:
-            allowed = PAIR_CHECKS[cname]
-            if initial_b is None:
-                raise SchemaError(f"{cpath}/name",
-                                  f"{cname} needs a second initial condition (initial_b)")
-        elif cname in SINGLE_CHECKS:
-            allowed = SINGLE_CHECKS[cname]
-        else:
+        if not isinstance(cname, str) or cname not in CHECKS:
             raise SchemaError(f"{cpath}/name", f"unknown check {cname!r}")
+        allowed, needs_b, _ = CHECKS[cname]
+        if needs_b and initial_b is None:
+            raise SchemaError(f"{cpath}/name",
+                              f"{cname} needs a second initial condition (initial_b)")
         params = []
         for key, val in entry.items():
             if key == "name":
@@ -325,13 +309,13 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             params.append((key, _number(val, f"{cpath}/{key}")))
         checks.append(CheckSpec(cname, tuple(sorted(params))))
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
     tol = _number(doc.get("tol", DEFAULT_TOL), f"{path}/tol")
     if tol < 0.0:
         raise SchemaError(f"{path}/tol", "tol must be nonnegative")
     return ScenarioConfig(
-        name=name, phi=phi, g=g, initial=_freeze_initial(doc["initial"]),
+        name=name, phi=phi, g=g, initial=json.dumps(doc["initial"]),
         grid_cells=n_cells, scheme=scheme, checks=tuple(checks),
         initial_b=initial_b, seed=seed, tol=tol,
     )
@@ -339,11 +323,9 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
 
 def parse_config(text):
     """Parse a UTF-8 JSON document into one config or a list of configs."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as e:  # bad JSON or UTF-8, or an integer literal past 4300 digits
         raise SchemaError("/", f"invalid JSON: {e}") from e
     if isinstance(doc, list):
         return [_parse_scenario(entry, f"/{i}") for i, entry in enumerate(doc)]
@@ -355,7 +337,7 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         "name": cfg.name,
         "phi": cfg.phi.to_dict(),
         "g": cfg.g.to_dict(),
-        "initial": initial_spec_dict(cfg.initial),
+        "initial": json.loads(cfg.initial),
         "grid": {"n_cells": cfg.grid_cells},
         "scheme": {
             "t_end": cfg.scheme.t_end,
@@ -367,7 +349,7 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         "tol": cfg.tol,
     }
     if cfg.initial_b is not None:
-        doc["initial_b"] = initial_spec_dict(cfg.initial_b)
+        doc["initial_b"] = json.loads(cfg.initial_b)
     return doc
 
 
@@ -413,47 +395,24 @@ def _failed_report(name: str, exc: Exception) -> diag.CheckReport:
                             extra={"error": f"{type(exc).__name__}: {exc}"})
 
 
+def _profile_check(cfg: ScenarioConfig, result: RunResult, p: dict,
+                   out: Path) -> diag.CheckReport:
+    """Extract the traveling-wave profile, report its tail residual, write profile.csv."""
+    est = diag.extract_profile(result, t_lo=p.get("t_lo", 0.5 * cfg.scheme.t_end),
+                               threshold=p.get("threshold"))
+    rep = diag.CheckReport("profile", observed=max(v for _, v in est.residual_history),
+                           threshold=est.threshold, series=est.residual_history,
+                           extra={"speed_used": est.speed_used, "converged": est.converged})
+    _write_profile_csv(out / "profile.csv", est)
+    return rep
+
+
 def _run_checks(cfg: ScenarioConfig, result: RunResult,
                 result_b: RunResult | None, out: Path) -> list[diag.CheckReport]:
     reports: list[diag.CheckReport] = []
     for spec in cfg.checks:
-        p = spec.param_dict()
         try:
-            if spec.name == "conservation":
-                rep = diag.conservation_monitor(result)
-            elif spec.name == "decay":
-                rep = diag.decay_metric(result, threshold=p.get("threshold"))
-            elif spec.name == "cutoff_convergence":
-                rep = diag.cutoff_convergence(result, band_lo=p.get("band_lo"),
-                                              band_hi=p.get("band_hi"),
-                                              threshold=p.get("threshold"))
-            elif spec.name == "entropy_residual":
-                rep = diag.entropy_residual(
-                    result, cfg.phi, cfg.g,
-                    comparison_constant=p.get("comparison_constant",
-                                              diag.ENTROPY_COMPARISON_CONSTANT))
-            elif spec.name == "squeeze_bounds":
-                rep = diag.squeeze_bounds(result, cfg.phi, cfg.g,
-                                          shift_upper=p.get("shift_upper"),
-                                          shift_lower=p.get("shift_lower"))
-            elif spec.name == "profile":
-                t_lo = p.get("t_lo", 0.5 * cfg.scheme.t_end)
-                est = diag.extract_profile(result, t_lo=t_lo,
-                                           threshold=p.get("threshold"))
-                tail_worst = max(v for _, v in est.residual_history)
-                rep = diag.CheckReport(
-                    "profile", observed=tail_worst, threshold=est.threshold,
-                    series=est.residual_history,
-                    extra={"speed_used": est.speed_used,
-                           "converged": est.converged})
-                _write_profile_csv(out / "profile.csv", est)
-            elif spec.name == "contraction":
-                rep = diag.contraction_monitor(result, result_b)
-            elif spec.name == "t_nonexpansive":
-                rep = diag.t_nonexpansive_from_runs(result, result_b,
-                                                    tolerance=p.get("tolerance"))
-            else:  # unreachable after parse validation
-                raise SchemaError("/checks", f"unknown check {spec.name!r}")
+            rep = CHECKS[spec.name][2](cfg, result, result_b, spec.param_dict(), out)
         except Exception as e:  # a failed check must not abort the batch
             rep = _failed_report(spec.name, e)
         reports.append(rep)
@@ -468,7 +427,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     out = Path(out_dir) / cfg.name
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(cfg.grid_cells)
-    u0 = build_initial(initial_spec_dict(cfg.initial), grid)
+    u0 = build_initial(json.loads(cfg.initial), grid)
     error = None
     reports: list[diag.CheckReport] = []
     try:
@@ -477,7 +436,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
         else:
             # both trajectories advance with one shared admissible step so the
             # pair checks compare states at identical times
-            u0b = build_initial(initial_spec_dict(cfg.initial_b), grid)
+            u0b = build_initial(json.loads(cfg.initial_b), grid)
             result, result_b = run_many(cfg.phi, cfg.g, [u0, u0b], cfg.scheme, cfg.tol)
     except DegenwaveError as e:
         error = f"{type(e).__name__}: {e}"
@@ -520,5 +479,4 @@ def run_suite(cfgs: list[ScenarioConfig], out_dir) -> SuiteSummary:
         "overall_pass": overall,
     }
     _write_text_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    timings = {r.name: r.elapsed for r in results}
-    return SuiteSummary(results, overall, timings)
+    return SuiteSummary(results, overall)

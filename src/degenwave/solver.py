@@ -29,7 +29,6 @@ from .piecewise import (
     PiecewiseFunction,
     lipschitz_on,
     monotone_split,
-    total_variation_between,
 )
 from .structure import StructureReport, analyze
 
@@ -94,19 +93,6 @@ class RunResult:
 @lru_cache(maxsize=64)
 def _split(phi: PiecewiseFunction):
     return monotone_split(phi)
-
-
-def eo_flux(phi: PiecewiseFunction, u_left: float, u_right: float) -> float:
-    """Engquist-Osher numerical flux.
-
-    Equals the average of the endpoint fluxes minus half the signed integral
-    of |phi'| between the arguments; the integral is exact because the
-    variation of a polynomial piece splits at the closed-form roots of its
-    derivative. Consistency eo_flux(u, u) = phi(u) holds exactly.
-    """
-    tv = total_variation_between(phi, u_left, u_right)
-    sgn = 1.0 if u_right >= u_left else -1.0
-    return 0.5 * (phi.eval(u_left) + phi.eval(u_right)) - 0.5 * sgn * tv
 
 
 def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,

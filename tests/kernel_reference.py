@@ -2,10 +2,43 @@
 
 This is the original formulation, one ``searchsorted`` per model function and
 ``np.roll`` for the periodic neighbours. It lives with the tests only, as the
-oracle for bit-identity checks of ``degenwave.solver._apply_step``.
+oracle for bit-identity checks of ``degenwave.solver._apply_step``. The scalar
+Engquist-Osher flux below is the oracle for the monotone split the kernel uses.
 """
 
+import math
+
 import numpy as np
+
+from degenwave.piecewise import refine_at_derivative_roots
+
+
+def total_variation_between(f, a, b):
+    """Exact integral of |f'| over [min(a,b), max(a,b)]."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    f._require_inside(lo, hi)
+    pts = [lo]
+    for (l, r, _) in refine_at_derivative_roots(f):
+        if lo < l < hi:
+            pts.append(l)
+        if lo < r < hi:
+            pts.append(r)
+    pts.append(hi)
+    pts = sorted(set(pts))
+    return math.fsum(abs(f.eval(q) - f.eval(p)) for p, q in zip(pts, pts[1:]))
+
+
+def eo_flux(phi, u_left, u_right):
+    """Engquist-Osher numerical flux.
+
+    Equals the average of the endpoint fluxes minus half the signed integral
+    of |phi'| between the arguments; the integral is exact because the
+    variation of a polynomial piece splits at the closed-form roots of its
+    derivative. Consistency eo_flux(u, u) = phi(u) holds exactly.
+    """
+    tv = total_variation_between(phi, u_left, u_right)
+    sgn = 1.0 if u_right >= u_left else -1.0
+    return 0.5 * (phi.eval(u_left) + phi.eval(u_right)) - 0.5 * sgn * tv
 
 
 def eval_reference(f, arr):

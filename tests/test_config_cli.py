@@ -6,13 +6,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenwave import Field, Grid, SchemaError, SchemeParams, parse_config, run_scenario, run_suite
+from degenwave import (
+    CflViolationError,
+    CheckReport,
+    Field,
+    Grid,
+    SchemaError,
+    SchemeParams,
+    diagnostics,
+    parse_config,
+    run_scenario,
+    run_suite,
+    scenarios,
+)
 from degenwave.cli import cli
 from degenwave.diagnostics import ProfileEstimate
 from degenwave.scenarios import (
+    CHECKS,
     _write_profile_csv,
     _write_series_csv,
     _write_snapshots_csv,
+    build_initial,
     config_to_json,
 )
 from degenwave.solver import RunResult
@@ -92,9 +106,7 @@ class TestParsing:
     def test_expression_grammar(self):
         doc = minimal(initial={"expression": "0.5 + 0.2*sin(1) - 0.1*cos(2)"})
         cfg = parse_config(json.dumps(doc))
-        from degenwave.scenarios import build_initial, initial_spec_dict
-        from degenwave import Grid
-        u0 = build_initial(initial_spec_dict(cfg.initial), Grid(64))
+        u0 = build_initial(json.loads(cfg.initial), Grid(64))
         x = Grid(64).cell_centers()
         want = 0.5 + 0.2 * np.sin(2 * np.pi * x) - 0.1 * np.cos(4 * np.pi * x)
         assert u0.values == pytest.approx(want, abs=1e-15)
@@ -120,7 +132,7 @@ class TestParsing:
         ({"initial": {"expression": "1e999"}}, "/initial/expression"),
         ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}}, "/initial/step"),
         pytest.param({"initial": {"sine": {"mean": 1e308, "amplitude": 1e308}}},
-                     "/initial/sine", marks=pytest.mark.filterwarnings("ignore:overflow")),
+                     "/initial/sine", marks=pytest.mark.filterwarnings("error")),
         ({"initial_b": {"cells": [0.0] * 63 + [-1e999]}, "checks": ["contraction"]},
          "/initial_b/cells"),
         ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, float("nan")]}},
@@ -128,6 +140,23 @@ class TestParsing:
         ({"checks": [{"name": "decay", "threshold": float("inf")}]}, "/checks/0/threshold"),
         ({"initial": {"sine": {"mean": float("nan"), "amplitude": 0.25}}},
          "/initial/sine/mean"),
+        # JSON booleans and numeric strings are not numbers
+        ({"scheme": {"t_end": True}}, "/scheme/t_end"),
+        ({"scheme": {"t_end": 0.5, "cfl_safety": "0.5"}}, "/scheme/cfl_safety"),
+        ({"checks": [{"name": "decay", "threshold": False}]}, "/checks/0/threshold"),
+        ({"initial": {"sine": {"mean": 0.5, "amplitude": "0.2"}}}, "/initial/sine/amplitude"),
+        ({"initial": {"step": {"left": True, "right": 0.0, "split": 0.5}}}, "/initial/step"),
+        ({"initial": {"step": {"left": 0.1, "right": "0.2", "split": 0.5}}}, "/initial/step"),
+        ({"initial": {"step": {"left": 0.1, "right": 0.2}}}, "/initial/step"),
+        ({"seed": True}, "/seed"),
+        ({"tol": 10 ** 400}, "/tol"),
+        # a misspelt parameter must not fall back to its default
+        ({"initial": {"sine": {"mean": 0.5, "amplitud": 0.2}}}, "/initial/sine/amplitud"),
+        ({"initial": {"step": {"left": 0.1, "right": 0.2, "split": 0.5, "width": 0.1}}},
+         "/initial/step/width"),
+        ({"checks": [{"name": ["decay"]}]}, "/checks/0/name"),
+        pytest.param({"initial": {"expression": "1e308 + 1e308"}}, "/initial/expression",
+                     marks=pytest.mark.filterwarnings("error")),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -151,6 +180,19 @@ class TestParsing:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_config(b"{not json")
+
+    @pytest.mark.parametrize("text", [
+        b'{"name": "x", "tol": 1' + b"0" * 5000 + b"}",  # past the int digit limit
+        b'{"name": "\xff"}',                               # not UTF-8
+    ])
+    def test_undecodable_document_is_schema_error(self, text, tmp_path, capsys):
+        with pytest.raises(SchemaError) as err:
+            parse_config(text)
+        assert err.value.path == "/"
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        assert cli(["analyze", "--config", str(cfg)]) == 2
+        assert "config error at /: invalid JSON" in capsys.readouterr().err
 
     def test_round_trip(self):
         docs = [
@@ -220,6 +262,40 @@ class TestParsing:
             )
             cfg = parse_config(json.dumps(doc))
             assert parse_config(config_to_json(cfg)) == cfg
+
+
+class TestCheckRegistry:
+    SECOND = {"sine": {"mean": 0.55, "amplitude": 0.2}}
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_every_param_parses(self, name):
+        params = {key: 0.25 for key in CHECKS[name][0]}
+        doc = minimal(initial_b=self.SECOND, checks=[{"name": name, **params}])
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.checks[0].name == name
+        assert cfg.checks[0].param_dict() == params
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_unlisted_param_is_rejected(self, name):
+        doc = minimal(initial_b=self.SECOND, checks=[{"name": name, "bogus": 1.0}])
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == "/checks/0/bogus"
+
+    @pytest.mark.parametrize("name", [n for n, (_, needs_b, _) in CHECKS.items() if needs_b])
+    def test_pair_check_without_initial_b(self, name):
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(minimal(checks=[name])))
+        assert err.value.path == "/checks/0/name"
+
+    def test_dispatch_looks_up_diagnostics_at_call_time(self, tmp_path, monkeypatch):
+        stub = CheckReport("conservation", observed=0.125, threshold=0.5, extra={"stub": 1})
+        monkeypatch.setattr(diagnostics, "conservation_monitor", lambda result: stub)
+        cfg = parse_config(json.dumps(minimal(scheme={"t_end": 0.05}, grid={"n_cells": 16})))
+        res = run_scenario(cfg, tmp_path)
+        assert res.reports == [stub]
+        checks = json.loads((tmp_path / "burgers_min" / "checks.json").read_text())
+        assert checks == [json.loads(json.dumps(stub.to_dict()))]
 
 
 class TestRunScenario:
@@ -348,7 +424,8 @@ class TestSuite:
             assert set(sc) == {"name", "checks"}
             for c in sc["checks"]:
                 assert set(c) == {"name", "passed", "observed", "threshold"}
-        assert summary.timings.keys() == {"s1", "s2"}
+        assert [r.name for r in summary.results] == ["s1", "s2"]
+        assert all(r.elapsed > 0.0 for r in summary.results)
 
 
 class TestCli:
@@ -410,6 +487,18 @@ class TestCli:
         checks = json.loads((tmp_path / "out" / "p" / "checks.json").read_text())
         assert {c["name"] for c in checks} == {"contraction", "t_nonexpansive"}
         capsys.readouterr()
+
+    def test_pair_prints_run_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CflViolationError("no admissible step")
+
+        monkeypatch.setattr(scenarios, "run_many", fail)
+        doc = minimal(name="p", scheme={"t_end": 0.2}, grid={"n_cells": 32},
+                      initial_b={"sine": {"mean": 0.55, "amplitude": 0.2}}, checks=[])
+        code = cli(["pair", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "p: error: CflViolationError: no admissible step" in capsys.readouterr().err
 
     @pytest.mark.skipif(shutil.which("degenwave") is None,
                         reason="console script not installed")

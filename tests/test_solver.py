@@ -12,7 +12,6 @@ from degenwave import (
     burgers,
     constant,
     constant_field,
-    eo_flux,
     identity,
     l1_distance,
     l1_to_constant,
@@ -26,6 +25,7 @@ from degenwave import (
     step,
 )
 from degenwave.solver import _split
+from kernel_reference import eo_flux
 
 
 def sine_field(grid, base, amp):
