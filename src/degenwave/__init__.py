@@ -40,7 +40,6 @@ from .errors import (
 from .grid import (
     Field,
     Grid,
-    best_shift,
     constant_field,
     l1_distance,
     l1_to_constant,

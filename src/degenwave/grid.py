@@ -99,21 +99,3 @@ def shift(u: Field, cells: int) -> Field:
     """Circular shift by ``cells``: the result at cell j equals u at cell j - cells."""
     return Field(u.grid, np.roll(u.values, cells))
 
-
-def best_shift(u: Field, v: Field) -> tuple[int, float]:
-    """Offset k by which v leads u: minimizes l1_distance(u, shift(v, -k)).
-
-    With v = shift(u, 7) this returns (7, 0.0). Ties break to the smallest
-    nonnegative k. Exhaustive over all n shifts; exactness matters more than
-    speed at the grid sizes used here (n <= 4096).
-    """
-    _require_same_grid(u, v)
-    n = u.grid.n_cells
-    best_k = 0
-    best_d = math.inf
-    for k in range(n):
-        d = math.fsum(np.abs(u.values - np.roll(v.values, -k))) * u.grid.dx
-        if d < best_d:
-            best_d = d
-            best_k = k
-    return best_k, best_d

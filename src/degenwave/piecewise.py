@@ -147,25 +147,21 @@ class PiecewiseFunction:
                     f"{left_val!r} vs {given!r}"
                 )
             anchored.append((left_val,) + raw[i][1:])
-        # x + 0.0 turns -0.0 into +0.0 and keeps every other x; the step
-        # kernel's +0.0-padded Horner rows rely on it (solver._kernel_table)
+        # x + 0.0 turns -0.0 into +0.0 and keeps every other x; the +0.0
+        # rows that trim or pad the Horner tables below rely on it
         anchored = [tuple(c + 0.0 for c in p) for p in anchored]
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", tuple(anchored))
         if self.monotone_nondecreasing:
             self._verify_monotone()
-        # vectorized-evaluation tables (flat per-degree columns gather faster
-        # than a 2-D coefficient matrix)
-        C = np.zeros((len(anchored), MAX_DEGREE + 1))
-        for i, p in enumerate(anchored):
-            C[i, : len(p)] = p
-        self._cache["bp"] = np.asarray(bp)
-        self._cache["bp_inner"] = np.asarray(bp[1:-1])
-        self._cache["lefts"] = np.asarray(bp[:-1])
-        self._cache["C"] = C
-        for d in range(MAX_DEGREE + 1):
-            self._cache[f"c{d}"] = np.ascontiguousarray(C[:, d])
-        self._cache["degree"] = max(len(p) for p in anchored) - 1
+        # the one evaluation table, at the true degree D (highest nonzero
+        # coefficient of any piece): row 0 holds each piece's left end, rows
+        # 1..D+1 its coefficients from c_D down to c_0; the step kernel maps
+        # its columns onto merged pieces (solver._kernel_table)
+        degree = max((d for p in anchored for d in range(1, len(p)) if p[d] != 0.0), default=0)
+        rows = [[p[d] if d < len(p) else 0.0 for p in anchored] for d in range(degree, -1, -1)]
+        self._cache["inner"] = np.asarray(bp[1:-1])
+        self._cache["table"] = np.array([bp[:-1], *rows])
 
     def _verify_monotone(self) -> None:
         for i, p in enumerate(self.pieces):
@@ -204,27 +200,23 @@ class PiecewiseFunction:
 
     def piece_index(self, u: float) -> int:
         self._require_inside(u, u)
-        i = int(np.searchsorted(self._cache["bp"], u, side="right")) - 1
-        return min(max(i, 0), len(self.pieces) - 1)
+        return int(np.searchsorted(self._cache["inner"], u, side="right"))
 
     def _eval_unchecked(self, arr: np.ndarray) -> np.ndarray:
-        """Vector evaluation without range checks (caller guarantees coverage)."""
-        cache = self._cache
-        if len(self.pieces) == 1:
-            t = arr - self.breakpoints[0]
-            c = self.pieces[0]
-            deg = cache["degree"]
-            if deg == 0:
-                return np.full_like(t, c[0])
-            if deg == 1:
-                return c[0] + t * c[1]
-            return c[0] + t * (c[1] + t * (c[2] if deg == 2 else c[2] + t * c[3]))
-        idx = np.searchsorted(cache["bp_inner"], arr, side="right")
-        t = arr - np.take(cache["lefts"], idx)
-        deg = cache["degree"]
-        acc = np.take(cache[f"c{deg}"], idx)
-        for d in range(deg - 1, -1, -1):
-            acc = acc * t + np.take(cache[f"c{d}"], idx)
+        """Vector evaluation without range checks (caller guarantees coverage).
+
+        One gather fetches every argument's left end and coefficients, then
+        Horner runs in place in the piece-local variable. Above a piece's top
+        nonzero coefficient the table holds only +0.0, and ``±0 + c == c``
+        for every stored ``c`` (none is -0.0), so trimming or padding with
+        zero rows does not change a bit.
+        """
+        idx = np.searchsorted(self._cache["inner"], arr, side="right")
+        left, acc, *rest = np.take(self._cache["table"], idx, axis=1)
+        t = arr - left
+        for c in rest:
+            acc *= t
+            acc += c
         return acc
 
     def eval(self, u):

@@ -23,7 +23,7 @@ from . import diagnostics as diag
 from .errors import DegenwaveError, RangeError, SchemaError
 from .grid import Field, Grid
 from .piecewise import DEFAULT_TOL, PiecewiseFunction, burgers, constant, identity, linear
-from .solver import RunResult, SchemeParams, run, run_many
+from .solver import RunResult, SchemeParams, run_many
 
 DEFAULT_SNAPSHOT_COUNT = 33
 
@@ -160,13 +160,12 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                                   for key in _INITIAL_PARAMS["step"])
             vals = np.where(x < split, left, right)
         elif kind == "cells":
-            try:
-                vals = np.asarray(body, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise SchemaError(f"{path}/cells", f"values must be numbers: {e}") from e
-            if vals.shape != (grid.n_cells,):
+            if not isinstance(body, list):
+                raise SchemaError(f"{path}/cells", "expected a list of numbers")
+            if len(body) != grid.n_cells:
                 raise SchemaError(f"{path}/cells",
-                                  f"expected {grid.n_cells} values, got {vals.size}")
+                                  f"expected {grid.n_cells} values, got {len(body)}")
+            vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
         elif kind == "expression":
             vals = np.zeros_like(x)
             for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
@@ -211,8 +210,20 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
         raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
     if "breakpoints" not in spec or "pieces" not in spec:
         raise SchemaError(path, "need either kind or breakpoints+pieces")
+    if not isinstance(spec["breakpoints"], list):
+        raise SchemaError(f"{path}/breakpoints", "expected a list of numbers")
+    pieces = spec["pieces"]
+    if not isinstance(pieces, list) or not all(isinstance(p, list) for p in pieces):
+        raise SchemaError(f"{path}/pieces", "expected a list of coefficient lists")
+    monotone = spec.get("monotone", False)
+    if not isinstance(monotone, bool):
+        raise SchemaError(f"{path}/monotone", f"expected true or false, got {monotone!r}")
+    breakpoints = tuple(_number(b, f"{path}/breakpoints/{i}")
+                        for i, b in enumerate(spec["breakpoints"]))
+    coeffs = tuple(tuple(_number(c, f"{path}/pieces/{i}/{j}") for j, c in enumerate(p))
+                   for i, p in enumerate(pieces))
     try:
-        return PiecewiseFunction.from_dict(spec)
+        return PiecewiseFunction(breakpoints, coeffs, monotone)
     except ValueError as e:
         sub = "breakpoints" if "breakpoint" in str(e) else "pieces"
         raise RangeError(f"{path}/{sub}", str(e)) from e
@@ -431,13 +442,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     error = None
     reports: list[diag.CheckReport] = []
     try:
-        if cfg.initial_b is None:
-            result, result_b = run(cfg.phi, cfg.g, u0, cfg.scheme, cfg.tol), None
-        else:
+        fields = [u0]
+        if cfg.initial_b is not None:
             # both trajectories advance with one shared admissible step so the
             # pair checks compare states at identical times
-            u0b = build_initial(json.loads(cfg.initial_b), grid)
-            result, result_b = run_many(cfg.phi, cfg.g, [u0, u0b], cfg.scheme, cfg.tol)
+            fields.append(build_initial(json.loads(cfg.initial_b), grid))
+        result, *rest = run_many(cfg.phi, cfg.g, fields, cfg.scheme, cfg.tol)
+        result_b = rest[0] if rest else None
     except DegenwaveError as e:
         error = f"{type(e).__name__}: {e}"
         reports = [_failed_report(spec.name, e) for spec in cfg.checks]

@@ -109,23 +109,26 @@ def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
 
     The merged inner breakpoints locate a value with one ``searchsorted``.
     The table, of shape ``(D+2, 3, m)`` for ``m`` merged pieces, holds per
-    function and piece its own left end (row 0), then its coefficients from
-    degree ``D`` down to 0. ``D`` is the highest degree with a nonzero
-    coefficient in any piece of the three (the flux split stores cubics).
+    function the columns of its own evaluation table (``_cache["table"]``:
+    left end, then coefficients from its degree down to 0) for the piece
+    each merged piece lies in. ``D`` is the largest degree of the three; a
+    function of lower degree gets +0.0 rows between its left ends and its
+    coefficients.
 
-    Every value is bit-identical to ``_eval_unchecked``: above a piece's top
-    nonzero coefficient ``c`` (or ``c0``) both see only +0.0, so both reach
-    ``c`` from a signed zero or start at it, ``±0 + c == c`` for every ``c``
-    but -0.0, and ``PiecewiseFunction`` stores no -0.0 coefficient.
+    Every value is bit-identical to ``_eval_unchecked``, which runs the same
+    Horner rows without the padding: ``±0 + c == c`` for every ``c`` but
+    -0.0, and ``PiecewiseFunction`` stores no -0.0 coefficient.
     """
     funcs = (*_split(phi), g)
-    inner = np.array(sorted({float(b) for f in funcs for b in f._cache["bp_inner"]}))
-    # per function and merged piece: its own left end, then c0..c3
-    pieces = np.array([np.column_stack((f._cache["lefts"], f._cache["C"]))[np.concatenate(
-        ([0], np.searchsorted(f._cache["bp_inner"], inner, side="right")))] for f in funcs])
-    top = np.flatnonzero(pieces[:, :, 1:].any(axis=(0, 1))).max(initial=0)
-    rows = [0, *range(top + 1, 0, -1)]       # left end, then c_D down to c0
-    return inner, np.ascontiguousarray(pieces[:, :, rows].transpose(2, 0, 1))
+    inner = np.array(sorted({float(b) for f in funcs for b in f._cache["inner"]}))
+    depth = max(f._cache["table"].shape[0] for f in funcs)
+    stacked = []
+    for f in funcs:
+        own = f._cache["table"][:, np.concatenate(
+            ([0], np.searchsorted(f._cache["inner"], inner, side="right")))]
+        pad = np.zeros((depth - own.shape[0], own.shape[1]))
+        stacked.append(np.vstack((own[:1], pad, own[1:])))
+    return inner, np.stack(stacked, axis=1)
 
 
 def _apply_step(table, values: np.ndarray, dx: float, dt: float) -> np.ndarray:
@@ -157,16 +160,26 @@ def _apply_step(table, values: np.ndarray, dx: float, dt: float) -> np.ndarray:
     return out
 
 
-def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
-    """One explicit update. Raises CflViolationError when dt breaks monotonicity."""
+def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
+                dt: float | None = None) -> float:
+    """``max_stable_dt`` for the data range of ``u``.
+
+    Raises CflViolationError when ``dt`` is given and exceeds that limit.
+    """
     u_min = float(u.values.min())
     u_max = float(u.values.max())
     dt_max = max_stable_dt(phi, g, u_min, u_max, u.grid.dx)
-    if dt > dt_max * (1.0 + _STEP_SLACK):
+    if dt is not None and dt > dt_max * (1.0 + _STEP_SLACK):
         raise CflViolationError(
             f"dt={dt!r} exceeds the monotone limit {dt_max!r} for data in "
             f"[{u_min!r}, {u_max!r}]"
         )
+    return dt_max
+
+
+def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
+    """One explicit update. Raises CflViolationError when dt breaks monotonicity."""
+    _step_limit(phi, g, u, dt)
     return Field(u.grid, _apply_step(_kernel_table(phi, g), u.values, u.grid.dx, dt))
 
 
@@ -178,9 +191,7 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     ranges; only when every member's limit is infinite, ``t_end`` (or 1 for
     a zero horizon).
     """
-    dt = params.cfl_safety * min(
-        max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
-        for u in u0s)
+    dt = params.cfl_safety * min(_step_limit(phi, g, u) for u in u0s)
     if math.isinf(dt):
         return params.t_end if params.t_end > 0.0 else 1.0
     return dt
@@ -201,11 +212,7 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     if _dt is None:
         dt = shared_dt(phi, g, [u0], params)
     else:
-        dt_max = max_stable_dt(phi, g, float(u0.values.min()), float(u0.values.max()),
-                               u0.grid.dx)
-        if _dt > dt_max * (1.0 + _STEP_SLACK):
-            raise CflViolationError(
-                f"forced dt={_dt!r} exceeds the monotone limit {dt_max!r}")
+        _step_limit(phi, g, u0, _dt)
         dt = _dt
     snapshots: list[tuple[float, Field]] = [(0.0, u0.copy())]
     requested = [t for t in params.snapshot_times if t > 0.0]

@@ -42,22 +42,25 @@ def eo_flux(phi, u_left, u_right):
 
 
 def eval_reference(f, arr):
-    """Vector evaluation of a PiecewiseFunction, as the original kernel did it."""
-    cache = f._cache
+    """Vector evaluation of a PiecewiseFunction, as the original kernel did it.
+
+    It reads only ``f.pieces`` and ``f.breakpoints``: one Horner scheme at the
+    stored degree, without a gather for a single piece.
+    """
+    deg = max(len(p) for p in f.pieces) - 1
     if len(f.pieces) == 1:
         t = arr - f.breakpoints[0]
         c = f.pieces[0]
-        deg = cache["degree"]
         out = np.full_like(t, c[0]) if deg == 0 else c[0] + t * c[1]
         if deg >= 2:
             out = c[0] + t * (c[1] + t * (c[2] if deg == 2 else c[2] + t * c[3]))
         return out
-    idx = np.searchsorted(cache["bp_inner"], arr, side="right")
-    t = arr - np.take(cache["lefts"], idx)
-    deg = cache["degree"]
-    acc = np.take(cache[f"c{deg}"], idx)
+    cols = [np.array([p[d] if d < len(p) else 0.0 for p in f.pieces]) for d in range(deg + 1)]
+    idx = np.searchsorted(np.asarray(f.breakpoints[1:-1]), arr, side="right")
+    t = arr - np.take(np.asarray(f.breakpoints[:-1]), idx)
+    acc = np.take(cols[deg], idx)
     for d in range(deg - 1, -1, -1):
-        acc = acc * t + np.take(cache[f"c{d}"], idx)
+        acc = acc * t + np.take(cols[d], idx)
     return acc
 
 

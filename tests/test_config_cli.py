@@ -128,13 +128,13 @@ class TestParsing:
         ({"scheme": {"t_end": 0.5, "cfl_safety": "x"}}, "/scheme/cfl_safety"),
         ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, "x"]}},
          "/scheme/snapshot_times/1"),
-        ({"initial": {"cells": [1e999] + [0.0] * 63}}, "/initial/cells"),
+        ({"initial": {"cells": [1e999] + [0.0] * 63}}, "/initial/cells/0"),
         ({"initial": {"expression": "1e999"}}, "/initial/expression"),
         ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}}, "/initial/step"),
         pytest.param({"initial": {"sine": {"mean": 1e308, "amplitude": 1e308}}},
                      "/initial/sine", marks=pytest.mark.filterwarnings("error")),
         ({"initial_b": {"cells": [0.0] * 63 + [-1e999]}, "checks": ["contraction"]},
-         "/initial_b/cells"),
+         "/initial_b/cells/63"),
         ({"scheme": {"t_end": 0.5, "snapshot_times": [0.0, float("nan")]}},
          "/scheme/snapshot_times/1"),
         ({"checks": [{"name": "decay", "threshold": float("inf")}]}, "/checks/0/threshold"),
@@ -157,6 +157,19 @@ class TestParsing:
         ({"checks": [{"name": ["decay"]}]}, "/checks/0/name"),
         pytest.param({"initial": {"expression": "1e308 + 1e308"}}, "/initial/expression",
                      marks=pytest.mark.filterwarnings("error")),
+        # explicit cells and model coefficients are JSON numbers too, and the
+        # monotone flag is a JSON boolean
+        ({"initial": {"cells": [True, "0.5"] + [0.1] * 62}}, "/initial/cells/0"),
+        ({"initial": {"cells": [0.1, "0.5"] + [0.1] * 62}}, "/initial/cells/1"),
+        ({"initial": {"cells": "0.5"}}, "/initial/cells"),
+        ({"phi": {"breakpoints": [-1, True], "pieces": [["0", 1]]}}, "/phi/breakpoints/1"),
+        ({"phi": {"breakpoints": [-1, 1], "pieces": [["0", 1]]}}, "/phi/pieces/0/0"),
+        ({"g": {"breakpoints": [-1, 1], "pieces": [[0.0, False]], "monotone": True}},
+         "/g/pieces/0/1"),
+        ({"phi": {"breakpoints": [-1, 1], "pieces": [0.0]}}, "/phi/pieces"),
+        ({"phi": {"breakpoints": {"lo": -1}, "pieces": [[0.0]]}}, "/phi/breakpoints"),
+        ({"g": {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotone": "false"}},
+         "/g/monotone"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)

@@ -6,7 +6,6 @@ from degenwave import (
     Field,
     Grid,
     GridMismatchError,
-    best_shift,
     constant_field,
     l1_distance,
     mean,
@@ -117,27 +116,6 @@ class TestShift:
     def test_semantics(self):
         u = Field(Grid(4), [1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(shift(u, 1).values, [4.0, 1.0, 2.0, 3.0])
-
-
-class TestBestShift:
-    def test_recovers_exact_shift(self):
-        rng = np.random.default_rng(7)
-        u = rm.random_field(rng, Grid(40))
-        v = shift(u, 7)
-        assert best_shift(u, v) == (7, 0.0)
-
-    def test_identical_fields(self):
-        rng = np.random.default_rng(8)
-        u = rm.random_field(rng, Grid(16))
-        assert best_shift(u, u) == (0, 0.0)
-
-    def test_beats_random_candidates(self):
-        rng = np.random.default_rng(9)
-        g = Grid(48)
-        u, v = rm.random_field(rng, g), rm.random_field(rng, g)
-        _, best = best_shift(u, v)
-        for k in rng.integers(0, 48, size=16):
-            assert best <= l1_distance(u, shift(v, -int(k)))
 
 
 def test_total_variation_sawtooth():

@@ -24,6 +24,7 @@ from degenwave import (
     run_many,
     shift,
 )
+from degenwave.piecewise import _RANGE_SLACK
 from degenwave.solver import _apply_step, _kernel_table, _split
 from kernel_reference import apply_step_reference, eval_reference
 
@@ -84,12 +85,15 @@ def linear_model(rng, g_degree):
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 64, 5000]), g_degree=st.sampled_from([0, 1]))
 def test_all_linear_table_matches_reference_bit_for_bit(seed, n, g_degree):
-    # phi_up and phi_down are stored as cubics and trim to degree 1, so the
-    # table holds one Horner pair (D = 1); a flat g is padded up from degree 0
+    # phi_up and phi_down are stored as cubics and their own tables trim to
+    # degree 1, so the kernel table holds one Horner pair (D = 1); a flat g is
+    # padded up from degree 0
     rng = np.random.default_rng(seed)
     phi, g = linear_model(rng, g_degree)
     up, down = _split(phi)
-    assert up._cache["degree"] == down._cache["degree"] == 3
+    assert max(map(len, up.pieces)) == max(map(len, down.pieces)) == 4
+    assert up._cache["table"].shape[0] == down._cache["table"].shape[0] == 3
+    assert g._cache["table"].shape[0] == 2 + g_degree
     inner, coeffs = _kernel_table(phi, g)
     assert coeffs.shape[0] == 3                      # left ends, c1, c0
     assert coeffs[1, 0].any() and coeffs[1, 1].any()
@@ -114,7 +118,9 @@ def test_band_squeeze_table_is_linear():
 def test_zero_coefficients_are_stored_as_plus_zero():
     f = PiecewiseFunction((-2.0, 0.0, 2.0), ((-0.0, -0.0, 1.0), (4.0, -0.0, -0.0)))
     assert all(math.copysign(1.0, c) == 1.0 for p in f.pieces for c in p)
-    assert not np.signbit(f._cache["C"]).any()
+    table = f._cache["table"]
+    assert table.shape == (4, 2)                     # left ends, then c2, c1, c0
+    assert not np.signbit(table[1:]).any()
 
 
 # a flux flat on the left and quadratic on the right, so D = 2 and the
@@ -150,10 +156,32 @@ def test_signed_zero_data_matches_reference(phi, g):
 def test_eval_unchecked_matches_reference_bit_for_bit(seed):
     rng, phi, g = random_model(seed)
     x = rng.uniform(-2.0, 2.0, size=257)
+    # a (rows, n) block as entropy_residual passes it, breakpoints included,
+    # and a 0-d argument as eval passes a scalar
+    block = random_values(rng, phi, g, 4 * 64).reshape(4, 64)
+    point = np.asarray(rng.choice(block.ravel()))
     single = from_breakpoints((-2.0, 2.0), [[float(c) for c in rng.uniform(-1, 1, size=d + 1)]
                                             for d in [int(rng.integers(0, 4))]])
     for f in (phi, g, *_split(phi), single, burgers(), constant(0.3)):
-        assert np.array_equal(bits(f._eval_unchecked(x)), bits(eval_reference(f, x)))
+        for arg in (x, block, point):
+            got, want = f._eval_unchecked(arg), eval_reference(f, arg)
+            assert np.shape(got) == np.shape(want) == arg.shape
+            assert np.array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_piece_index_matches_clamped_search(seed):
+    # the former formula: search all breakpoints, step back one, clamp
+    rng, phi, g = random_model(seed)
+    for f in (phi, g, *_split(phi), burgers(), constant(0.3)):
+        bp = np.asarray(f.breakpoints)
+        slack = _RANGE_SLACK * (f.hi - f.lo)
+        points = [*f.breakpoints, f.lo - slack, f.lo + slack, f.hi - slack, f.hi + slack,
+                  *rng.uniform(f.lo, f.hi, size=8)]
+        for u in points:
+            old = int(np.searchsorted(bp, u, side="right")) - 1
+            assert f.piece_index(u) == min(max(old, 0), len(f.pieces) - 1)
 
 
 @settings(max_examples=15, deadline=None)
