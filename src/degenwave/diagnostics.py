@@ -29,7 +29,7 @@ DISTANCE_MONOTONE_TOL = 1e-10
 CONSERVATION_TOL = 1e-10
 DOMINATION_TOL = 1e-10
 ENTROPY_COMPARISON_CONSTANT = 10.0
-_ENTROPY_BLOCK_CELLS = 1 << 16  # snapshot cells per block of entropy_residual
+_ENTROPY_BLOCK_CELLS = 1 << 16  # snapshot cells per block of _bump_integrals
 
 
 @dataclass(frozen=True)
@@ -85,29 +85,18 @@ class ProfileEstimate:
         }
 
 
-def _bump_b0(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = np.abs(s) < 1.0
-    w = 1.0 - s[m] ** 2
-    out[m] = np.exp(1.0 - 1.0 / w)
-    return out
-
-
-def _bump_b1(s: np.ndarray) -> np.ndarray:
+def _bump(s: np.ndarray, order: int) -> np.ndarray:
+    """The standard bump exp(1 - 1/(1 - s^2)) on (-1, 1), or its derivative of ``order``."""
     out = np.zeros_like(s)
     m = np.abs(s) < 1.0
     sm = s[m]
     w = 1.0 - sm ** 2
-    out[m] = np.exp(1.0 - 1.0 / w) * (-2.0 * sm / w ** 2)
-    return out
-
-
-def _bump_b2(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    m = np.abs(s) < 1.0
-    sm = s[m]
-    w = 1.0 - sm ** 2
-    out[m] = np.exp(1.0 - 1.0 / w) * (4.0 * sm ** 2 / w ** 4 - 2.0 / w ** 2 - 8.0 * sm ** 2 / w ** 3)
+    b = np.exp(1.0 - 1.0 / w)
+    if order == 1:
+        b = b * (-2.0 * sm / w ** 2)
+    elif order == 2:
+        b = b * (4.0 * sm ** 2 / w ** 4 - 2.0 / w ** 2 - 8.0 * sm ** 2 / w ** 3)
+    out[m] = b
     return out
 
 
@@ -134,35 +123,30 @@ class TestBump:
         return range(-k, k + 1)
 
     def _space(self, x: np.ndarray, deriv: int) -> np.ndarray:
-        fn = (_bump_b0, _bump_b1, _bump_b2)[deriv]
         acc = np.zeros_like(x)
         for m in self._shifts():
-            acc = acc + fn((x - self.x_center + m) / self.sigma_x)
+            acc = acc + _bump((x - self.x_center + m) / self.sigma_x, deriv)
         return acc / self.sigma_x ** deriv
 
     def _time(self, t: np.ndarray, deriv: int) -> np.ndarray:
-        fn = (_bump_b0, _bump_b1)[deriv]
-        return fn((t - self.t_center) / self.sigma_t) / self.sigma_t ** deriv
+        return _bump((t - self.t_center) / self.sigma_t, deriv) / self.sigma_t ** deriv
+
+    def _product(self, t, x, t_deriv: int, x_deriv: int):
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return self._time(t, t_deriv) * self._space(x, x_deriv)
 
     def value(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self._time(t, 0) * self._space(x, 0)
+        return self._product(t, x, 0, 0)
 
     def d_dt(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self._time(t, 1) * self._space(x, 0)
+        return self._product(t, x, 1, 0)
 
     def d_dx(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self._time(t, 0) * self._space(x, 1)
+        return self._product(t, x, 0, 1)
 
     def d_dxx(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self._time(t, 0) * self._space(x, 2)
+        return self._product(t, x, 0, 2)
 
     def c2_norm(self) -> float:
         """Upper bound for the sup of f and its derivatives up to order two."""
@@ -222,25 +206,67 @@ def snapshot_spacing(run_result: RunResult) -> float:
     return max(b - a for a, b in zip(pts, pts[1:]))
 
 
-def _quadrature(run_result: RunResult, rows: np.ndarray) -> float:
-    """Trapezoid in time of midpoint-in-space sums of a (times x cells) array."""
+def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
+                    g: PiecewiseFunction, bumps, entries) -> list[list[float]]:
+    """Quadrature of A f_t + S f_x + G f_xx for every (bump, entry) pair.
+
+    An entry k integrates A, S, G = |u-k|, sign(u-k)(phi(u)-phi(k)),
+    |g(u)-g(k)|; the entry None integrates A, S, G = u, phi(u), g(u). The
+    quadrature is the trapezoid rule in time of midpoint sums in space.
+
+    Rows go in blocks of ``_ENTROPY_BLOCK_CELLS`` cells; A, S and G are built
+    once per block and entry, and a bump skips the rows outside its time
+    support (all +0.0 there), so every value equals the full-matrix
+    formula's bitwise.
+    """
+    times = run_result.times
+    for b in bumps:
+        b.require_supported_inside(times[-1])
+    if not bumps:
+        return []
+    centers = run_result.initial.grid.cell_centers()
     dx = run_result.initial.grid.dx
-    spatial = rows.sum(axis=1) * dx
-    w = _time_weights(run_result.times)
-    return float(np.dot(w, spatial))
+    consts = [None if k is None else (k, phi.eval(k), g.eval(k)) for k in entries]
+    factors = []
+    for b in bumps:
+        # the rows where the time factor is live; every other row sums to +0.0
+        live = np.flatnonzero(np.abs((times - b.t_center) / b.sigma_t) < 1.0)
+        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        factors.append((lo, hi, b._time(times, 1), b._time(times, 0),
+                        b._space(centers, 0), b._space(centers, 1), b._space(centers, 2)))
+    spatial = [[np.zeros(len(times)) for _ in entries] for _ in bumps]
+    block = max(1, _ENTROPY_BLOCK_CELLS // len(centers))
+    for r0 in range(0, len(times), block):
+        r1 = min(r0 + block, len(times))
+        U = np.stack([f.values for _, f in run_result.snapshots[r0:r1]])
+        phi_u, g_u = phi.eval(U), g.eval(U)
+        live_blocks = []
+        for bi, (lo, hi, t1, t0, s0, s1, s2) in enumerate(factors):
+            a, z = max(lo, r0), min(hi, r1)
+            if a < z:
+                live_blocks.append((bi, slice(a - r0, z - r0), slice(a, z),
+                                    t1[a:z, None] * s0, t0[a:z, None] * s1,
+                                    t0[a:z, None] * s2))
+        if not live_blocks:
+            continue
+        for ki, const in enumerate(consts):
+            if const is None:
+                A, S, G = U, phi_u, g_u
+            else:
+                k, phi_k, g_k = const
+                d = U - k
+                A, S, G = np.abs(d), np.sign(d) * (phi_u - phi_k), np.abs(g_u - g_k)
+            for bi, local, rows_at, ft, fx, fxx in live_blocks:
+                rows = A[local] * ft + S[local] * fx + G[local] * fxx
+                spatial[bi][ki][rows_at] = rows.sum(axis=1) * dx
+    w = _time_weights(times)
+    return [[float(np.dot(w, s)) for s in row] for row in spatial]
 
 
 def weak_form_residual(run_result: RunResult, phi: PiecewiseFunction,
                        g: PiecewiseFunction, bump: TestBump) -> float:
     """Quadrature of u f_t + phi(u) f_x + g(u) f_xx; zero for exact weak solutions."""
-    bump.require_supported_inside(run_result.times[-1])
-    U = run_result.matrix()
-    times = run_result.times[:, None]
-    centers = run_result.initial.grid.cell_centers()[None, :]
-    rows = (U * bump.d_dt(times, centers)
-            + phi.eval(U) * bump.d_dx(times, centers)
-            + g.eval(U) * bump.d_dxx(times, centers))
-    return _quadrature(run_result, rows)
+    return _bump_integrals(run_result, phi, g, [bump], [None])[0][0]
 
 
 def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
@@ -259,58 +285,20 @@ def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
 
     so the report normalizes each violation by that budget: observed is the
     largest normalized violation and the threshold is 1.
-
-    Rows go in blocks of ``_ENTROPY_BLOCK_CELLS`` cells; the bump-free factors
-    are built once per block and k, and a bump skips the rows outside its time
-    support (all +0.0 there), so residuals equal the full-matrix ones bitwise.
     """
     if k_values is None:
         k_values = default_k_values(run_result.initial)
     if test_fns is None:
         test_fns = default_bumps(run_result.params.t_end)
-    times = run_result.times
-    for b in test_fns:
-        b.require_supported_inside(times[-1])
-    centers = run_result.initial.grid.cell_centers()
-    dx = run_result.initial.grid.dx
-    consts = ([(k, phi.eval(k), g.eval(k)) for k in map(float, k_values)]
-              if test_fns else [])
-    bumps = []
-    for b in test_fns:
-        # the rows where _bump_b0 is live; a dead row inside [lo, hi) sums to +0.0
-        live = np.flatnonzero(np.abs((times - b.t_center) / b.sigma_t) < 1.0)
-        lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        bumps.append((lo, hi, b._time(times, 1), b._time(times, 0),
-                      b._space(centers, 0), b._space(centers, 1), b._space(centers, 2)))
-    spatial = [[np.zeros(len(times)) for _ in consts] for _ in test_fns]
-    block = max(1, _ENTROPY_BLOCK_CELLS // len(centers))
-    for r0 in range(0, len(times), block):
-        r1 = min(r0 + block, len(times))
-        U = np.stack([f.values for _, f in run_result.snapshots[r0:r1]])
-        phi_u, g_u = phi.eval(U), g.eval(U)
-        live_blocks = []
-        for bi, (lo, hi, t1, t0, s0, s1, s2) in enumerate(bumps):
-            a, z = max(lo, r0), min(hi, r1)
-            if a < z:
-                live_blocks.append((bi, slice(a - r0, z - r0), slice(a, z),
-                                    t1[a:z, None] * s0, t0[a:z, None] * s1,
-                                    t0[a:z, None] * s2))
-        if not live_blocks:
-            continue
-        for ki, (k, phi_k, g_k) in enumerate(consts):
-            d = U - k
-            A, S, G = np.abs(d), np.sign(d) * (phi_u - phi_k), np.abs(g_u - g_k)
-            for bi, local, rows_at, ft, fx, fxx in live_blocks:
-                rows = A[local] * ft + S[local] * fx + G[local] * fxx
-                spatial[bi][ki][rows_at] = rows.sum(axis=1) * dx
-    w = _time_weights(times)
-    budget_scale = comparison_constant * (dx + snapshot_spacing(run_result))
+    ks = [float(k) for k in k_values]
+    values = _bump_integrals(run_result, phi, g, test_fns, ks)
+    budget_scale = comparison_constant * (run_result.initial.grid.dx
+                                          + snapshot_spacing(run_result))
     rows_extra = []
     worst = -math.inf
     for bi, b in enumerate(test_fns):
         c2 = b.c2_norm()
-        for ki, (k, _, _) in enumerate(consts):
-            value = float(np.dot(w, spatial[bi][ki]))
+        for k, value in zip(ks, values[bi]):
             budget = budget_scale * c2 * (1.0 + abs(k))
             worst = max(worst, -value / budget)
             rows_extra.append({"k": k, "bump": bi, "residual": value, "budget": budget})
@@ -446,7 +434,15 @@ def extract_profile(run_result: RunResult, structure: StructureReport | None = N
     The profile is the final snapshot translated back by the integer cell
     shift nearest to speed * t_end * n_cells. With a degenerate speed the
     limit object is the constant mean, so the profile is that constant.
+    The residuals cover the snapshots at or after ``t_lo``, and always the
+    final one; a ``t_lo`` past ``t_end`` is a ValueError.
     """
+    t_end = run_result.params.t_end
+    if t_lo > t_end:
+        raise ValueError(f"t_lo={t_lo!r} lies past the run horizon t_end={t_end!r}")
+    # the final snapshot may land a rounding step before t_end; it still counts
+    tail = [(t, f) for t, f in run_result.snapshots[:-1] if t >= t_lo]
+    tail.append(run_result.snapshots[-1])
     st = structure if structure is not None else run_result.structure
     u0 = run_result.initial
     grid = u0.grid
@@ -456,17 +452,12 @@ def extract_profile(run_result: RunResult, structure: StructureReport | None = N
                      + 2.0 * grid.dx * gridmod.total_variation(u0))
     if st.degenerate_speed:
         profile = constant_field(grid, st.mean)
-        history = [(float(t), gridmod.l1_to_constant(f, st.mean))
-                   for t, f in run_result.snapshots if t >= t_lo]
+        history = [(float(t), gridmod.l1_to_constant(f, st.mean)) for t, f in tail]
     else:
         t_final = run_result.snapshots[-1][0]
         profile = shift(run_result.final, -int(round(st.speed * t_final * n)))
-        history = [
-            (float(t), l1_distance(f, shift(profile, int(round(st.speed * t * n)))))
-            for t, f in run_result.snapshots if t >= t_lo
-        ]
-    if not history:
-        history = [(float(run_result.snapshots[-1][0]), 0.0)]
+        history = [(float(t), l1_distance(f, shift(profile, int(round(st.speed * t * n)))))
+                   for t, f in tail]
     converged = max(v for _, v in history) <= threshold
     return ProfileEstimate(profile, st.speed, tuple(history), converged,
                            float(threshold))

@@ -261,11 +261,14 @@ class PiecewiseFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "PiecewiseFunction":
-        return PiecewiseFunction(
-            tuple(d["breakpoints"]),
-            tuple(tuple(p) for p in d["pieces"]),
-            bool(d.get("monotone", False)),
-        )
+        """Inverse of :meth:`to_dict`: numbers must be int or float, ``monotone`` a bool."""
+        bps, pieces, monotone = d["breakpoints"], d["pieces"], d.get("monotone", False)
+        numbers = [*bps, *(c for p in pieces for c in p)]
+        # bool is an int subclass, so it is rejected by name
+        if not isinstance(monotone, bool) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
+            raise ValueError(f"from_dict needs int/float numbers and a bool monotone: {d!r}")
+        return PiecewiseFunction(tuple(bps), tuple(tuple(p) for p in pieces), monotone)
 
 
 # -- named builders ---------------------------------------------------------

@@ -317,7 +317,10 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             if key not in allowed:
                 raise SchemaError(f"{cpath}/{key}",
                                   f"{cname} does not accept parameter {key!r}")
-            params.append((key, _number(val, f"{cpath}/{key}")))
+            value = _number(val, f"{cpath}/{key}")
+            if key == "t_lo" and value > t_end:  # no snapshot would be left to judge
+                raise SchemaError(f"{cpath}/t_lo", f"t_lo {value!r} lies past t_end {t_end!r}")
+            params.append((key, value))
         checks.append(CheckSpec(cname, tuple(sorted(params))))
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -85,15 +85,6 @@ class RunResult:
     def final(self) -> Field:
         return self.snapshots[-1][1]
 
-    def matrix(self) -> np.ndarray:
-        """Snapshot values stacked row-wise (one row per snapshot time)."""
-        return np.stack([f.values for _, f in self.snapshots])
-
-
-@lru_cache(maxsize=64)
-def _split(phi: PiecewiseFunction):
-    return monotone_split(phi)
-
 
 def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
                   u_min: float, u_max: float, dx: float) -> float:
@@ -119,7 +110,7 @@ def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
     Horner rows without the padding: ``±0 + c == c`` for every ``c`` but
     -0.0, and ``PiecewiseFunction`` stores no -0.0 coefficient.
     """
-    funcs = (*_split(phi), g)
+    funcs = (*monotone_split(phi), g)
     inner = np.array(sorted({float(b) for f in funcs for b in f._cache["inner"]}))
     depth = max(f._cache["table"].shape[0] for f in funcs)
     stacked = []

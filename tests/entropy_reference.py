@@ -1,8 +1,9 @@
-"""Reference entropy residual: the full-matrix loop the blocked check must reproduce.
+"""Reference residuals: the full-matrix formulas the blocked quadrature must reproduce.
 
 This is the original formulation, which rebuilds every factor for each
 (bump, k) pair over the whole snapshot matrix. It lives with the tests only,
-as the oracle for byte-identity checks of ``degenwave.entropy_residual``.
+as the oracle for byte-identity checks of ``degenwave.entropy_residual`` and
+``degenwave.weak_form_residual``.
 """
 
 import math
@@ -12,13 +13,40 @@ import numpy as np
 from degenwave.diagnostics import (
     ENTROPY_COMPARISON_CONSTANT,
     CheckReport,
-    _quadrature,
+    TestBump,
+    _time_weights,
     default_bumps,
     default_k_values,
     snapshot_spacing,
 )
 from degenwave.piecewise import PiecewiseFunction
 from degenwave.solver import RunResult
+
+
+def snapshot_matrix(run_result: RunResult) -> np.ndarray:
+    """Snapshot values stacked row-wise (one row per snapshot time)."""
+    return np.stack([f.values for _, f in run_result.snapshots])
+
+
+def _quadrature(run_result: RunResult, rows: np.ndarray) -> float:
+    """Trapezoid in time of midpoint-in-space sums of a (times x cells) array."""
+    dx = run_result.initial.grid.dx
+    spatial = rows.sum(axis=1) * dx
+    w = _time_weights(run_result.times)
+    return float(np.dot(w, spatial))
+
+
+def weak_form_residual(run_result: RunResult, phi: PiecewiseFunction,
+                       g: PiecewiseFunction, bump: TestBump) -> float:
+    """Quadrature of u f_t + phi(u) f_x + g(u) f_xx; zero for exact weak solutions."""
+    bump.require_supported_inside(run_result.times[-1])
+    U = snapshot_matrix(run_result)
+    times = run_result.times[:, None]
+    centers = run_result.initial.grid.cell_centers()[None, :]
+    rows = (U * bump.d_dt(times, centers)
+            + phi.eval(U) * bump.d_dx(times, centers)
+            + g.eval(U) * bump.d_dxx(times, centers))
+    return _quadrature(run_result, rows)
 
 
 def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
@@ -45,7 +73,7 @@ def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
     t_last = run_result.times[-1]
     for b in test_fns:
         b.require_supported_inside(t_last)
-    U = run_result.matrix()
+    U = snapshot_matrix(run_result)
     times = run_result.times[:, None]
     centers = run_result.initial.grid.cell_centers()[None, :]
     phi_u = phi.eval(U)

@@ -170,6 +170,9 @@ class TestParsing:
         ({"phi": {"breakpoints": {"lo": -1}, "pieces": [[0.0]]}}, "/phi/breakpoints"),
         ({"g": {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotone": "false"}},
          "/g/monotone"),
+        # a profile window that starts after the run ends has nothing to judge
+        ({"checks": ["decay", {"name": "profile", "t_lo": 100, "threshold": 0.0}]},
+         "/checks/1/t_lo"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion against the current API.
-
-Demo 03 is left out because it takes about half a minute.
-"""
+"""Smoke test: every demo runs to completion against the current API."""
 
 import os
 import subprocess
@@ -14,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_burgers_decay.py", "02_traveling_wave.py",
-                                  "04_heat_oracle.py", "05_contraction_and_entropy.py"])
+                                  "03_structure_and_cutoff.py", "04_heat_oracle.py",
+                                  "05_contraction_and_entropy.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
     (tmp_path / "demos").mkdir()   # where a demo saves its figure when matplotlib exists
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MPLBACKEND="Agg")

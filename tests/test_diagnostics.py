@@ -32,7 +32,9 @@ from degenwave import (
     total_variation,
     weak_form_residual,
 )
-from degenwave.diagnostics import _quadrature, snapshot_spacing
+from degenwave.diagnostics import snapshot_spacing
+from degenwave.solver import RunResult
+from entropy_reference import _quadrature
 
 
 def sine_field(grid, base, amp, freq=1, phase=0.0):
@@ -312,6 +314,24 @@ class TestProfiles:
         assert est.profile.values.min() >= 0.0 - 0.02
         assert est.profile.values.max() <= 0.8 + 0.02
         assert abs(mean(est.profile) - mean(u0)) <= 1e-10
+
+    def test_profile_window_past_t_end_is_rejected(self):
+        phi, g, res = burgers_run(n=64, t_end=0.1)
+        with pytest.raises(ValueError):
+            extract_profile(res, t_lo=100.0, threshold=0.0)
+
+    def test_profile_window_at_t_end_keeps_final_snapshot(self):
+        phi, g, res = burgers_run(n=64, t_end=0.1)
+        t_end = res.params.t_end
+        # a final snapshot that lands one ulp before t_end still counts
+        early = RunResult(res.snapshots[:-1] + [(float(np.nextafter(t_end, 0.0)), res.final)],
+                          res.structure, res.step_count, res.dt, res.params)
+        for r in (res, early):
+            est = extract_profile(r, t_lo=t_end, threshold=0.0)
+            want = l1_to_constant(r.final, r.structure.mean)
+            assert est.residual_history == ((r.times[-1], want),)
+            assert want > 0.0
+            assert not est.converged
 
     def test_profile_operator_composition(self):
         grid = Grid(64)

@@ -1,4 +1,4 @@
-"""Byte identity of the row-blocked entropy residual against the full-matrix loop."""
+"""Byte identity of the row-blocked entropy and weak-form residuals against full-matrix loops."""
 
 import json
 from unittest import mock
@@ -11,6 +11,8 @@ import randmodels as rm
 from degenwave import DegenwaveError, Grid, SchemeParams, TestBump, diagnostics
 from degenwave.solver import RunResult
 from entropy_reference import entropy_residual as entropy_residual_reference
+from entropy_reference import snapshot_matrix
+from entropy_reference import weak_form_residual as weak_form_residual_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -66,7 +68,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
     t_end = float(rng.uniform(0.1, 3.0))
     bumps = edge_bumps(rng, t_end) if bump_kind == "edges" else []
     res = synthetic_run(rng, n, count, t_end, [t for b in bumps for t in support_edges(b)])
-    data = res.matrix()
+    data = snapshot_matrix(res)
     k_values = {
         "default": None,
         "random": list(rng.uniform(-1.9, 1.9, size=4)) + list(rng.choice(data.ravel(), 3)),
@@ -80,3 +82,30 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
     with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
         got = outcome(diagnostics.entropy_residual, res, phi, g, **kwargs)
     assert got == want
+
+
+def dead_bump(rng, times):
+    """A bump inside the widest gap between snapshot times: no row is live."""
+    gaps = np.diff(times)
+    i = int(np.argmax(gaps))
+    return TestBump(float(times[i] + 0.5 * gaps[i]), float(rng.uniform(0, 1)),
+                    0.25 * float(gaps[i]), float(rng.uniform(0.05, 0.6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 37, 1000, 5000]), count=st.integers(2, 40),
+       block_cells=st.sampled_from([1, 100, diagnostics._ENTROPY_BLOCK_CELLS]),
+       bump_kind=st.sampled_from(["edges", "dead"]))
+def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_kind):
+    rng = np.random.default_rng(seed)
+    phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
+    t_end = float(rng.uniform(0.1, 3.0))
+    bumps = edge_bumps(rng, t_end) if bump_kind == "edges" else []
+    res = synthetic_run(rng, n, count, t_end, [t for b in bumps for t in support_edges(b)])
+    if bump_kind == "dead":
+        bumps = [dead_bump(rng, res.times)]
+    for bump in bumps:
+        want = weak_form_residual_reference(res, phi, g, bump)
+        with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
+            got = diagnostics.weak_form_residual(res, phi, g, bump)
+        assert repr(got) == repr(want)

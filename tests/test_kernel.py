@@ -20,12 +20,13 @@ from degenwave import (
     constant,
     from_breakpoints,
     max_stable_dt,
+    monotone_split,
     run,
     run_many,
     shift,
 )
 from degenwave.piecewise import _RANGE_SLACK
-from degenwave.solver import _apply_step, _kernel_table, _split
+from degenwave.solver import _apply_step, _kernel_table
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -39,7 +40,7 @@ def random_model(seed):
 def random_values(rng, phi, g, n):
     """Values in the covered range, some placed exactly on breakpoints."""
     values = rng.uniform(-1.9, 1.9, size=n)
-    bps = np.concatenate([f.breakpoints for f in (*_split(phi), g)])
+    bps = np.concatenate([f.breakpoints for f in (*monotone_split(phi), g)])
     hits = rng.random(size=n) < 0.2
     values[hits] = rng.choice(bps, size=int(hits.sum()))
     return values
@@ -56,7 +57,7 @@ def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
     values = random_values(rng, phi, g, n)
     dx = 1.0 / n
     dt = float(rng.uniform(0.1, 1.0)) * min(max_stable_dt(phi, g, -2.0, 2.0, dx), 1.0)
-    up, down = _split(phi)
+    up, down = monotone_split(phi)
     out = _apply_step(_kernel_table(phi, g), values, dx, dt)
     assert out.shape == values.shape
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
@@ -90,7 +91,7 @@ def test_all_linear_table_matches_reference_bit_for_bit(seed, n, g_degree):
     # padded up from degree 0
     rng = np.random.default_rng(seed)
     phi, g = linear_model(rng, g_degree)
-    up, down = _split(phi)
+    up, down = monotone_split(phi)
     assert max(map(len, up.pieces)) == max(map(len, down.pieces)) == 4
     assert up._cache["table"].shape[0] == down._cache["table"].shape[0] == 3
     assert g._cache["table"].shape[0] == 2 + g_degree
@@ -145,7 +146,7 @@ def test_signed_zero_data_matches_reference(phi, g):
     values = np.full((3, 16), -0.0)
     values[1, 5:9] = 0.25
     values[2, ::2] = side
-    up, down = _split(phi)
+    up, down = monotone_split(phi)
     for row in values:
         got = _apply_step(_kernel_table(phi, g), row, 1.0 / 16, 1e-3)
         assert np.array_equal(bits(got), bits(apply_step_reference(up, down, g, row, 1.0 / 16, 1e-3)))
@@ -162,7 +163,7 @@ def test_eval_unchecked_matches_reference_bit_for_bit(seed):
     point = np.asarray(rng.choice(block.ravel()))
     single = from_breakpoints((-2.0, 2.0), [[float(c) for c in rng.uniform(-1, 1, size=d + 1)]
                                             for d in [int(rng.integers(0, 4))]])
-    for f in (phi, g, *_split(phi), single, burgers(), constant(0.3)):
+    for f in (phi, g, *monotone_split(phi), single, burgers(), constant(0.3)):
         for arg in (x, block, point):
             got, want = f._eval_unchecked(arg), eval_reference(f, arg)
             assert np.shape(got) == np.shape(want) == arg.shape
@@ -174,7 +175,7 @@ def test_eval_unchecked_matches_reference_bit_for_bit(seed):
 def test_piece_index_matches_clamped_search(seed):
     # the former formula: search all breakpoints, step back one, clamp
     rng, phi, g = random_model(seed)
-    for f in (phi, g, *_split(phi), burgers(), constant(0.3)):
+    for f in (phi, g, *monotone_split(phi), burgers(), constant(0.3)):
         bp = np.asarray(f.breakpoints)
         slack = _RANGE_SLACK * (f.hi - f.lo)
         points = [*f.breakpoints, f.lo - slack, f.lo + slack, f.hi - slack, f.hi + slack,

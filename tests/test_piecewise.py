@@ -193,6 +193,18 @@ class TestSerialization:
         f = kink_flux()
         assert PiecewiseFunction.from_dict(f.to_dict()) == f
 
+    @pytest.mark.parametrize("d", [
+        {"breakpoints": [-1, True], "pieces": [["0", 1.0]], "monotone": "false"},
+        {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotone": "false"},
+        {"breakpoints": [-1, True], "pieces": [[0.0, 1.0]]},
+        {"breakpoints": [-1, "1"], "pieces": [[0.0, 1.0]]},
+        {"breakpoints": [-1, 1], "pieces": [["0", 1.0]]},
+        {"breakpoints": [-1, 1], "pieces": [[0.0, False]], "monotone": True},
+    ])
+    def test_from_dict_rejects_non_numbers_and_non_bool_flag(self, d):
+        with pytest.raises(ValueError):
+            PiecewiseFunction.from_dict(d)
+
     def test_plus_linear_exact(self):
         f = burgers(-1, 1)
         h = f.plus_linear(2.0, -0.5)

@@ -18,13 +18,13 @@ from degenwave import (
     linear,
     max_stable_dt,
     mean,
+    monotone_split,
     positive_part_distance,
     run,
     run_many,
     shift,
     step,
 )
-from degenwave.solver import _split
 from kernel_reference import eo_flux
 
 
@@ -53,7 +53,7 @@ class TestEoFlux:
         rng = np.random.default_rng(0)
         for _ in range(30):
             phi = rm.random_flux(rng)
-            up, down = _split(phi)
+            up, down = monotone_split(phi)
             ul, ur = rng.uniform(phi.lo, phi.hi, size=2)
             direct = eo_flux(phi, float(ul), float(ur))
             decomposed = up.eval(float(ul)) + down.eval(float(ur))
