@@ -34,6 +34,6 @@ print(f"converged: {est.converged}")
 # the data-to-profile map contracts L1 distances; a circular shift of the
 # data realizes equality
 u0_shifted = dw.shift(u0, 31)
-rep = dw.t_nonexpansive_check(phi, g, u0, u0_shifted, params)
+rep = dw.t_nonexpansive_from_runs(*dw.run_many(phi, g, [u0, u0_shifted], params))
 print(f"\nprofile distance {rep.observed:.6f} <= initial distance "
       f"{rep.extra['initial_distance']:.6f} (branch: {rep.extra['branch']})")

@@ -21,9 +21,8 @@ from .diagnostics import (
     default_k_values,
     entropy_residual,
     extract_profile,
-    profile_operator,
     squeeze_bounds,
-    t_nonexpansive_check,
+    t_nonexpansive_from_runs,
     weak_form_residual,
 )
 from .errors import (

@@ -16,8 +16,8 @@ from . import grid as gridmod
 from .errors import UnsupportedTestFnError
 from .grid import Field, constant_field, l1_distance, positive_part_distance, shift
 from .piecewise import PiecewiseFunction
-from .solver import RunResult, SchemeParams, run, run_many, shared_dt
-from .structure import StructureReport, cutoff
+from .solver import RunResult, run, shared_dt
+from .structure import cutoff
 
 # Sup norms of the standard bump exp(1 - 1/(1 - s^2)) and its derivatives,
 # slightly rounded up so they stay valid upper bounds.
@@ -64,9 +64,9 @@ class ProfileEstimate:
 
     ``residual_history`` holds the L1 gap between each snapshot at time t
     and the profile translated by the integer cell shift nearest to
-    speed * t * n_cells. The final entry vanishes by construction (the
-    profile is the de-shifted final snapshot); ``converged`` therefore looks
-    at the whole tail, not just the last entry.
+    speed * t * n_cells. For a non-degenerate speed the final entry vanishes
+    by construction (the profile is the de-shifted final snapshot);
+    ``converged`` therefore looks at the whole tail, not just the last entry.
     """
 
     profile: Field
@@ -238,8 +238,6 @@ def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
     block = max(1, _ENTROPY_BLOCK_CELLS // len(centers))
     for r0 in range(0, len(times), block):
         r1 = min(r0 + block, len(times))
-        U = np.stack([f.values for _, f in run_result.snapshots[r0:r1]])
-        phi_u, g_u = phi.eval(U), g.eval(U)
         live_blocks = []
         for bi, (lo, hi, t1, t0, s0, s1, s2) in enumerate(factors):
             a, z = max(lo, r0), min(hi, r1)
@@ -249,6 +247,8 @@ def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
                                     t0[a:z, None] * s2))
         if not live_blocks:
             continue
+        U = np.stack([f.values for _, f in run_result.snapshots[r0:r1]])
+        phi_u, g_u = phi.eval(U), g.eval(U)
         for ki, const in enumerate(consts):
             if const is None:
                 A, S, G = U, phi_u, g_u
@@ -286,6 +286,8 @@ def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
     so the report normalizes each violation by that budget: observed is the
     largest normalized violation and the threshold is 1.
     """
+    if not comparison_constant > 0.0:  # a budget <= 0 would read violations as passes
+        raise ValueError(f"comparison_constant must be > 0, got {comparison_constant!r}")
     if k_values is None:
         k_values = default_k_values(run_result.initial)
     if test_fns is None:
@@ -398,24 +400,17 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
         base = run(phi, g, u0, params, _dt=dt_shared)
     upper_run = run(phi, g, upper0, params, _dt=dt_shared)
     lower_run = run(phi, g, lower0, params, _dt=dt_shared)
-    times = _matched_times(base, upper_run)
+    _matched_times(base, upper_run)
     _matched_times(base, lower_run)
     level_hi = st.mean + su
     level_lo = st.mean + sl
-    dx = grid.dx
-    series = []
-    exceed_up, dominate_up, exceed_lo_s, dominate_lo = [], [], [], []
-    for (t, ub), (_, uu), (_, ul) in zip(base.snapshots, upper_run.snapshots,
-                                         lower_run.snapshots):
-        exceed_hi = math.fsum(np.maximum(ub.values - level_hi, 0.0).tolist()) * dx
-        dom_hi = math.fsum(np.maximum(uu.values - level_hi, 0.0).tolist()) * dx
-        exceed_lo = math.fsum(np.maximum(level_lo - ub.values, 0.0).tolist()) * dx
-        dom_lo = math.fsum(np.maximum(level_lo - ul.values, 0.0).tolist()) * dx
-        exceed_up.append(exceed_hi)
-        dominate_up.append(dom_hi)
-        exceed_lo_s.append(exceed_lo)
-        dominate_lo.append(dom_lo)
-        series.append((float(t), max(exceed_hi - dom_hi, exceed_lo - dom_lo, 0.0)))
+    upper_level, lower_level = constant_field(grid, level_hi), constant_field(grid, level_lo)
+    exceed_up = [positive_part_distance(f, upper_level) for _, f in base.snapshots]
+    dominate_up = [positive_part_distance(f, upper_level) for _, f in upper_run.snapshots]
+    exceed_lo = [positive_part_distance(lower_level, f) for _, f in base.snapshots]
+    dominate_lo = [positive_part_distance(lower_level, f) for _, f in lower_run.snapshots]
+    series = [(float(t), max(eu - du, el - dl, 0.0)) for (t, _), eu, du, el, dl
+              in zip(base.snapshots, exceed_up, dominate_up, exceed_lo, dominate_lo)]
     observed = max(v for _, v in series)
     return CheckReport(
         "squeeze_bounds", observed=observed, threshold=DOMINATION_TOL,
@@ -423,12 +418,23 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
         extra={"upper_level": level_hi, "lower_level": level_lo,
                "shared_dt": dt_shared,
                "exceed_upper": exceed_up, "dominate_upper": dominate_up,
-               "exceed_lower": exceed_lo_s, "dominate_lower": dominate_lo},
+               "exceed_lower": exceed_lo, "dominate_lower": dominate_lo},
     )
 
 
-def extract_profile(run_result: RunResult, structure: StructureReport | None = None,
-                    t_lo: float = 0.0, threshold: float | None = None) -> ProfileEstimate:
+def _profile(run_result: RunResult) -> Field:
+    """The final snapshot shifted back by the integer cell shift nearest to
+    speed * t_final * n_cells, or the constant mean for a degenerate speed."""
+    st = run_result.structure
+    grid = run_result.initial.grid
+    if st.degenerate_speed:
+        return constant_field(grid, st.mean)
+    t_final = run_result.snapshots[-1][0]
+    return shift(run_result.final, -int(round(st.speed * t_final * grid.n_cells)))
+
+
+def extract_profile(run_result: RunResult, t_lo: float = 0.0,
+                    threshold: float | None = None) -> ProfileEstimate:
     """De-shift the final snapshot by the structural speed and track residuals.
 
     The profile is the final snapshot translated back by the integer cell
@@ -443,36 +449,30 @@ def extract_profile(run_result: RunResult, structure: StructureReport | None = N
     # the final snapshot may land a rounding step before t_end; it still counts
     tail = [(t, f) for t, f in run_result.snapshots[:-1] if t >= t_lo]
     tail.append(run_result.snapshots[-1])
-    st = structure if structure is not None else run_result.structure
+    st = run_result.structure
     u0 = run_result.initial
-    grid = u0.grid
-    n = grid.n_cells
+    n = u0.grid.n_cells
     if threshold is None:
         threshold = (0.02 * gridmod.l1_to_constant(u0, st.mean)
-                     + 2.0 * grid.dx * gridmod.total_variation(u0))
-    if st.degenerate_speed:
-        profile = constant_field(grid, st.mean)
-        history = [(float(t), gridmod.l1_to_constant(f, st.mean)) for t, f in tail]
-    else:
-        t_final = run_result.snapshots[-1][0]
-        profile = shift(run_result.final, -int(round(st.speed * t_final * n)))
-        history = [(float(t), l1_distance(f, shift(profile, int(round(st.speed * t * n)))))
-                   for t, f in tail]
+                     + 2.0 * u0.grid.dx * gridmod.total_variation(u0))
+    profile = _profile(run_result)
+    # a constant profile is its own shift, whatever its nominal speed
+    speed = 0.0 if st.degenerate_speed else st.speed
+    history = [(float(t), l1_distance(f, shift(profile, int(round(speed * t * n)))))
+               for t, f in tail]
     converged = max(v for _, v in history) <= threshold
     return ProfileEstimate(profile, st.speed, tuple(history), converged,
                            float(threshold))
 
 
-def profile_operator(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
-                     params: SchemeParams, t_lo: float | None = None) -> ProfileEstimate:
-    """Map initial data to its limiting profile: run the solver, then de-shift."""
-    result = run(phi, g, u0, params)
-    if t_lo is None:
-        t_lo = 0.5 * params.t_end
-    return extract_profile(result, t_lo=t_lo)
+def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
+                             tolerance: float | None = None) -> CheckReport:
+    """Profile distance must not exceed the initial L1 distance.
 
-
-def _profile_distance(run_a: RunResult, run_b: RunResult) -> tuple[float, str]:
+    When both runs share a nondegenerate affine interval (hence one speed)
+    the profiles compare directly in L1; otherwise the profiles separate and
+    the distance reduces to the gap between the means.
+    """
     sa = run_a.structure
     sb = run_b.structure
     scale = max(1.0, abs(sa.affine_lo), abs(sa.affine_hi),
@@ -481,35 +481,14 @@ def _profile_distance(run_a: RunResult, run_b: RunResult) -> tuple[float, str]:
                  and abs(sa.affine_lo - sb.affine_lo) <= 1e-9 * scale
                  and abs(sa.affine_hi - sb.affine_hi) <= 1e-9 * scale)
     if same_band:
-        pa = extract_profile(run_a)
-        pb = extract_profile(run_b)
-        return l1_distance(pa.profile, pb.profile), "profile_l1"
-    # different speeds: the profile ranges cannot overlap, so the gap between
-    # the (conserved) means is the exact profile distance
-    return abs(sa.mean - sb.mean), "mean_gap"
-
-
-def t_nonexpansive_check(phi: PiecewiseFunction, g: PiecewiseFunction,
-                         u01: Field, u02: Field, params: SchemeParams,
-                         tolerance: float | None = None) -> CheckReport:
-    """Profile distance must not exceed the initial L1 distance.
-
-    When both runs share a nondegenerate affine interval (hence one speed)
-    the profiles compare directly in L1; otherwise the profiles separate and
-    the distance reduces to the gap between the means. Both runs share one
-    time step, so their snapshot times match.
-    """
-    run_a, run_b = run_many(phi, g, [u01, u02], params)
-    return t_nonexpansive_from_runs(run_a, run_b, tolerance)
-
-
-def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
-                             tolerance: float | None = None) -> CheckReport:
+        observed, branch = l1_distance(_profile(run_a), _profile(run_b)), "profile_l1"
+    else:
+        # different speeds: the profile ranges cannot overlap, so the gap
+        # between the (conserved) means is the exact profile distance
+        observed, branch = abs(sa.mean - sb.mean), "mean_gap"
     initial_distance = l1_distance(run_a.initial, run_b.initial)
-    dx = run_a.initial.grid.dx
     if tolerance is None:
-        tolerance = 0.05 * initial_distance + 4.0 * dx
-    observed, branch = _profile_distance(run_a, run_b)
+        tolerance = 0.05 * initial_distance + 4.0 * run_a.initial.grid.dx
     return CheckReport(
         "t_nonexpansive", observed=observed,
         threshold=initial_distance + float(tolerance),

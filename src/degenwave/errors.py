@@ -44,6 +44,3 @@ class SchemaError(DegenwaveError):
         self.message = message
         super().__init__(f"{path}: {message}")
 
-
-class RangeError(SchemaError):
-    """A configured function has invalid breakpoints or piece coefficients."""

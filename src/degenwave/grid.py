@@ -15,6 +15,7 @@ import numpy as np
 from .errors import GridMismatchError
 
 MIN_CELLS = 4
+MAX_CELLS = 1 << 24  # 128 MiB per float array
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,8 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < MIN_CELLS:
-            raise ValueError(f"need at least {MIN_CELLS} cells")
+        if not MIN_CELLS <= self.n_cells <= MAX_CELLS:
+            raise ValueError(f"n_cells must lie in [{MIN_CELLS}, {MAX_CELLS}]")
 
     @property
     def dx(self) -> float:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import DegenwaveError, RangeError, SchemaError
-from .grid import Field, Grid
+from .errors import SchemaError
+from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
 from .piecewise import DEFAULT_TOL, PiecewiseFunction, burgers, constant, identity, linear
 from .solver import RunResult, SchemeParams, run_many
 
@@ -206,7 +206,7 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
             if kind == "constant":
                 return constant(num("value", 0.0), lo, hi)
         except ValueError as e:
-            raise RangeError(path, str(e)) from e
+            raise SchemaError(path, str(e)) from e
         raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
     if "breakpoints" not in spec or "pieces" not in spec:
         raise SchemaError(path, "need either kind or breakpoints+pieces")
@@ -226,7 +226,7 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
         return PiecewiseFunction(breakpoints, coeffs, monotone)
     except ValueError as e:
         sub = "breakpoints" if "breakpoint" in str(e) else "pieces"
-        raise RangeError(f"{path}/{sub}", str(e)) from e
+        raise SchemaError(f"{path}/{sub}", str(e)) from e
 
 
 # -- config parsing -------------------------------------------------------------
@@ -254,8 +254,9 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     if not isinstance(grid_spec, dict) or "n_cells" not in grid_spec:
         raise SchemaError(f"{path}/grid", "grid.n_cells is required")
     n_cells = grid_spec["n_cells"]
-    if not isinstance(n_cells, int) or n_cells < 4:
-        raise SchemaError(f"{path}/grid/n_cells", "n_cells must be an integer >= 4")
+    if not isinstance(n_cells, int) or not MIN_CELLS <= n_cells <= MAX_CELLS:
+        raise SchemaError(f"{path}/grid/n_cells",
+                          f"n_cells must be an integer in [{MIN_CELLS}, {MAX_CELLS}]")
     scheme_spec = doc.get("scheme")
     if not isinstance(scheme_spec, dict) or "t_end" not in scheme_spec:
         raise SchemaError(f"{path}/scheme", "scheme.t_end is required")
@@ -452,7 +453,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             fields.append(build_initial(json.loads(cfg.initial_b), grid))
         result, *rest = run_many(cfg.phi, cfg.g, fields, cfg.scheme, cfg.tol)
         result_b = rest[0] if rest else None
-    except DegenwaveError as e:
+    except Exception as e:  # a failed run must not abort the batch
         error = f"{type(e).__name__}: {e}"
         reports = [_failed_report(spec.name, e) for spec in cfg.checks]
     else:

@@ -197,7 +197,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     which stays valid because the range never grows (max principle). The
     step count is deterministic for a given configuration. ``_dt`` forces a
     specific (still admissible) step; ``run_many`` passes its shared step
-    this way.
+    this way. A step that is not positive while ``t_end > 0`` raises
+    CflViolationError.
     """
     structure = analyze(phi, g, u0, tol)
     if _dt is None:
@@ -205,6 +206,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     else:
         _step_limit(phi, g, u0, _dt)
         dt = _dt
+    if params.t_end > 0.0 and not dt > 0.0:  # e.g. a Lipschitz bound that overflows
+        raise CflViolationError(f"time step {dt!r} is not positive, so t_end is never reached")
     snapshots: list[tuple[float, Field]] = [(0.0, u0.copy())]
     requested = [t for t in params.snapshot_times if t > 0.0]
     ptr = 0

@@ -36,11 +36,12 @@ from degenwave import (
     parse_config,
     positive_part_distance,
     run,
+    run_many,
     run_suite,
     shift,
     squeeze_bounds,
     step,
-    t_nonexpansive_check,
+    t_nonexpansive_from_runs,
     total_variation,
 )
 
@@ -344,7 +345,7 @@ def test_criterion_8_profile_map_nonexpansive():
     for _ in range(17):
         u1 = rm.random_field(rng, grid, -0.6, 0.6)
         u2 = rm.random_field(rng, grid, -0.6, 0.6)
-        rep = t_nonexpansive_check(phi_d, g_d, u1, u2, params_d)
+        rep = t_nonexpansive_from_runs(*run_many(phi_d, g_d, [u1, u2], params_d))
         if not rep.passed:
             failures.append(("decay", rep))
     # regime 2: pure transport at unit CFL, 17 pairs (shifted data share bands)
@@ -357,7 +358,7 @@ def test_criterion_8_profile_map_nonexpansive():
             u2 = shift(u1, int(rng.integers(1, 96)))
         else:
             u2 = rm.random_field(rng, grid)
-        rep = t_nonexpansive_check(phi_t, g_t, u1, u2, params_t)
+        rep = t_nonexpansive_from_runs(*run_many(phi_t, g_t, [u1, u2], params_t))
         if not rep.passed:
             failures.append(("transport", rep))
     # regime 3: mixed kink/plateau models, 16 pairs
@@ -369,14 +370,14 @@ def test_criterion_8_profile_map_nonexpansive():
                         float(rng.uniform(0.1, 0.3)), phase=float(rng.uniform(0, 6)))
         u2 = sine_field(grid, float(rng.uniform(0.45, 0.65)),
                         float(rng.uniform(0.1, 0.3)), phase=float(rng.uniform(0, 6)))
-        rep = t_nonexpansive_check(phi_m, g_m, u1, u2, params_m)
+        rep = t_nonexpansive_from_runs(*run_many(phi_m, g_m, [u1, u2], params_m))
         if not rep.passed:
             failures.append(("mixed", rep))
     # equality case: constant vertical shift under the decay regime
     u1 = sine_field(Grid(128), 0.4, 0.2)
     u2 = Field(Grid(128), u1.values + 0.1)
-    eq = t_nonexpansive_check(phi_d, g_d, u1, u2,
-                              SchemeParams(t_end=2.0, snapshot_times=(0.0, 2.0)))
+    eq = t_nonexpansive_from_runs(*run_many(phi_d, g_d, [u1, u2],
+                                            SchemeParams(t_end=2.0, snapshot_times=(0.0, 2.0))))
     eq_gap = abs(eq.observed - eq.extra["initial_distance"])
     ok = not failures and eq_gap <= 1e-12
     report(8, "profile map non-expansive", ok,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenwave import (
     CflViolationError,
@@ -21,6 +25,7 @@ from degenwave import (
 )
 from degenwave.cli import cli
 from degenwave.diagnostics import ProfileEstimate
+from degenwave.grid import MAX_CELLS
 from degenwave.scenarios import (
     CHECKS,
     _write_profile_csv,
@@ -173,6 +178,10 @@ class TestParsing:
         # a profile window that starts after the run ends has nothing to judge
         ({"checks": ["decay", {"name": "profile", "t_lo": 100, "threshold": 0.0}]},
          "/checks/1/t_lo"),
+        # grids too large to allocate are rejected before any allocation
+        ({"grid": {"n_cells": 10 ** 400}}, "/grid/n_cells"),
+        ({"grid": {"n_cells": 2 ** 62}}, "/grid/n_cells"),
+        ({"grid": {"n_cells": MAX_CELLS + 1}}, "/grid/n_cells"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -280,6 +289,70 @@ class TestParsing:
             assert parse_config(config_to_json(cfg)) == cfg
 
 
+# A 16-cell pair scenario that uses every check with every parameter.
+FUZZ_BASE = {
+    "name": "fuzz",
+    "phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0, 1.0], [1.0, 1.0, 0.5]]},
+    "g": {"kind": "constant", "value": 0.1, "lo": -1, "hi": 1},
+    "initial": {"sine": {"mean": 0.3, "amplitude": 0.2, "frequency": 1}},
+    "initial_b": {"cells": [0.1 * (i % 5) for i in range(16)]},
+    "grid": {"n_cells": 16},
+    "scheme": {"t_end": 0.1, "cfl_safety": 0.5, "snapshot_times": [0.0, 0.05, 0.1]},
+    "checks": ["conservation", {"name": "decay", "threshold": 0.5},
+               {"name": "cutoff_convergence", "band_lo": 0.2, "band_hi": 0.8,
+                "threshold": 0.1},
+               {"name": "entropy_residual", "comparison_constant": 10},
+               {"name": "squeeze_bounds", "shift_upper": 0.1, "shift_lower": -0.1},
+               {"name": "profile", "t_lo": 0.05, "threshold": 0.1},
+               "contraction", {"name": "t_nonexpansive", "tolerance": 0.1}],
+    "seed": 0,
+    "tol": 1e-10,
+}
+# no int in (64, MAX_CELLS], so no mutation asks for a large allocation
+FUZZ_POOL = [None, True, False, 0, 1, -1, 2.5, 1e308, -1e308, 1e-320, "x", [], {},
+             10 ** 400, 2 ** 62, -0.0]
+
+
+def _slots(doc, path=()):
+    """The key path of every entry of a nested JSON document, containers included."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_config_parses_or_fails_with_a_path(data, tmp_path_factory):
+    """Configs one to three entries away from a valid one never escape as a traceback.
+
+    Only parsing and ``analyze`` run, so no mutation steps the solver.
+    """
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, key = data.draw(st.sampled_from(list(_slots(doc))))
+        target = doc
+        for p in parents:
+            target = target[p]
+        target[key] = data.draw(st.sampled_from(FUZZ_POOL))
+    text = json.dumps(doc)
+    try:
+        parse_config(text)
+    except SchemaError as e:
+        assert e.path == "" or e.path.startswith("/")
+    cfg = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    cfg.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli(["analyze", "--config", str(cfg)]) in (0, 2)
+
+
+def test_fuzz_base_config_is_valid():
+    cfg = parse_config(json.dumps(FUZZ_BASE))
+    assert {c.name for c in cfg.checks} == set(CHECKS)
+    assert {key for c in cfg.checks for key, _ in c.params} == {
+        key for allowed, _, _ in CHECKS.values() for key in allowed}
+
+
 class TestCheckRegistry:
     SECOND = {"sine": {"mean": 0.55, "amplitude": 0.2}}
 
@@ -360,6 +433,18 @@ class TestRunScenario:
         assert checks[0]["passed"] is False
         assert "error" in checks[0]["extra"]
         assert checks[1]["name"] == "conservation" and checks[1]["passed"] is True
+
+    @pytest.mark.parametrize("constant", [-1, 0])
+    def test_entropy_comparison_constant_must_be_positive(self, constant, tmp_path):
+        # a budget <= 0 would turn every violation into a pass
+        cfg = self.scenario(grid={"n_cells": 16}, scheme={"t_end": 0.1}, checks=[
+            {"name": "entropy_residual", "comparison_constant": constant}])
+        res = run_scenario(cfg, tmp_path)
+        assert res.error is None
+        assert not res.passed
+        checks = json.loads((tmp_path / "burgers_min" / "checks.json").read_text())
+        assert checks[0]["extra"]["error"] == (
+            f"ValueError: comparison_constant must be > 0, got {float(constant)!r}")
 
     def test_pair_scenario_shares_timestep(self, tmp_path):
         cfg = self.scenario(
@@ -515,6 +600,41 @@ class TestCli:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "p: error: CflViolationError: no admissible step" in capsys.readouterr().err
+
+    def test_step_underflow_is_a_run_error(self, tmp_path, capsys):
+        # Lphi/dx overflows, so the admissible step is 0.0 and t_end is never reached
+        doc = minimal(name="steep", phi={"kind": "linear", "slope": 1e308, "lo": -1, "hi": 1},
+                      initial={"sine": {"mean": 0.5, "amplitude": 0.2}},
+                      grid={"n_cells": 16}, scheme={"t_end": 0.01})
+        code = cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        checks = json.loads((tmp_path / "out" / "steep" / "checks.json").read_text())
+        assert checks["error"].startswith("CflViolationError: time step 0.0 is not positive")
+        capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model, message", [
+        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1e308], [0.0, 2.0]]}},
+         "ValueError: piece coefficients must be finite"),
+        ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
+         "ValueError: field values must be finite"),
+    ])
+    def test_run_exception_is_reported_and_suite_continues(self, model, message,
+                                                           tmp_path, capsys):
+        small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
+        docs = [minimal(name="fine", **small), minimal(name="bad", **small, **model),
+                minimal(name="after", **small)]
+        code = cli(["suite", "--config", self.write(tmp_path, docs),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [sc["name"] for sc in summary["scenarios"]] == ["fine", "bad", "after"]
+        bad = json.loads((tmp_path / "out" / "bad" / "checks.json").read_text())
+        assert bad["error"] == message
+        for sc in summary["scenarios"]:
+            assert all(c["passed"] for c in sc["checks"]) == (sc["name"] != "bad")
+        capsys.readouterr()
 
     @pytest.mark.skipif(shutil.which("degenwave") is None,
                         reason="console script not installed")

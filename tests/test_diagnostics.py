@@ -24,11 +24,10 @@ from degenwave import (
     linear,
     mean,
     positive_part_distance,
-    profile_operator,
     run,
     run_many,
     squeeze_bounds,
-    t_nonexpansive_check,
+    t_nonexpansive_from_runs,
     total_variation,
     weak_form_residual,
 )
@@ -336,8 +335,9 @@ class TestProfiles:
     def test_profile_operator_composition(self):
         grid = Grid(64)
         u0 = sine_field(grid, 0.5, 0.25)
-        est = profile_operator(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), u0,
-                               SchemeParams(t_end=0.5, cfl_safety=1.0))
+        params = SchemeParams(t_end=0.5, cfl_safety=1.0)
+        est = extract_profile(run(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), u0, params),
+                              t_lo=params.t_end / 2)
         assert np.max(np.abs(est.profile.values - u0.values)) <= 1e-12
 
     def test_profile_estimate_serializes(self):
@@ -352,8 +352,8 @@ class TestNonexpansive:
     def test_identical_data(self):
         grid = Grid(64)
         u = sine_field(grid, 0.5, 0.2)
-        rep = t_nonexpansive_check(burgers(-1, 1), constant(0.0, -1, 1), u, u,
-                                   SchemeParams(t_end=1.0))
+        rep = t_nonexpansive_from_runs(*run_many(burgers(-1, 1), constant(0.0, -1, 1), [u, u],
+                                                 SchemeParams(t_end=1.0)))
         assert rep.passed
         assert rep.observed == 0.0
 
@@ -361,8 +361,8 @@ class TestNonexpansive:
         grid = Grid(128)
         u1 = sine_field(grid, 0.4, 0.2)
         u2 = Field(grid, u1.values + 0.1)
-        rep = t_nonexpansive_check(burgers(-1, 1), constant(0.0, -1, 1), u1, u2,
-                                   SchemeParams(t_end=2.0))
+        rep = t_nonexpansive_from_runs(*run_many(burgers(-1, 1), constant(0.0, -1, 1), [u1, u2],
+                                                 SchemeParams(t_end=2.0)))
         assert rep.passed
         assert rep.extra["branch"] == "mean_gap"
         assert rep.observed == pytest.approx(rep.extra["initial_distance"], abs=1e-12)
@@ -376,7 +376,7 @@ class TestNonexpansive:
         for _ in range(5):
             u1 = rm.random_field(rng, grid)
             u2 = rm.random_field(rng, grid)
-            rep = t_nonexpansive_check(phi, g, u1, u2, params)
+            rep = t_nonexpansive_from_runs(*run_many(phi, g, [u1, u2], params))
             assert rep.passed
 
     def test_transport_shifted_pair_equality_case(self):
@@ -384,8 +384,9 @@ class TestNonexpansive:
         grid = Grid(96)
         u1 = rm.random_field(rng, grid)
         u2 = Field(grid, np.roll(u1.values, 11))
-        rep = t_nonexpansive_check(linear(2.0, 0.0, -2, 2), constant(0.0, -2, 2),
-                                   u1, u2, SchemeParams(t_end=1.0, cfl_safety=1.0))
+        rep = t_nonexpansive_from_runs(*run_many(linear(2.0, 0.0, -2, 2), constant(0.0, -2, 2),
+                                                 [u1, u2],
+                                                 SchemeParams(t_end=1.0, cfl_safety=1.0)))
         assert rep.passed
         assert rep.extra["branch"] == "profile_l1"
         assert rep.observed <= rep.extra["initial_distance"] + 1e-12

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randmodels as rm
-from degenwave import DegenwaveError, Grid, SchemeParams, TestBump, diagnostics
+from degenwave import DegenwaveError, Grid, PiecewiseFunction, SchemeParams, TestBump, diagnostics
 from degenwave.solver import RunResult
 from entropy_reference import entropy_residual as entropy_residual_reference
 from entropy_reference import snapshot_matrix
@@ -109,3 +109,29 @@ def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_ki
         with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
             got = diagnostics.weak_form_residual(res, phi, g, bump)
         assert repr(got) == repr(want)
+
+
+def test_blocks_outside_every_bump_are_not_evaluated():
+    """phi(U) and g(U) are evaluated only for row blocks that some bump sees."""
+    rng = np.random.default_rng(5)
+    phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
+    grid = Grid(16)
+    times = [i / 20 for i in range(21)]
+    res = RunResult([(t, rm.random_field(rng, grid)) for t in times], structure=None,
+                    step_count=20, dt=0.05,
+                    params=SchemeParams(t_end=1.0, snapshot_times=tuple(times)))
+    bump = TestBump(0.5, 0.5, 0.18, 0.3)  # live rows 7..13, t in (0.32, 0.68)
+    shapes = []
+    evaluate = PiecewiseFunction.eval
+
+    def counted(self, u):
+        shapes.append(np.shape(u))
+        return evaluate(self, u)
+
+    with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", 2 * 16), \
+            mock.patch.object(PiecewiseFunction, "eval", counted):
+        got = diagnostics.weak_form_residual(res, phi, g, bump)
+    # two rows per block: rows 7..13 lie in the blocks at rows 6, 8, 10 and 12,
+    # each evaluated once for phi and once for g
+    assert shapes == [(2, 16)] * 8
+    assert repr(got) == repr(weak_form_residual_reference(res, phi, g, bump))

@@ -185,6 +185,20 @@ class TestRun:
         with pytest.raises(CflViolationError):
             run(phi, constant(0.0, -1, 1), u0, SchemeParams(t_end=0.1), _dt=grid.dx)
 
+    def test_step_that_is_not_positive_is_rejected(self):
+        # Lphi/dx overflows to inf, so the admissible step underflows to 0.0
+        # and the loop would never reach t_end
+        grid = Grid(16)
+        u0 = sine_field(grid, 0.5, 0.2)
+        g = constant(0.0, -1, 1)
+        params = SchemeParams(t_end=0.01)
+        with pytest.raises(CflViolationError, match="not positive"):
+            run(linear(1e308, 0.0, -1, 1), g, u0, params)
+        with pytest.raises(CflViolationError, match="not positive"):
+            run(burgers(-1, 1), g, u0, params, _dt=0.0)
+        # a zero horizon takes no step, so any step is fine there
+        assert run(burgers(-1, 1), g, u0, SchemeParams(t_end=0.0), _dt=0.0).step_count == 0
+
     def test_shared_dt_is_admissible_for_every_member(self):
         grid = Grid(16)
         phi, g = linear(2.0, 0.0, -1, 1), constant(0.0, -1, 1)
