@@ -39,9 +39,9 @@ sq = dw.squeeze_bounds(res, phi, g)
 print(f"\nsqueeze domination: worst violation {sq.observed:.2e} "
       f"(levels {sq.extra['lower_level']:.3f} / {sq.extra['upper_level']:.3f})")
 
-est = dw.extract_profile(res, t_lo=2.0)
-print(f"profile range [{est.profile.values.min():.4f}, "
-      f"{est.profile.values.max():.4f}] inside the plateau band "
+profile = dw.traveling_profile(res)
+print(f"profile range [{profile.values.min():.4f}, "
+      f"{profile.values.max():.4f}] inside the plateau band "
       f"[{st.plateau_lo}, {st.plateau_hi}]")
 
 try:

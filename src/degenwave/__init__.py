@@ -11,7 +11,6 @@ the data-to-profile map.
 
 from .diagnostics import (
     CheckReport,
-    ProfileEstimate,
     TestBump,
     conservation_monitor,
     contraction_monitor,
@@ -23,6 +22,7 @@ from .diagnostics import (
     extract_profile,
     squeeze_bounds,
     t_nonexpansive_from_runs,
+    traveling_profile,
     weak_form_residual,
 )
 from .errors import (

@@ -58,33 +58,6 @@ class CheckReport:
         return d
 
 
-@dataclass(frozen=True)
-class ProfileEstimate:
-    """Traveling-wave profile extracted from the tail of a run.
-
-    ``residual_history`` holds the L1 gap between each snapshot at time t
-    and the profile translated by the integer cell shift nearest to
-    speed * t * n_cells. For a non-degenerate speed the final entry vanishes
-    by construction (the profile is the de-shifted final snapshot);
-    ``converged`` therefore looks at the whole tail, not just the last entry.
-    """
-
-    profile: Field
-    speed_used: float
-    residual_history: tuple[tuple[float, float], ...]
-    converged: bool
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile.to_list(),
-            "speed_used": self.speed_used,
-            "converged": self.converged,
-            "threshold": self.threshold,
-            "residual_history": [[t, v] for t, v in self.residual_history],
-        }
-
-
 def _bump(s: np.ndarray, order: int) -> np.ndarray:
     """The standard bump exp(1 - 1/(1 - s^2)) on (-1, 1), or its derivative of ``order``."""
     out = np.zeros_like(s)
@@ -422,9 +395,10 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
     )
 
 
-def _profile(run_result: RunResult) -> Field:
-    """The final snapshot shifted back by the integer cell shift nearest to
-    speed * t_final * n_cells, or the constant mean for a degenerate speed."""
+def traveling_profile(run_result: RunResult) -> Field:
+    """The traveling-wave profile of a run: the final snapshot shifted back by
+    the integer cell shift nearest to speed * t_final * n_cells, or the
+    constant mean for a degenerate speed."""
     st = run_result.structure
     grid = run_result.initial.grid
     if st.degenerate_speed:
@@ -433,17 +407,20 @@ def _profile(run_result: RunResult) -> Field:
     return shift(run_result.final, -int(round(st.speed * t_final * grid.n_cells)))
 
 
-def extract_profile(run_result: RunResult, t_lo: float = 0.0,
-                    threshold: float | None = None) -> ProfileEstimate:
-    """De-shift the final snapshot by the structural speed and track residuals.
+def extract_profile(run_result: RunResult, t_lo: float | None = None,
+                    threshold: float | None = None) -> CheckReport:
+    """L1 gap between each tail snapshot and the translated ``traveling_profile``.
 
-    The profile is the final snapshot translated back by the integer cell
-    shift nearest to speed * t_end * n_cells. With a degenerate speed the
-    limit object is the constant mean, so the profile is that constant.
-    The residuals cover the snapshots at or after ``t_lo``, and always the
-    final one; a ``t_lo`` past ``t_end`` is a ValueError.
+    The series holds, for each snapshot at time t, the L1 distance to the
+    profile shifted forward by the integer cell shift nearest to
+    speed * t * n_cells; observed is its largest entry. For a nondegenerate
+    speed the final entry vanishes by construction, so the check looks at
+    the whole tail. The tail covers the snapshots at or after ``t_lo``
+    (default ``t_end / 2``), and always the final one; a ``t_lo`` past
+    ``t_end`` is a ValueError.
     """
     t_end = run_result.params.t_end
+    t_lo = 0.5 * t_end if t_lo is None else t_lo
     if t_lo > t_end:
         raise ValueError(f"t_lo={t_lo!r} lies past the run horizon t_end={t_end!r}")
     # the final snapshot may land a rounding step before t_end; it still counts
@@ -455,14 +432,15 @@ def extract_profile(run_result: RunResult, t_lo: float = 0.0,
     if threshold is None:
         threshold = (0.02 * gridmod.l1_to_constant(u0, st.mean)
                      + 2.0 * u0.grid.dx * gridmod.total_variation(u0))
-    profile = _profile(run_result)
+    profile = traveling_profile(run_result)
     # a constant profile is its own shift, whatever its nominal speed
     speed = 0.0 if st.degenerate_speed else st.speed
-    history = [(float(t), l1_distance(f, shift(profile, int(round(speed * t * n)))))
-               for t, f in tail]
-    converged = max(v for _, v in history) <= threshold
-    return ProfileEstimate(profile, st.speed, tuple(history), converged,
-                           float(threshold))
+    history = tuple((float(t), l1_distance(f, shift(profile, int(round(speed * t * n)))))
+                    for t, f in tail)
+    observed = max(v for _, v in history)
+    threshold = float(threshold)
+    return CheckReport("profile", observed=observed, threshold=threshold, series=history,
+                       extra={"speed_used": st.speed, "converged": observed <= threshold})
 
 
 def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
@@ -481,7 +459,8 @@ def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
                  and abs(sa.affine_lo - sb.affine_lo) <= 1e-9 * scale
                  and abs(sa.affine_hi - sb.affine_hi) <= 1e-9 * scale)
     if same_band:
-        observed, branch = l1_distance(_profile(run_a), _profile(run_b)), "profile_l1"
+        observed = l1_distance(traveling_profile(run_a), traveling_profile(run_b))
+        branch = "profile_l1"
     else:
         # different speeds: the profile ranges cannot overlap, so the gap
         # between the (conserved) means is the exact profile distance

@@ -53,10 +53,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values)
 
-    def to_list(self) -> list[float]:
-        """Cell values as plain floats (the JSON-array serialization)."""
-        return [float(v) for v in self.values]
-
     def __repr__(self):
         return f"Field(n={self.grid.n_cells}, min={self.values.min():g}, max={self.values.max():g})"
 

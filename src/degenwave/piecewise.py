@@ -139,6 +139,8 @@ class PiecewiseFunction:
         for i in range(1, len(raw)):
             width = bp[i] - bp[i - 1]
             left_val = _poly_val(anchored[i - 1], width)
+            if not math.isfinite(left_val):  # inf would pass the continuity test below
+                raise ValueError(f"piece {i - 1} overflows at its right end: {left_val!r}")
             given = raw[i][0]
             scale = max(1.0, abs(left_val), abs(given))
             if abs(given - left_val) > CONTINUITY_RTOL * scale:

@@ -41,7 +41,7 @@ CHECKS = {
     "squeeze_bounds": (("shift_upper", "shift_lower"), False,
                        lambda cfg, r, rb, p, out: diag.squeeze_bounds(r, cfg.phi, cfg.g, **p)),
     "profile": (("t_lo", "threshold"), False,
-                lambda cfg, r, rb, p, out: _profile_check(cfg, r, p, out)),
+                lambda cfg, r, rb, p, out: _profile_check(r, p, out)),
     "contraction": ((), True, lambda cfg, r, rb, p, out: diag.contraction_monitor(r, rb)),
     "t_nonexpansive": (("tolerance",), True,
                        lambda cfg, r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb, **p)),
@@ -399,9 +399,8 @@ def _write_series_csv(path: Path, series) -> None:
     _write_text_atomic(path, _csv_text(["time,value"], rows))
 
 
-def _write_profile_csv(path: Path, estimate: diag.ProfileEstimate) -> None:
-    centers = estimate.profile.grid.cell_centers()
-    rows = zip(centers.tolist(), estimate.profile.values.tolist())
+def _write_profile_csv(path: Path, profile: Field) -> None:
+    rows = zip(profile.grid.cell_centers().tolist(), profile.values.tolist())
     _write_text_atomic(path, _csv_text(["x,value"], rows))
 
 
@@ -410,15 +409,10 @@ def _failed_report(name: str, exc: Exception) -> diag.CheckReport:
                             extra={"error": f"{type(exc).__name__}: {exc}"})
 
 
-def _profile_check(cfg: ScenarioConfig, result: RunResult, p: dict,
-                   out: Path) -> diag.CheckReport:
-    """Extract the traveling-wave profile, report its tail residual, write profile.csv."""
-    est = diag.extract_profile(result, t_lo=p.get("t_lo", 0.5 * cfg.scheme.t_end),
-                               threshold=p.get("threshold"))
-    rep = diag.CheckReport("profile", observed=max(v for _, v in est.residual_history),
-                           threshold=est.threshold, series=est.residual_history,
-                           extra={"speed_used": est.speed_used, "converged": est.converged})
-    _write_profile_csv(out / "profile.csv", est)
+def _profile_check(result: RunResult, p: dict, out: Path) -> diag.CheckReport:
+    """The ``profile`` check, which also writes the profile to profile.csv."""
+    rep = diag.extract_profile(result, **p)
+    _write_profile_csv(out / "profile.csv", diag.traveling_profile(result))
     return rep
 
 

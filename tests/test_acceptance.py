@@ -113,8 +113,8 @@ def test_criterion_2_exact_transport_oracle():
     speed_exact = res.structure.speed == 2.0
     cells = int(round(res.structure.speed * res.snapshots[-1][0] * n))
     gap = float(np.max(np.abs(res.final.values - shift(u0, cells).values)))
-    est = extract_profile(res)
-    worst_resid = max(v for _, v in est.residual_history)
+    rep = extract_profile(res, t_lo=0.0)
+    worst_resid = max(v for _, v in rep.series)
     ok = speed_exact and gap <= 1e-12 and worst_resid <= 1e-12
     report(2, "exact transport oracle", ok,
            f"c={res.structure.speed!r} cell_gap={gap:.2e} resid={worst_resid:.2e}")

@@ -24,7 +24,6 @@ from degenwave import (
     scenarios,
 )
 from degenwave.cli import cli
-from degenwave.diagnostics import ProfileEstimate
 from degenwave.grid import MAX_CELLS
 from degenwave.scenarios import (
     CHECKS,
@@ -34,7 +33,7 @@ from degenwave.scenarios import (
     build_initial,
     config_to_json,
 )
-from degenwave.solver import RunResult
+from degenwave.solver import RunResult, run
 
 MINIMAL = {
     "name": "burgers_min",
@@ -182,6 +181,9 @@ class TestParsing:
         ({"grid": {"n_cells": 10 ** 400}}, "/grid/n_cells"),
         ({"grid": {"n_cells": 2 ** 62}}, "/grid/n_cells"),
         ({"grid": {"n_cells": MAX_CELLS + 1}}, "/grid/n_cells"),
+        # the first piece's right end overflows to inf, which no continuity test can match
+        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1e308], [0.0, 2.0]]}},
+         "/phi/pieces"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -465,6 +467,24 @@ class TestRunScenario:
         assert lines[0] == "x,value"
         assert len(lines) == 33
 
+    def test_profile_check_is_the_library_report(self, tmp_path):
+        # no t_lo in the config: the check and the library share the t_end / 2 default
+        cfg = self.scenario(name="prof", checks=["profile"])
+        run_scenario(cfg, tmp_path)
+        result = run(cfg.phi, cfg.g, build_initial(json.loads(cfg.initial), Grid(32)),
+                     cfg.scheme, cfg.tol)
+        rep = diagnostics.extract_profile(result)
+        assert rep.series[0][0] >= 0.5 * cfg.scheme.t_end > result.times[1]
+        (entry,) = json.loads((tmp_path / "prof" / "checks.json").read_text())
+        assert json.dumps(entry) == json.dumps(rep.to_dict())
+        _write_series_csv(tmp_path / "series.csv", rep.series)
+        assert (tmp_path / "prof" / "series_profile.csv").read_bytes() == \
+            (tmp_path / "series.csv").read_bytes()
+        rows = np.loadtxt(tmp_path / "prof" / "profile.csv", delimiter=",", skiprows=1)
+        profile = diagnostics.traveling_profile(result)
+        assert np.array_equal(rows[:, 0], profile.grid.cell_centers())
+        assert np.array_equal(rows[:, 1], profile.values)
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = self.scenario(checks=["conservation", "decay", "entropy_residual"])
         run_scenario(cfg, tmp_path / "one")
@@ -498,8 +518,7 @@ def test_csv_writers_keep_repr_bytes(tmp_path):
         ["time,value\n"] + [f"{a},{b}\n" for a, b in zip(EDGE_TEXT, reversed(EDGE_TEXT))]
     ).encode()
 
-    estimate = ProfileEstimate(field, 0.0, ((0.0, 0.0),), True, 1.0)
-    _write_profile_csv(tmp_path / "profile.csv", estimate)
+    _write_profile_csv(tmp_path / "profile.csv", field)
     centers = [repr(float(x)) for x in grid.cell_centers()]
     assert (tmp_path / "profile.csv").read_bytes() == "".join(
         ["x,value\n"] + [f"{x},{v}\n" for x, v in zip(centers, EDGE_TEXT)]
@@ -613,10 +632,7 @@ class TestCli:
         assert checks["error"].startswith("CflViolationError: time step 0.0 is not positive")
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("model, message", [
-        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1e308], [0.0, 2.0]]}},
-         "ValueError: piece coefficients must be finite"),
         ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
          "ValueError: field values must be finite"),
     ])

@@ -29,6 +29,7 @@ from degenwave import (
     squeeze_bounds,
     t_nonexpansive_from_runs,
     total_variation,
+    traveling_profile,
     weak_form_residual,
 )
 from degenwave.diagnostics import snapshot_spacing
@@ -285,22 +286,20 @@ class TestSqueezeBounds:
 class TestProfiles:
     def test_pure_transport_profile_is_initial_data(self):
         phi, g, res = transport_run(n=64, t_end=0.5)
-        est = extract_profile(res)
-        assert est.speed_used == 2.0
-        assert np.max(np.abs(est.profile.values - res.initial.values)) <= 1e-12
-        assert max(v for _, v in est.residual_history) <= 1e-12
-        assert est.converged
+        rep = extract_profile(res, t_lo=0.0)
+        assert rep.extra["speed_used"] == 2.0
+        assert np.max(np.abs(traveling_profile(res).values - res.initial.values)) <= 1e-12
+        assert max(v for _, v in rep.series) <= 1e-12
+        assert rep.passed
 
     def test_profile_mean_matches_data_mean(self):
         phi, g, res = burgers_run(n=64, t_end=1.0)
-        est = extract_profile(res)
-        assert abs(mean(est.profile) - mean(res.initial)) <= 1e-10
+        assert abs(mean(traveling_profile(res)) - mean(res.initial)) <= 1e-10
 
     def test_burgers_profile_converges_to_mean(self):
         phi, g, res = burgers_run(n=96, t_end=16.0)
-        est = extract_profile(res, t_lo=12.0)
-        assert est.converged
-        assert np.max(np.abs(est.profile.values - 0.5)) <= 0.02
+        assert extract_profile(res, t_lo=12.0).passed
+        assert np.max(np.abs(traveling_profile(res).values - 0.5)) <= 0.02
 
     def test_mixed_profile_range_in_plateau(self):
         phi = from_breakpoints([-2, 0, 2], [[2.0, -1.0], [0.0, 2.0]])
@@ -309,10 +308,10 @@ class TestProfiles:
         u0 = sine_field(grid, 0.625, 0.325)
         res = run(phi, g, u0, SchemeParams(t_end=4.0,
                                            snapshot_times=tuple(np.linspace(0, 4, 17))))
-        est = extract_profile(res, t_lo=2.0)
-        assert est.profile.values.min() >= 0.0 - 0.02
-        assert est.profile.values.max() <= 0.8 + 0.02
-        assert abs(mean(est.profile) - mean(u0)) <= 1e-10
+        profile = traveling_profile(res)
+        assert profile.values.min() >= 0.0 - 0.02
+        assert profile.values.max() <= 0.8 + 0.02
+        assert abs(mean(profile) - mean(u0)) <= 1e-10
 
     def test_profile_window_past_t_end_is_rejected(self):
         phi, g, res = burgers_run(n=64, t_end=0.1)
@@ -326,26 +325,33 @@ class TestProfiles:
         early = RunResult(res.snapshots[:-1] + [(float(np.nextafter(t_end, 0.0)), res.final)],
                           res.structure, res.step_count, res.dt, res.params)
         for r in (res, early):
-            est = extract_profile(r, t_lo=t_end, threshold=0.0)
+            rep = extract_profile(r, t_lo=t_end, threshold=0.0)
             want = l1_to_constant(r.final, r.structure.mean)
-            assert est.residual_history == ((r.times[-1], want),)
+            assert rep.series == ((r.times[-1], want),)
             assert want > 0.0
-            assert not est.converged
+            assert not rep.passed
 
     def test_profile_operator_composition(self):
         grid = Grid(64)
         u0 = sine_field(grid, 0.5, 0.25)
         params = SchemeParams(t_end=0.5, cfl_safety=1.0)
-        est = extract_profile(run(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), u0, params),
-                              t_lo=params.t_end / 2)
-        assert np.max(np.abs(est.profile.values - u0.values)) <= 1e-12
+        profile = traveling_profile(run(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), u0, params))
+        assert np.max(np.abs(profile.values - u0.values)) <= 1e-12
 
-    def test_profile_estimate_serializes(self):
-        phi, g, res = transport_run(n=64, t_end=0.5)
-        doc = extract_profile(res).to_dict()
-        assert set(doc) == {"profile", "speed_used", "converged", "threshold",
-                            "residual_history"}
-        assert len(doc["profile"]) == 64
+    def test_report_passed_matches_converged(self):
+        phi, g, res = burgers_run(n=64, t_end=1.0)
+        tail = [(t, v) for t, v in extract_profile(res, t_lo=0.0).series if t >= 0.5]
+        for threshold in (None, 0.0, 1.0):
+            rep = extract_profile(res, threshold=threshold)
+            assert rep.name == "profile"
+            assert list(rep.extra) == ["speed_used", "converged"]
+            assert rep.extra["speed_used"] == res.structure.speed
+            assert rep.passed is rep.extra["converged"]
+            assert rep.observed == max(v for _, v in rep.series)
+            # the default window starts at t_end / 2
+            assert list(rep.series) == tail
+        assert not extract_profile(res, threshold=0.0).passed
+        assert extract_profile(res, threshold=1.0).passed
 
 
 class TestNonexpansive:

@@ -121,10 +121,3 @@ class TestShift:
 def test_total_variation_sawtooth():
     u = Field(Grid(4), [0.0, 1.0, 0.0, 1.0])
     assert total_variation(u) == 4.0
-
-
-def test_field_json_list_round_trip():
-    u = Field(Grid(4), [0.0, 1.5, -0.25, 1.0])
-    again = Field(Grid(4), u.to_list())
-    assert np.array_equal(again.values, u.values)
-    assert all(isinstance(v, float) for v in u.to_list())
