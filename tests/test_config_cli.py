@@ -633,6 +633,8 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("model, message", [
+        ({"g": {"kind": "constant", "value": 1e308, "lo": -1, "hi": 1}},
+         "ValueError: field values must be finite"),
         ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
          "ValueError: field values must be finite"),
     ])
