@@ -33,6 +33,7 @@ from .piecewise import (
 from .structure import StructureReport, analyze
 
 _STEP_SLACK = 1e-9
+MAX_STEPS = 10 ** 8  # the most steps one run may take
 
 
 @dataclass(frozen=True)
@@ -122,33 +123,53 @@ def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
     return inner, np.stack(stacked, axis=1)
 
 
-def _apply_step(table, values: np.ndarray, dx: float, dt: float) -> np.ndarray:
-    """One explicit update of the cell values ``values``.
+class _Workspace:
+    """Buffers, views and constants of ``_apply_step``, built once per run, so
+    a step allocates only its piece indices. ``bufs`` are two ghost-padded
+    ``(n+2,)`` states, the first holding ``values``."""
 
-    The values are padded with periodic ghost cells, so neighbours are slices
-    of one contiguous array. One gather fetches the piece data of all three
-    functions, and one stacked Horner scheme evaluates them, each in its own
-    piece-local variable. The arithmetic matches
+    def __init__(self, table, values: np.ndarray, dx: float, dt: float):
+        inner, coeffs = table
+        self.search, self.take = inner.searchsorted, coeffs.take
+        n = values.size
+        self.bufs = (np.concatenate((values[-1:], values, values[:1])), np.empty(n + 2))
+        self.gath = np.empty((coeffs.shape[0], 3, n + 2))
+        self.left, self.acc, *self.rest = self.gath
+        self.t, self.lap = np.empty((3, n + 2)), np.empty(n)
+        flux, down, G = self.acc
+        self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2], G[2:], G[1:-1], G[:-2])
+        self.dt_dx, self.dt_dx2 = dt / dx, dt / (dx * dx)
+
+
+def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
+    """One explicit update from the padded state ``cur`` into ``nxt``.
+
+    Both are ghost-padded ``(n+2,)`` buffers of ``ws``, so neighbours are
+    slices of one contiguous array. One gather fetches the piece data of all
+    three functions, and one stacked Horner scheme evaluates them, each in
+    its own piece-local variable. The arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
     operation for operation, so the output is the same to the bit.
     """
-    inner, coeffs = table
-    v = np.concatenate((values[-1:], values, values[:1]))   # one ghost cell per side
-    left, acc, *rest = np.take(coeffs, np.searchsorted(inner, v, side="right"), axis=2)
-    t = v - left
-    for c in rest:
-        acc *= t
-        acc += c
-    flux, down, G = acc
-    flux[:-1] += down[1:]                  # F_{j+1/2} = up_j + down_{j+1}
-    out = flux[1:-1] - flux[:-2]
-    out *= dt / dx
-    np.subtract(values, out, out=out)
-    lap = G[2:] - 2.0 * G[1:-1]
-    lap += G[:-2]
-    lap *= dt / (dx * dx)
-    out += lap
-    return out
+    # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
+    ws.take(ws.search(cur, side="right"), axis=2, out=ws.gath, mode="wrap")
+    acc, t = ws.acc, ws.t
+    np.subtract(cur, ws.left, out=t)
+    for c in ws.rest:
+        np.multiply(acc, t, out=acc)
+        np.add(acc, c, out=acc)
+    flux_l, down_r, flux_c, flux_p, g_r, g_c, g_l = ws.views
+    np.add(flux_l, down_r, out=flux_l)      # F_{j+1/2} = up_j + down_{j+1}
+    out, lap = nxt[1:-1], ws.lap
+    np.subtract(flux_c, flux_p, out=out)
+    np.multiply(out, ws.dt_dx, out=out)
+    np.subtract(cur[1:-1], out, out=out)
+    np.multiply(2.0, g_c, out=lap)
+    np.subtract(g_r, lap, out=lap)
+    np.add(lap, g_l, out=lap)
+    np.multiply(lap, ws.dt_dx2, out=lap)
+    np.add(out, lap, out=out)
+    nxt[0], nxt[-1] = nxt[-2], nxt[1]       # one ghost cell per side
 
 
 def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
@@ -171,8 +192,10 @@ def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
 def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
     """One explicit update. Raises CflViolationError when dt breaks monotonicity."""
     _step_limit(phi, g, u, dt)
+    ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # Field reports non-finite values
-        return Field(u.grid, _apply_step(_kernel_table(phi, g), u.values, u.grid.dx, dt))
+        _apply_step(ws, *ws.bufs)
+    return Field(u.grid, ws.bufs[1][1:-1])
 
 
 def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
@@ -198,8 +221,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     which stays valid because the range never grows (max principle). The
     step count is deterministic for a given configuration. ``_dt`` forces a
     specific (still admissible) step; ``run_many`` passes its shared step
-    this way. A step that is not positive while ``t_end > 0`` raises
-    CflViolationError.
+    this way. While ``t_end > 0``, a step that is not positive or needs more
+    than ``MAX_STEPS`` steps raises CflViolationError before any allocation.
     """
     structure = analyze(phi, g, u0, tol)
     if _dt is None:
@@ -207,26 +230,28 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     else:
         _step_limit(phi, g, u0, _dt)
         dt = _dt
-    if params.t_end > 0.0 and not dt > 0.0:  # e.g. a Lipschitz bound that overflows
-        raise CflViolationError(f"time step {dt!r} is not positive, so t_end is never reached")
+    if params.t_end > 0.0 and not dt * MAX_STEPS >= params.t_end:  # also dt <= 0 or NaN
+        why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
+            f"needs {params.t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
+        raise CflViolationError(f"time step {dt!r} {why}")
     snapshots: list[tuple[float, Field]] = [(0.0, u0.copy())]
     requested = [t for t in params.snapshot_times if t > 0.0]
     ptr = 0
-    values = u0.values
-    table = _kernel_table(phi, g)
-    dx = u0.grid.dx
     k = 0
     if params.t_end > 0.0:
+        ws = _Workspace(_kernel_table(phi, g), u0.values, u0.grid.dx, dt)
+        cur, nxt = ws.bufs
         # an overflow shows as non-finite Field values at the next snapshot, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 k += 1
                 t = k * dt
-                values = _apply_step(table, values, dx, dt)
+                _apply_step(ws, cur, nxt)
+                cur, nxt = nxt, cur
                 final = t >= params.t_end - _STEP_SLACK * dt
                 due = ptr < len(requested) and t >= requested[ptr] - _STEP_SLACK * dt
                 if final or due:
-                    snapshots.append((t, Field(u0.grid, values)))
+                    snapshots.append((t, Field(u0.grid, cur[1:-1])))
                     while ptr < len(requested) and (final or requested[ptr] <= t + _STEP_SLACK * dt):
                         ptr += 1
                 if final:

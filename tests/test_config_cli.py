@@ -637,11 +637,17 @@ class TestCli:
          "ValueError: field values must be finite"),
         ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
          "ValueError: field values must be finite"),
+        # about 1.3e9 steps: the step budget rejects the run before its first step
+        ({"g": {"kind": "linear", "slope": 1, "lo": -1, "hi": 1},
+          "initial": {"cells": [0.25, 0.75] * 2048}, "grid": {"n_cells": 4096},
+          "scheme": {"t_end": 20}},
+         "CflViolationError: time step 1.4899797076683654e-08 needs 1.34e+09 steps to reach "
+         "t_end, more than MAX_STEPS = 100000000"),
     ])
     def test_run_exception_is_reported_and_suite_continues(self, model, message,
                                                            tmp_path, capsys):
         small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
-        docs = [minimal(name="fine", **small), minimal(name="bad", **small, **model),
+        docs = [minimal(name="fine", **small), minimal(name="bad", **{**small, **model}),
                 minimal(name="after", **small)]
         code = cli(["suite", "--config", self.write(tmp_path, docs),
                     "--out", str(tmp_path / "out")])

@@ -1,5 +1,6 @@
 """Bit-identity of the stacked step kernel and the shared-dt rule of run_many."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,7 @@ from degenwave import (
     shift,
 )
 from degenwave.piecewise import _RANGE_SLACK
-from degenwave.solver import _apply_step, _kernel_table
+from degenwave.solver import _apply_step, _kernel_table, _Workspace
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -50,6 +51,13 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def one_step(table, values, dx, dt):
+    """``_apply_step`` on ``values``: pad them, build the workspace, step once."""
+    ws = _Workspace(table, values, dx, dt)
+    _apply_step(ws, *ws.bufs)
+    return ws.bufs[1][1:-1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 64, 5000]))
 def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
@@ -58,7 +66,7 @@ def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
     dx = 1.0 / n
     dt = float(rng.uniform(0.1, 1.0)) * min(max_stable_dt(phi, g, -2.0, 2.0, dx), 1.0)
     up, down = monotone_split(phi)
-    out = _apply_step(_kernel_table(phi, g), values, dx, dt)
+    out = one_step(_kernel_table(phi, g), values, dx, dt)
     assert out.shape == values.shape
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
@@ -102,7 +110,7 @@ def test_all_linear_table_matches_reference_bit_for_bit(seed, n, g_degree):
     values = random_values(rng, phi, g, n)
     dx = 1.0 / n
     dt = float(rng.uniform(0.1, 1.0)) * min(max_stable_dt(phi, g, -2.0, 2.0, dx), 1.0)
-    out = _apply_step((inner, coeffs), values, dx, dt)
+    out = one_step((inner, coeffs), values, dx, dt)
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
 
@@ -148,7 +156,7 @@ def test_signed_zero_data_matches_reference(phi, g):
     values[2, ::2] = side
     up, down = monotone_split(phi)
     for row in values:
-        got = _apply_step(_kernel_table(phi, g), row, 1.0 / 16, 1e-3)
+        got = one_step(_kernel_table(phi, g), row, 1.0 / 16, 1e-3)
         assert np.array_equal(bits(got), bits(apply_step_reference(up, down, g, row, 1.0 / 16, 1e-3)))
 
 
@@ -183,6 +191,33 @@ def test_piece_index_matches_clamped_search(seed):
         for u in points:
             old = int(np.searchsorted(bp, u, side="right")) - 1
             assert f.piece_index(u) == min(max(old, 0), len(f.pieces) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 5, 64, 400]), data=st.data())
+def test_run_snapshots_match_reference_loop(seed, n, data):
+    # run steps in two swapped padded buffers; every snapshot must equal the
+    # reference state after its step count and own its memory
+    rng, phi, g = random_model(seed)
+    grid = Grid(n)
+    u0 = rm.random_field(rng, grid)
+    cap = max_stable_dt(phi, g, float(u0.values.min()), float(u0.values.max()), grid.dx)
+    t_end = data.draw(st.floats(0.5, 30.0)) * (0.5 * cap if math.isfinite(cap) else 1.0)
+    picks = st.one_of(st.sampled_from([0.0, t_end]), st.floats(0.0, t_end))
+    times = sorted(data.draw(st.lists(picks, max_size=8)) + [0.0, t_end])
+    times += [times[data.draw(st.integers(0, len(times) - 1))]]    # one repeated time
+    res = run(phi, g, u0, SchemeParams(t_end=t_end, snapshot_times=sorted(times)))
+    up, down = monotone_split(phi)
+    states = [u0.values]
+    for _ in range(res.step_count):
+        states.append(apply_step_reference(up, down, g, states[-1], grid.dx, res.dt))
+    assert res.snapshots[-1][0] == res.step_count * res.dt
+    for t, field in res.snapshots:
+        k = round(t / res.dt)
+        assert t == k * res.dt
+        assert np.array_equal(bits(field.values), bits(states[k]))
+    arrays = [u0.values] + [field.values for _, field in res.snapshots]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 @settings(max_examples=15, deadline=None)
