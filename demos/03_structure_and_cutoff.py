@@ -35,7 +35,7 @@ for t, v in cut.series[::2]:
 print(f"final {cut.observed:.2e} vs threshold {cut.threshold:.2e} "
       f"-> passed={cut.passed}")
 
-sq = dw.squeeze_bounds(res, phi, g)
+sq = dw.squeeze_bounds(res)
 print(f"\nsqueeze domination: worst violation {sq.observed:.2e} "
       f"(levels {sq.extra['lower_level']:.3f} / {sq.extra['upper_level']:.3f})")
 

@@ -38,7 +38,7 @@ for n in (100, 200, 400):
     u0 = dw.Field(gridn, 0.5 + 0.25 * np.sin(2 * np.pi * gridn.cell_centers()))
     times = tuple(j * gridn.dx for j in range(int(round(1.5 * n)) + 1))
     res = dw.run(phi, g, u0, dw.SchemeParams(t_end=1.5, snapshot_times=times))
-    rep = dw.entropy_residual(res, phi, g, k_values=k_values)
+    rep = dw.entropy_residual(res, k_values=k_values)
     budget = rep.extra["pairs"][0]["budget"]
     print(f"  n={n:4d}: violation={rep.observed:.2e}  budget={budget:.2f}")
 print("the budget halves with each refinement; violations shrink with it")

@@ -5,8 +5,6 @@ Subcommands:
 * ``run --config FILE --out DIR``: one scenario, artifacts under DIR/<name>/.
 * ``suite --config FILE --out DIR``: a batch (object or array) plus summary.json.
 * ``analyze --config FILE``: print the structure report as JSON, no stepping.
-* ``pair --config FILE --out DIR``: two-initial-data scenario; the contraction
-  and profile-distance checks are added when not listed.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
 """
@@ -16,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import scenarios
 from .errors import DegenwaveError, SchemaError
 from .grid import Grid
-from .scenarios import CheckSpec, ScenarioConfig, ScenarioResult, build_initial
+from .scenarios import ScenarioConfig, ScenarioResult, build_initial
 from .structure import analyze
 
 
@@ -74,17 +71,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_pair(args) -> int:
-    cfg = _load_single(args.config)
-    if cfg.initial_b is None:
-        raise SchemaError("/initial_b", "pair scenarios need a second initial condition")
-    names = {c.name for c in cfg.checks}
-    extra = [CheckSpec(n) for n in ("contraction", "t_nonexpansive") if n not in names]
-    if extra:
-        cfg = replace(cfg, checks=cfg.checks + tuple(extra))
-    return _report(scenarios.run_scenario(cfg, args.out))
-
-
 def cli(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="degenwave",
@@ -95,7 +81,6 @@ def cli(argv) -> int:
         ("run", _cmd_run, True),
         ("suite", _cmd_suite, True),
         ("analyze", _cmd_analyze, False),
-        ("pair", _cmd_pair, True),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)

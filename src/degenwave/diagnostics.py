@@ -15,7 +15,6 @@ import numpy as np
 from . import grid as gridmod
 from .errors import UnsupportedTestFnError
 from .grid import Field, constant_field, l1_distance, positive_part_distance, shift
-from .piecewise import PiecewiseFunction
 from .solver import RunResult, run, shared_dt
 from .structure import cutoff
 
@@ -179,13 +178,13 @@ def snapshot_spacing(run_result: RunResult) -> float:
     return max(b - a for a, b in zip(pts, pts[1:]))
 
 
-def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
-                    g: PiecewiseFunction, bumps, entries) -> list[list[float]]:
+def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     """Quadrature of A f_t + S f_x + G f_xx for every (bump, entry) pair.
 
-    An entry k integrates A, S, G = |u-k|, sign(u-k)(phi(u)-phi(k)),
-    |g(u)-g(k)|; the entry None integrates A, S, G = u, phi(u), g(u). The
-    quadrature is the trapezoid rule in time of midpoint sums in space.
+    With ``phi, g`` the run's model, an entry k integrates A, S, G = |u-k|,
+    sign(u-k)(phi(u)-phi(k)), |g(u)-g(k)|; the entry None integrates
+    A, S, G = u, phi(u), g(u). The quadrature is the trapezoid rule in time
+    of midpoint sums in space.
 
     Rows go in blocks of ``_ENTROPY_BLOCK_CELLS`` cells; A, S and G are built
     once per block and entry, and a bump skips the rows outside its time
@@ -199,6 +198,7 @@ def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
         return []
     centers = run_result.initial.grid.cell_centers()
     dx = run_result.initial.grid.dx
+    phi, g = run_result.phi, run_result.g
     consts = [None if k is None else (k, phi.eval(k), g.eval(k)) for k in entries]
     factors = []
     for b in bumps:
@@ -236,14 +236,12 @@ def _bump_integrals(run_result: RunResult, phi: PiecewiseFunction,
     return [[float(np.dot(w, s)) for s in row] for row in spatial]
 
 
-def weak_form_residual(run_result: RunResult, phi: PiecewiseFunction,
-                       g: PiecewiseFunction, bump: TestBump) -> float:
+def weak_form_residual(run_result: RunResult, bump: TestBump) -> float:
     """Quadrature of u f_t + phi(u) f_x + g(u) f_xx; zero for exact weak solutions."""
-    return _bump_integrals(run_result, phi, g, [bump], [None])[0][0]
+    return _bump_integrals(run_result, [bump], [None])[0][0]
 
 
-def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
-                     g: PiecewiseFunction, k_values=None, test_fns=None,
+def entropy_residual(run_result: RunResult, k_values=None, test_fns=None,
                      comparison_constant: float = ENTROPY_COMPARISON_CONSTANT) -> CheckReport:
     """Entropy-inequality quadrature over all (constant, bump) pairs.
 
@@ -266,7 +264,7 @@ def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
     if test_fns is None:
         test_fns = default_bumps(run_result.params.t_end)
     ks = [float(k) for k in k_values]
-    values = _bump_integrals(run_result, phi, g, test_fns, ks)
+    values = _bump_integrals(run_result, test_fns, ks)
     budget_scale = comparison_constant * (run_result.initial.grid.dx
                                           + snapshot_spacing(run_result))
     rows_extra = []
@@ -345,8 +343,7 @@ def cutoff_convergence(run_result: RunResult, band_lo: float | None = None,
                        extra={"band_lo": lo, "band_hi": hi})
 
 
-def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
-                   g: PiecewiseFunction, shift_upper: float | None = None,
+def squeeze_bounds(run_result: RunResult, shift_upper: float | None = None,
                    shift_lower: float | None = None) -> CheckReport:
     """Exceedance above/below the affine band is dominated by shifted comparison runs.
 
@@ -354,7 +351,9 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
     (defaults: distance from the mean to the affine interval ends). All
     trajectories advance with one shared time step so the discrete comparison
     principle applies exactly; the reported violation is how far the
-    integrated exceedance of the base run rises above the companion's.
+    integrated exceedance of the base run rises above the companion's. The
+    companions are never analyzed, so the model needs to cover their data
+    ranges only.
     """
     st = run_result.structure
     su = (st.affine_hi - st.mean) if shift_upper is None else float(shift_upper)
@@ -365,7 +364,7 @@ def squeeze_bounds(run_result: RunResult, phi: PiecewiseFunction,
     grid = u0.grid
     upper0 = Field(grid, u0.values + su)
     lower0 = Field(grid, u0.values + sl)
-    params = run_result.params
+    phi, g, params = run_result.phi, run_result.g, run_result.params
     dt_shared = min(run_result.dt, shared_dt(phi, g, [upper0, lower0], params))
     if dt_shared == run_result.dt:
         base = run_result

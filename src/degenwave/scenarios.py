@@ -28,23 +28,23 @@ from .solver import RunResult, SchemeParams, run_many
 DEFAULT_SNAPSHOT_COUNT = 33
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A
-# callable takes (cfg, result, result_b, params, out) and returns a CheckReport;
-# it looks its diagnostics function up at call time, so a wrapper installed on
-# the module later (a profiler, a test stub) is the one that runs.
+# callable takes (result, result_b, params, out) and returns a CheckReport; the
+# runs carry their model. It looks its diagnostics function up at call time, so
+# a wrapper installed on the module later (a profiler, a test stub) is the one
+# that runs.
 CHECKS = {
-    "conservation": ((), False, lambda cfg, r, rb, p, out: diag.conservation_monitor(r)),
-    "decay": (("threshold",), False, lambda cfg, r, rb, p, out: diag.decay_metric(r, **p)),
+    "conservation": ((), False, lambda r, rb, p, out: diag.conservation_monitor(r)),
+    "decay": (("threshold",), False, lambda r, rb, p, out: diag.decay_metric(r, **p)),
     "cutoff_convergence": (("band_lo", "band_hi", "threshold"), False,
-                           lambda cfg, r, rb, p, out: diag.cutoff_convergence(r, **p)),
+                           lambda r, rb, p, out: diag.cutoff_convergence(r, **p)),
     "entropy_residual": (("comparison_constant",), False,
-                         lambda cfg, r, rb, p, out: diag.entropy_residual(r, cfg.phi, cfg.g, **p)),
+                         lambda r, rb, p, out: diag.entropy_residual(r, **p)),
     "squeeze_bounds": (("shift_upper", "shift_lower"), False,
-                       lambda cfg, r, rb, p, out: diag.squeeze_bounds(r, cfg.phi, cfg.g, **p)),
-    "profile": (("t_lo", "threshold"), False,
-                lambda cfg, r, rb, p, out: _profile_check(r, p, out)),
-    "contraction": ((), True, lambda cfg, r, rb, p, out: diag.contraction_monitor(r, rb)),
+                       lambda r, rb, p, out: diag.squeeze_bounds(r, **p)),
+    "profile": (("t_lo", "threshold"), False, lambda r, rb, p, out: _profile_check(r, p, out)),
+    "contraction": ((), True, lambda r, rb, p, out: diag.contraction_monitor(r, rb)),
     "t_nonexpansive": (("tolerance",), True,
-                       lambda cfg, r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb, **p)),
+                       lambda r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb, **p)),
 }
 _INITIAL_PARAMS = {  # parameters of the object-valued initial-data kinds, with defaults
     "sine": {"mean": 0.0, "amplitude": 0.0, "frequency": 1.0},
@@ -421,7 +421,7 @@ def _run_checks(cfg: ScenarioConfig, result: RunResult,
     reports: list[diag.CheckReport] = []
     for spec in cfg.checks:
         try:
-            rep = CHECKS[spec.name][2](cfg, result, result_b, spec.param_dict(), out)
+            rep = CHECKS[spec.name][2](result, result_b, spec.param_dict(), out)
         except Exception as e:  # a failed check must not abort the batch
             rep = _failed_report(spec.name, e)
         reports.append(rep)
@@ -445,19 +445,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             # both trajectories advance with one shared admissible step so the
             # pair checks compare states at identical times
             fields.append(build_initial(json.loads(cfg.initial_b), grid))
-        result, *rest = run_many(cfg.phi, cfg.g, fields, cfg.scheme, cfg.tol)
-        result_b = rest[0] if rest else None
+        results = run_many(cfg.phi, cfg.g, fields, cfg.scheme, cfg.tol)
+        structures = [r.structure for r in results]  # analysis errors are run errors too
     except Exception as e:  # a failed run must not abort the batch
         error = f"{type(e).__name__}: {e}"
         reports = [_failed_report(spec.name, e) for spec in cfg.checks]
     else:
-        _write_snapshots_csv(out / "snapshots.csv", result)
-        _write_text_atomic(out / "structure.json",
-                           json.dumps(result.structure.to_dict(), indent=2) + "\n")
-        if result_b is not None:
-            _write_snapshots_csv(out / "snapshots_b.csv", result_b)
-            _write_text_atomic(out / "structure_b.json",
-                               json.dumps(result_b.structure.to_dict(), indent=2) + "\n")
+        for suffix, res, st in zip(("", "_b"), results, structures):
+            _write_snapshots_csv(out / f"snapshots{suffix}.csv", res)
+            _write_text_atomic(out / f"structure{suffix}.json",
+                               json.dumps(st.to_dict(), indent=2) + "\n")
+        result, result_b = results[0], results[1] if len(results) > 1 else None
         reports = _run_checks(cfg, result, result_b, out)
     payload = [r.to_dict() for r in reports]
     if error is not None:

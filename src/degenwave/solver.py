@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,13 +66,23 @@ class SchemeParams:
 
 @dataclass
 class RunResult:
-    """Snapshot trajectory plus the structure report of the initial data."""
+    """Snapshot trajectory together with the model ``(phi, g)`` that made it.
+
+    ``structure`` is ``analyze(phi, g, initial, tol)``, computed on first read
+    and kept, so a run whose structure is never read is never analyzed.
+    """
 
     snapshots: list[tuple[float, Field]]
-    structure: StructureReport
+    phi: PiecewiseFunction
+    g: PiecewiseFunction
     step_count: int
     dt: float
     params: SchemeParams
+    tol: float = DEFAULT_TOL
+
+    @cached_property
+    def structure(self) -> StructureReport:
+        return analyze(self.phi, self.g, self.initial, self.tol)
 
     @property
     def times(self) -> np.ndarray:
@@ -223,8 +233,12 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     specific (still admissible) step; ``run_many`` passes its shared step
     this way. While ``t_end > 0``, a step that is not positive or needs more
     than ``MAX_STEPS`` steps raises CflViolationError before any allocation.
+    ``g`` must be flagged monotone_nondecreasing (ValueError otherwise) and
+    the model must cover the data range only (OutOfRangeError otherwise);
+    ``tol`` is kept for the result's ``structure``, which the run never reads.
     """
-    structure = analyze(phi, g, u0, tol)
+    if not g.monotone_nondecreasing:
+        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     if _dt is None:
         dt = shared_dt(phi, g, [u0], params)
     else:
@@ -256,7 +270,7 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
                         ptr += 1
                 if final:
                     break
-    return RunResult(snapshots, structure, k, dt, params)
+    return RunResult(snapshots, phi, g, k, dt, params, tol)
 
 
 def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,

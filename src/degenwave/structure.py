@@ -75,7 +75,8 @@ def analyze(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
             raise CoverageError(
                 f"{name} covers [{f.lo!r}, {f.hi!r}] but the data needs [-{sup!r}, {sup!r}]"
             )
-    center = gridmod.mean(u0)
+    # the fsum mean of flat data can round one ulp past its sup norm
+    center = min(max(gridmod.mean(u0), -sup), sup)
     a, b = maximal_affine_interval(phi, center, -sup, sup, tol)
     if a < b:
         # slope of the piece containing the mean; exact for affine pieces

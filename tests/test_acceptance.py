@@ -264,7 +264,7 @@ def test_criterion_5_cutoff_convergence_and_squeeze():
                     and (st.plateau_lo, st.plateau_hi) == (0.0, 0.8)
                     and st.speed == 2.0)
     cut = cutoff_convergence(res)
-    sq = squeeze_bounds(res, phi, g)
+    sq = squeeze_bounds(res)
     ok = structure_ok and cut.passed and sq.passed and sq.observed <= 1e-10
     report(5, "cutoff convergence + squeeze", ok,
            f"cut final={cut.observed:.2e} thr={cut.threshold:.2e} "
@@ -318,7 +318,7 @@ def test_criterion_7_entropy_residual_refinement():
         u0 = sine_field(grid, 0.5, 0.25)
         times = tuple(j * grid.dx for j in range(int(round(t_end * n)) + 1))
         res = run(phi, g, u0, SchemeParams(t_end=t_end, snapshot_times=times))
-        reports[n] = entropy_residual(res, phi, g, k_values=k_values)
+        reports[n] = entropy_residual(res, k_values=k_values)
     all_pass = all(rep.passed for rep in reports.values())
     tighten = True
     for coarse, fine in ((100, 200), (200, 400)):

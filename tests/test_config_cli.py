@@ -22,6 +22,7 @@ from degenwave import (
     run_scenario,
     run_suite,
     scenarios,
+    solver,
 )
 from degenwave.cli import cli
 from degenwave.grid import MAX_CELLS
@@ -505,7 +506,7 @@ def test_csv_writers_keep_repr_bytes(tmp_path):
     grid = Grid(len(EDGE_VALUES))
     field = Field(grid, EDGE_VALUES)
     times = (0.0, 1e-05, 1 / 3)
-    result = RunResult([(t, field) for t in times], structure=None, step_count=2,
+    result = RunResult([(t, field) for t in times], phi=None, g=None, step_count=2,
                        dt=1e-05, params=SchemeParams(t_end=1 / 3, snapshot_times=times))
     _write_snapshots_csv(tmp_path / "snapshots.csv", result)
     assert (tmp_path / "snapshots.csv").read_bytes() == "".join(
@@ -597,17 +598,6 @@ class TestCli:
         assert (tmp_path / "out" / "summary.json").exists()
         capsys.readouterr()
 
-    def test_pair_subcommand_adds_pair_checks(self, tmp_path, capsys):
-        doc = minimal(name="p", scheme={"t_end": 0.2}, grid={"n_cells": 32},
-                      initial_b={"sine": {"mean": 0.55, "amplitude": 0.2}},
-                      checks=[])
-        code = cli(["pair", "--config", self.write(tmp_path, doc),
-                    "--out", str(tmp_path / "out")])
-        assert code == 0
-        checks = json.loads((tmp_path / "out" / "p" / "checks.json").read_text())
-        assert {c["name"] for c in checks} == {"contraction", "t_nonexpansive"}
-        capsys.readouterr()
-
     def test_pair_prints_run_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise CflViolationError("no admissible step")
@@ -615,10 +605,57 @@ class TestCli:
         monkeypatch.setattr(scenarios, "run_many", fail)
         doc = minimal(name="p", scheme={"t_end": 0.2}, grid={"n_cells": 32},
                       initial_b={"sine": {"mean": 0.55, "amplitude": 0.2}}, checks=[])
-        code = cli(["pair", "--config", self.write(tmp_path, doc),
+        code = cli(["run", "--config", self.write(tmp_path, doc),
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "p: error: CflViolationError: no admissible step" in capsys.readouterr().err
+
+    def test_flat_data_analyze_and_run(self, tmp_path, capsys):
+        # five cells of 0.3 have the fsum mean 0.30000000000000004, above their sup norm
+        doc = minimal(name="flat", initial={"sine": {"mean": 0.3, "amplitude": 0.0}},
+                      grid={"n_cells": 5}, scheme={"t_end": 0.2})
+        path = self.write(tmp_path, doc)
+        assert cli(["analyze", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["I"] == 0.3
+        assert cli(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+
+    def test_squeeze_companion_inside_model_range(self, tmp_path, capsys):
+        # phi covers [-1, 1.5] and the upper companion's data [0.549, 1.249] with it
+        doc = minimal(name="sq", phi={"breakpoints": [-1, 0.9, 1.5],
+                                      "pieces": [[0.0, 1.0], [1.9, 3.0]]},
+                      g={"kind": "constant", "value": 0.0, "lo": -1, "hi": 1.5},
+                      initial={"sine": {"mean": 0.55, "amplitude": 0.35}},
+                      checks=[{"name": "squeeze_bounds", "shift_lower": -0.3}])
+        code = cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+        assert code == 0
+        (check,) = json.loads((tmp_path / "out" / "sq" / "checks.json").read_text())
+        assert check["passed"] and check["observed"] == 0.0
+        # with the default lower shift the lower companion leaves the model's range
+        doc["checks"] = ["squeeze_bounds"]
+        code = cli(["run", "--config", self.write(tmp_path, doc, "default.json"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        (check,) = json.loads((tmp_path / "out" / "sq" / "checks.json").read_text())
+        assert check["extra"]["error"].startswith("OutOfRangeError")
+        capsys.readouterr()
+
+    def test_analysis_error_is_a_run_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no structure")
+
+        monkeypatch.setattr(solver, "analyze", fail)
+        doc = minimal(name="p", scheme={"t_end": 0.2}, grid={"n_cells": 32},
+                      initial_b={"sine": {"mean": 0.55, "amplitude": 0.2}},
+                      checks=["conservation", "contraction"])
+        code = cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "p: error: ValueError: no structure" in capsys.readouterr().err
+        checks = json.loads((tmp_path / "out" / "p" / "checks.json").read_text())
+        assert checks["error"] == "ValueError: no structure"
+        assert [c["passed"] for c in checks["checks"]] == [False, False]
 
     def test_step_underflow_is_a_run_error(self, tmp_path, capsys):
         # Lphi/dx overflows, so the admissible step is 0.0 and t_end is never reached

@@ -5,6 +5,7 @@ import randmodels as rm
 from degenwave import (
     Field,
     Grid,
+    OutOfRangeError,
     SchemeParams,
     TestBump,
     UnsupportedTestFnError,
@@ -109,7 +110,7 @@ class TestEntropyResidual:
         phi, g = burgers(-1, 1), constant(0.0, -1, 1)
         res = run(phi, g, constant_field(grid, 0.4),
                   SchemeParams(t_end=1.0, snapshot_times=dx_schedule(128, 1.0)))
-        rep = entropy_residual(res, phi, g)
+        rep = entropy_residual(res)
         assert rep.passed
         assert max(abs(p["residual"]) for p in rep.extra["pairs"]) <= 1e-4
 
@@ -119,9 +120,9 @@ class TestEntropyResidual:
         times = res.times[:, None]
         centers = res.initial.grid.cell_centers()[None, :]
         for k, sgn in ((0.9, -1.0), (-0.9, 1.0)):
-            rep = entropy_residual(res, phi, g, k_values=[k], test_fns=[bump])
+            rep = entropy_residual(res, k_values=[k], test_fns=[bump])
             residual = rep.extra["pairs"][0]["residual"]
-            weak = weak_form_residual(res, phi, g, bump)
+            weak = weak_form_residual(res, bump)
             # quadrature of the pure-constant bracket k f_t + phi(k) f_x + g(k) f_xx
             bracket = _quadrature(res, (k * bump.d_dt(times, centers)
                                         + phi.eval(k) * bump.d_dx(times, centers)
@@ -130,10 +131,10 @@ class TestEntropyResidual:
 
     def test_burgers_shock_passes_and_produces_entropy(self):
         phi, g, res = burgers_run(n=200)
-        rep = entropy_residual(res, phi, g)
+        rep = entropy_residual(res)
         assert rep.passed
         best = max(
-            entropy_residual(res, phi, g, k_values=[0.5],
+            entropy_residual(res, k_values=[0.5],
                              test_fns=[TestBump(1.0, x0, 0.35, 0.25)]
                              ).extra["pairs"][0]["residual"]
             for x0 in (0.0, 0.25, 0.5, 0.75)
@@ -144,7 +145,7 @@ class TestEntropyResidual:
         budgets = {}
         for n in (64, 128):
             phi, g, res = burgers_run(n=n, t_end=1.0)
-            rep = entropy_residual(res, phi, g)
+            rep = entropy_residual(res)
             assert rep.passed
             budgets[n] = rep.extra["pairs"][0]["budget"]
         assert budgets[128] <= 0.5 * budgets[64] * (1.0 + 1e-9)
@@ -152,7 +153,7 @@ class TestEntropyResidual:
     def test_rejects_bump_touching_initial_time(self):
         phi, g, res = burgers_run(n=64, t_end=1.0)
         with pytest.raises(UnsupportedTestFnError):
-            entropy_residual(res, phi, g, test_fns=[TestBump(0.05, 0.5, 0.1, 0.2)])
+            entropy_residual(res, test_fns=[TestBump(0.05, 0.5, 0.1, 0.2)])
 
 
 class TestMonitors:
@@ -257,7 +258,7 @@ class TestCutoffConvergence:
 class TestSqueezeBounds:
     def test_zero_shifts_trivial_domination(self):
         phi, g, res = burgers_run(n=64, t_end=0.5)
-        rep = squeeze_bounds(res, phi, g, shift_upper=0.0, shift_lower=0.0)
+        rep = squeeze_bounds(res, shift_upper=0.0, shift_lower=0.0)
         assert rep.passed
         assert rep.observed == 0.0
 
@@ -268,19 +269,33 @@ class TestSqueezeBounds:
         u0 = sine_field(grid, 0.625, 0.325)
         res = run(phi, g, u0, SchemeParams(t_end=2.0,
                                            snapshot_times=tuple(np.linspace(0, 2, 9))))
-        rep = squeeze_bounds(res, phi, g)
+        rep = squeeze_bounds(res)
         assert rep.passed
         assert rep.observed <= 1e-10
 
     def test_burgers_upper_comparison_decays_to_band_end(self):
         phi, g, res = burgers_run(n=96, t_end=8.0, base=0.4, amp=0.2)
-        rep = squeeze_bounds(res, phi, g, shift_upper=0.25, shift_lower=-0.25)
+        rep = squeeze_bounds(res, shift_upper=0.25, shift_lower=-0.25)
         assert rep.passed
         # the dominating series itself decays: the shifted companion converges
         # to the band end, squeezing the base run's exceedance with it
         dom = rep.extra["dominate_upper"]
         assert dom[-1] <= 0.2 * dom[0]
         assert rep.extra["exceed_upper"][-1] <= dom[-1] + 1e-10
+
+    def test_companions_need_only_their_data_range(self):
+        # phi covers [-1, 1.5]: the upper companion's data [0.549, 1.249] lie inside,
+        # the symmetric window [-1.249, 1.249] that analyze would demand does not
+        phi = from_breakpoints([-1, 0.9, 1.5], [[0.0, 1.0], [0.9, 3.0]])
+        g = constant(0.0, -1, 1.5)
+        res = run(phi, g, sine_field(Grid(64), 0.55, 0.35),
+                  SchemeParams(t_end=0.5, snapshot_times=tuple(np.linspace(0, 0.5, 6))))
+        rep = squeeze_bounds(res, shift_lower=-0.3)
+        assert rep.passed and rep.observed == 0.0
+        assert rep.extra["shared_dt"] < res.dt  # the base was re-run at the shared step
+        # the default lower shift moves the lower companion to [-1.249, -0.55], out of range
+        with pytest.raises(OutOfRangeError):
+            squeeze_bounds(res)
 
 
 class TestProfiles:
@@ -323,7 +338,7 @@ class TestProfiles:
         t_end = res.params.t_end
         # a final snapshot that lands one ulp before t_end still counts
         early = RunResult(res.snapshots[:-1] + [(float(np.nextafter(t_end, 0.0)), res.final)],
-                          res.structure, res.step_count, res.dt, res.params)
+                          res.phi, res.g, res.step_count, res.dt, res.params, res.tol)
         for r in (res, early):
             rep = extract_profile(r, t_lo=t_end, threshold=0.0)
             want = l1_to_constant(r.final, r.structure.mean)
@@ -405,7 +420,7 @@ class TestQuadratureHelpers:
         res = run(phi, g, constant_field(grid, 0.4),
                   SchemeParams(t_end=1.0, snapshot_times=dx_schedule(128, 1.0)))
         bump = TestBump(0.5, 0.3, 0.3, 0.3)
-        assert abs(weak_form_residual(res, phi, g, bump)) <= 2e-4
+        assert abs(weak_form_residual(res, bump)) <= 2e-4
 
     def test_snapshot_spacing_uses_requested_schedule(self):
         phi, g, res = burgers_run(n=64, t_end=1.0)

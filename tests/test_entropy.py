@@ -36,8 +36,9 @@ def support_edges(bump):
     return out
 
 
-def synthetic_run(rng, n, count, t_end, extra_times):
-    """A RunResult of random snapshots whose times include ``extra_times``."""
+def synthetic_run(rng, phi, g, n, count, t_end, extra_times):
+    """A RunResult of random snapshots of the model ``(phi, g)`` whose times include
+    ``extra_times``."""
     inner = list(rng.uniform(0.0, t_end, size=max(count - 2 - len(extra_times), 0)))
     if inner and rng.random() < 0.3:
         inner.append(inner[0])  # a repeated time gets zero trapezoid weight
@@ -45,7 +46,7 @@ def synthetic_run(rng, n, count, t_end, extra_times):
     grid = Grid(n)
     snapshots = [(t, rm.random_field(rng, grid)) for t in times]
     params = SchemeParams(t_end=t_end, snapshot_times=tuple(times))
-    return RunResult(snapshots, structure=None, step_count=len(times) - 1,
+    return RunResult(snapshots, phi, g, step_count=len(times) - 1,
                      dt=t_end / len(times), params=params)
 
 
@@ -67,7 +68,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
     phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
     t_end = float(rng.uniform(0.1, 3.0))
     bumps = edge_bumps(rng, t_end) if bump_kind == "edges" else []
-    res = synthetic_run(rng, n, count, t_end, [t for b in bumps for t in support_edges(b)])
+    res = synthetic_run(rng, phi, g, n, count, t_end, [t for b in bumps for t in support_edges(b)])
     data = snapshot_matrix(res)
     k_values = {
         "default": None,
@@ -80,7 +81,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
                   comparison_constant=float(rng.uniform(0.5, 20.0)))
     want = outcome(entropy_residual_reference, res, phi, g, **kwargs)
     with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
-        got = outcome(diagnostics.entropy_residual, res, phi, g, **kwargs)
+        got = outcome(diagnostics.entropy_residual, res, **kwargs)
     assert got == want
 
 
@@ -101,13 +102,13 @@ def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_ki
     phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
     t_end = float(rng.uniform(0.1, 3.0))
     bumps = edge_bumps(rng, t_end) if bump_kind == "edges" else []
-    res = synthetic_run(rng, n, count, t_end, [t for b in bumps for t in support_edges(b)])
+    res = synthetic_run(rng, phi, g, n, count, t_end, [t for b in bumps for t in support_edges(b)])
     if bump_kind == "dead":
         bumps = [dead_bump(rng, res.times)]
     for bump in bumps:
         want = weak_form_residual_reference(res, phi, g, bump)
         with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
-            got = diagnostics.weak_form_residual(res, phi, g, bump)
+            got = diagnostics.weak_form_residual(res, bump)
         assert repr(got) == repr(want)
 
 
@@ -117,7 +118,7 @@ def test_blocks_outside_every_bump_are_not_evaluated():
     phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
     grid = Grid(16)
     times = [i / 20 for i in range(21)]
-    res = RunResult([(t, rm.random_field(rng, grid)) for t in times], structure=None,
+    res = RunResult([(t, rm.random_field(rng, grid)) for t in times], phi, g,
                     step_count=20, dt=0.05,
                     params=SchemeParams(t_end=1.0, snapshot_times=tuple(times)))
     bump = TestBump(0.5, 0.5, 0.18, 0.3)  # live rows 7..13, t in (0.32, 0.68)
@@ -130,7 +131,7 @@ def test_blocks_outside_every_bump_are_not_evaluated():
 
     with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", 2 * 16), \
             mock.patch.object(PiecewiseFunction, "eval", counted):
-        got = diagnostics.weak_form_residual(res, phi, g, bump)
+        got = diagnostics.weak_form_residual(res, bump)
     # two rows per block: rows 7..13 lie in the blocks at rows 6, 8, 10 and 12,
     # each evaluated once for phi and once for g
     assert shapes == [(2, 16)] * 8

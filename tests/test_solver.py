@@ -199,6 +199,22 @@ class TestRun:
         # a zero horizon takes no step, so any step is fine there
         assert run(burgers(-1, 1), g, u0, SchemeParams(t_end=0.0), _dt=0.0).step_count == 0
 
+    def test_unflagged_diffusion_is_rejected_before_any_step(self, monkeypatch):
+        # a backward diffusion breaks the max principle the fixed step needs
+        import degenwave.solver as solvermod
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(solvermod, "_apply_step", no_step)
+        u0 = sine_field(Grid(16), 0.0, 0.5)
+        g = linear(-1.0, 0.0, -1, 1)
+        params = SchemeParams(t_end=0.1)
+        with pytest.raises(ValueError, match="monotone_nondecreasing"):
+            run(burgers(-1, 1), g, u0, params)
+        with pytest.raises(ValueError, match="monotone_nondecreasing"):
+            run_many(burgers(-1, 1), g, [u0, u0], params)
+
     def test_shared_dt_is_admissible_for_every_member(self):
         grid = Grid(16)
         phi, g = linear(2.0, 0.0, -1, 1), constant(0.0, -1, 1)

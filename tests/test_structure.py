@@ -88,6 +88,22 @@ class TestAnalyze:
                 # nominal secant speed of degenerate cases may carry float dust
                 assert other.speed == pytest.approx(base.speed + dc, abs=1e-9)
 
+    def test_flat_data_mean_rounding_past_sup(self):
+        # the fsum mean of n equal cells can round one ulp past their value
+        # (n=5, 0.3: mean 0.30000000000000004); the report must still order
+        models = [(burgers(-1, 1), constant(0.0, -1, 1)), (kink_flux(), plateau_diffusion())]
+        rounded = 0
+        for n in range(4, 200):
+            grid = Grid(n)
+            for value in (0.1, 0.2, 0.3, 0.55, 0.7, 0.9, -0.3, 1 / 3):
+                u0 = constant_field(grid, value)
+                rounded += abs(mean(u0)) > abs(value)
+                for phi, g in models:
+                    rep = analyze(phi, g, u0)
+                    assert -rep.sup_norm <= rep.affine_lo <= rep.plateau_lo <= rep.mean
+                    assert rep.mean <= rep.plateau_hi <= rep.affine_hi <= rep.sup_norm
+        assert rounded > 0
+
     def test_coverage_error(self):
         grid = Grid(8)
         u0 = constant_field(grid, 0.9)  # needs [-0.9, 0.9]
