@@ -66,7 +66,7 @@ def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
     grid = Grid(cfg.grid_cells)
     u0 = build_initial(json.loads(cfg.initial), grid)
-    report = analyze(cfg.phi, cfg.g, u0, cfg.tol)
+    report = analyze(cfg.phi, cfg.g, u0)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

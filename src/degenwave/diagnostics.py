@@ -241,8 +241,7 @@ def weak_form_residual(run_result: RunResult, bump: TestBump) -> float:
     return _bump_integrals(run_result, [bump], [None])[0][0]
 
 
-def entropy_residual(run_result: RunResult, k_values=None, test_fns=None,
-                     comparison_constant: float = ENTROPY_COMPARISON_CONSTANT) -> CheckReport:
+def entropy_residual(run_result: RunResult, k_values=None, test_fns=None) -> CheckReport:
     """Entropy-inequality quadrature over all (constant, bump) pairs.
 
     For each entropy constant k and test bump f the residual
@@ -257,16 +256,14 @@ def entropy_residual(run_result: RunResult, k_values=None, test_fns=None,
     so the report normalizes each violation by that budget: observed is the
     largest normalized violation and the threshold is 1.
     """
-    if not comparison_constant > 0.0:  # a budget <= 0 would read violations as passes
-        raise ValueError(f"comparison_constant must be > 0, got {comparison_constant!r}")
     if k_values is None:
         k_values = default_k_values(run_result.initial)
     if test_fns is None:
         test_fns = default_bumps(run_result.params.t_end)
     ks = [float(k) for k in k_values]
     values = _bump_integrals(run_result, test_fns, ks)
-    budget_scale = comparison_constant * (run_result.initial.grid.dx
-                                          + snapshot_spacing(run_result))
+    budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.initial.grid.dx
+                                                  + snapshot_spacing(run_result))
     rows_extra = []
     worst = -math.inf
     for bi, b in enumerate(test_fns):
@@ -327,13 +324,10 @@ def decay_metric(run_result: RunResult, threshold: float | None = None) -> Check
                        series=tuple(series))
 
 
-def cutoff_convergence(run_result: RunResult, band_lo: float | None = None,
-                       band_hi: float | None = None,
-                       threshold: float | None = None) -> CheckReport:
+def cutoff_convergence(run_result: RunResult, threshold: float | None = None) -> CheckReport:
     """L1 gap between the solution and its clamp into the plateau band."""
     st = run_result.structure
-    lo = st.plateau_lo if band_lo is None else band_lo
-    hi = st.plateau_hi if band_hi is None else band_hi
+    lo, hi = st.plateau_lo, st.plateau_hi
     series = [(float(t), l1_distance(f, cutoff(f, lo, hi)))
               for t, f in run_result.snapshots]
     if threshold is None:
@@ -442,9 +436,9 @@ def extract_profile(run_result: RunResult, t_lo: float | None = None,
                        extra={"speed_used": st.speed, "converged": observed <= threshold})
 
 
-def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
-                             tolerance: float | None = None) -> CheckReport:
-    """Profile distance must not exceed the initial L1 distance.
+def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult) -> CheckReport:
+    """Profile distance must not exceed the initial L1 distance d0 by more than
+    ``0.05 * d0 + 4 * dx``.
 
     When both runs share a nondegenerate affine interval (hence one speed)
     the profiles compare directly in L1; otherwise the profiles separate and
@@ -465,10 +459,8 @@ def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult,
         # between the (conserved) means is the exact profile distance
         observed, branch = abs(sa.mean - sb.mean), "mean_gap"
     initial_distance = l1_distance(run_a.initial, run_b.initial)
-    if tolerance is None:
-        tolerance = 0.05 * initial_distance + 4.0 * run_a.initial.grid.dx
+    tolerance = 0.05 * initial_distance + 4.0 * run_a.initial.grid.dx
     return CheckReport(
-        "t_nonexpansive", observed=observed,
-        threshold=initial_distance + float(tolerance),
+        "t_nonexpansive", observed=observed, threshold=initial_distance + tolerance,
         extra={"initial_distance": initial_distance, "branch": branch},
     )

@@ -10,7 +10,14 @@ class OutOfRangeError(DegenwaveError):
 
 
 class CoverageError(DegenwaveError):
-    """A model function does not cover the range required by the data."""
+    """A model function does not cover the range required by the data.
+
+    ``function`` names it: ``"phi"`` or ``"g"``.
+    """
+
+    def __init__(self, function: str, message: str):
+        self.function = function
+        super().__init__(message)
 
 
 class GridMismatchError(DegenwaveError):

@@ -29,7 +29,7 @@ from .errors import OutOfRangeError
 
 MAX_DEGREE = 3
 CONTINUITY_RTOL = 1e-12
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # scaled tolerance of the maximal affine / constant interval queries
 _RANGE_SLACK = 1e-9  # relative slack for range checks, absorbs float dust
 
 
@@ -239,19 +239,6 @@ class PiecewiseFunction:
         i = self.piece_index(u)
         return _deriv_val(self.pieces[i], u - self.breakpoints[i])
 
-    # -- exact modifications ----------------------------------------------
-
-    def plus_linear(self, slope: float, intercept: float = 0.0) -> "PiecewiseFunction":
-        """Return f(u) + slope*u + intercept with exact coefficient arithmetic."""
-        new_pieces = []
-        for i, p in enumerate(self.pieces):
-            c = list(p) + [0.0] * (2 - len(p))
-            c[0] += intercept + slope * self.breakpoints[i]
-            c[1] += slope
-            new_pieces.append(tuple(c))
-        return PiecewiseFunction(self.breakpoints, tuple(new_pieces),
-                                 self.monotone_nondecreasing and slope >= 0.0)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -356,17 +343,17 @@ def _clipped_segments(f: PiecewiseFunction, lo: float, hi: float):
     return segs
 
 
-def _piece_is_affine(f: PiecewiseFunction, i: int, span: float, tol: float) -> bool:
+def _piece_is_affine(f: PiecewiseFunction, i: int, span: float) -> bool:
     c = list(f.pieces[i]) + [0.0] * (4 - len(f.pieces[i]))
-    return abs(c[2]) * span * span <= tol and abs(c[3]) * span ** 3 <= tol
+    return abs(c[2]) * span * span <= DEFAULT_TOL and abs(c[3]) * span ** 3 <= DEFAULT_TOL
 
 
-def _piece_is_constant(f: PiecewiseFunction, i: int, span: float, tol: float) -> bool:
+def _piece_is_constant(f: PiecewiseFunction, i: int, span: float) -> bool:
     c = list(f.pieces[i]) + [0.0] * (4 - len(f.pieces[i]))
-    return abs(c[1]) * span <= tol and _piece_is_affine(f, i, span, tol)
+    return abs(c[1]) * span <= DEFAULT_TOL and _piece_is_affine(f, i, span)
 
 
-def _maximal_interval(f, center, lo, hi, tol, seg_ok, compatible):
+def _maximal_interval(f, center, lo, hi, seg_ok, compatible):
     if not lo <= center <= hi:
         raise ValueError("center must lie in [lo, hi]")
     f._require_inside(lo, hi)
@@ -392,7 +379,7 @@ def _maximal_interval(f, center, lo, hi, tol, seg_ok, compatible):
 
 
 def maximal_affine_interval(f: PiecewiseFunction, center: float, lo: float,
-                            hi: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+                            hi: float) -> tuple[float, float]:
     """Largest [a, b] inside [lo, hi] with a < center < b on which f is affine.
 
     Returns ``(center, center)`` when no neighborhood of ``center`` is affine
@@ -403,30 +390,30 @@ def maximal_affine_interval(f: PiecewiseFunction, center: float, lo: float,
     span = hi - lo
 
     def seg_ok(i):
-        return _piece_is_affine(f, i, span, tol)
+        return _piece_is_affine(f, i, span)
 
     def mid_slope(i):
         mid = 0.5 * (max(f.breakpoints[i], lo) + min(f.breakpoints[i + 1], hi))
         return _deriv_val(f.pieces[i], mid - f.breakpoints[i])
 
     def compatible(i, ref):
-        return abs(mid_slope(i) - mid_slope(ref)) * span <= tol
+        return abs(mid_slope(i) - mid_slope(ref)) * span <= DEFAULT_TOL
 
-    return _maximal_interval(f, center, lo, hi, tol, seg_ok, compatible)
+    return _maximal_interval(f, center, lo, hi, seg_ok, compatible)
 
 
 def maximal_constant_interval(f: PiecewiseFunction, center: float, lo: float,
-                              hi: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+                              hi: float) -> tuple[float, float]:
     """Largest [a, b] inside [lo, hi] with a < center < b on which f is constant."""
     span = hi - lo
 
     def seg_ok(i):
-        return _piece_is_constant(f, i, span, tol)
+        return _piece_is_constant(f, i, span)
 
     def compatible(i, ref):
-        return abs(f.pieces[i][0] - f.pieces[ref][0]) <= tol * max(1.0, abs(f.pieces[ref][0]))
+        return abs(f.pieces[i][0] - f.pieces[ref][0]) <= DEFAULT_TOL * max(1.0, abs(f.pieces[ref][0]))
 
-    return _maximal_interval(f, center, lo, hi, tol, seg_ok, compatible)
+    return _maximal_interval(f, center, lo, hi, seg_ok, compatible)
 
 
 # -- monotone decomposition (used by the upwind flux) -------------------------

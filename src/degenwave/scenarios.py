@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import SchemaError
+from .errors import CoverageError, SchemaError
 from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
-from .piecewise import DEFAULT_TOL, PiecewiseFunction, burgers, constant, identity, linear
+from .piecewise import PiecewiseFunction, burgers, constant, identity, linear
 from .solver import RunResult, SchemeParams, run_many
+from .structure import require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
 
@@ -35,17 +36,16 @@ DEFAULT_SNAPSHOT_COUNT = 33
 CHECKS = {
     "conservation": ((), False, lambda r, rb, p, out: diag.conservation_monitor(r)),
     "decay": (("threshold",), False, lambda r, rb, p, out: diag.decay_metric(r, **p)),
-    "cutoff_convergence": (("band_lo", "band_hi", "threshold"), False,
+    "cutoff_convergence": (("threshold",), False,
                            lambda r, rb, p, out: diag.cutoff_convergence(r, **p)),
-    "entropy_residual": (("comparison_constant",), False,
-                         lambda r, rb, p, out: diag.entropy_residual(r, **p)),
+    "entropy_residual": ((), False, lambda r, rb, p, out: diag.entropy_residual(r)),
     "squeeze_bounds": (("shift_upper", "shift_lower"), False,
                        lambda r, rb, p, out: diag.squeeze_bounds(r, **p)),
     "profile": (("t_lo", "threshold"), False, lambda r, rb, p, out: _profile_check(r, p, out)),
     "contraction": ((), True, lambda r, rb, p, out: diag.contraction_monitor(r, rb)),
-    "t_nonexpansive": (("tolerance",), True,
-                       lambda r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb, **p)),
+    "t_nonexpansive": ((), True, lambda r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb)),
 }
+SCENARIO_FIELDS = ("name", "phi", "g", "initial", "initial_b", "grid", "scheme", "checks", "seed")
 _INITIAL_PARAMS = {  # parameters of the object-valued initial-data kinds, with defaults
     "sine": {"mean": 0.0, "amplitude": 0.0, "frequency": 1.0},
     "step": {"left": None, "right": None, "split": None},
@@ -77,7 +77,6 @@ class ScenarioConfig:
     checks: tuple[CheckSpec, ...] = ()
     initial_b: str | None = None
     seed: int = 0
-    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -240,8 +239,7 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         raise SchemaError(f"{path}/name",
                           "name must match [A-Za-z0-9._-]+ (used as a directory)")
     for key in doc:
-        if key not in {"name", "phi", "g", "initial", "initial_b", "grid",
-                       "scheme", "checks", "seed", "tol"}:
+        if key not in SCENARIO_FIELDS:
             raise SchemaError(f"{path}/{key}", "unknown field")
     if "phi" not in doc or "g" not in doc:
         raise SchemaError(path, "phi and g are required")
@@ -288,13 +286,10 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         fields.append(build_initial(doc["initial_b"], grid, f"{path}/initial_b"))
         initial_b = json.dumps(doc["initial_b"])
     for f0 in fields:
-        sup = float(np.max(np.abs(f0.values)))
-        for fname, fn in (("phi", phi), ("g", g)):
-            if not fn.covers(-sup, sup):
-                raise SchemaError(
-                    f"{path}/{fname}",
-                    f"must cover [-{sup!r}, {sup!r}] for this initial data",
-                )
+        try:
+            require_coverage(phi, g, f0)
+        except CoverageError as e:
+            raise SchemaError(f"{path}/{e.function}", str(e)) from e
     checks: list[CheckSpec] = []
     if not isinstance(doc.get("checks", []), list):
         raise SchemaError(f"{path}/checks", "expected a list of checks")
@@ -326,13 +321,10 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
-    tol = _number(doc.get("tol", DEFAULT_TOL), f"{path}/tol")
-    if tol < 0.0:
-        raise SchemaError(f"{path}/tol", "tol must be nonnegative")
     return ScenarioConfig(
         name=name, phi=phi, g=g, initial=json.dumps(doc["initial"]),
         grid_cells=n_cells, scheme=scheme, checks=tuple(checks),
-        initial_b=initial_b, seed=seed, tol=tol,
+        initial_b=initial_b, seed=seed,
     )
 
 
@@ -361,7 +353,6 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         },
         "checks": [{"name": c.name, **c.param_dict()} for c in cfg.checks],
         "seed": cfg.seed,
-        "tol": cfg.tol,
     }
     if cfg.initial_b is not None:
         doc["initial_b"] = json.loads(cfg.initial_b)
@@ -445,7 +436,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
             # both trajectories advance with one shared admissible step so the
             # pair checks compare states at identical times
             fields.append(build_initial(json.loads(cfg.initial_b), grid))
-        results = run_many(cfg.phi, cfg.g, fields, cfg.scheme, cfg.tol)
+        results = run_many(cfg.phi, cfg.g, fields, cfg.scheme)
         structures = [r.structure for r in results]  # analysis errors are run errors too
     except Exception as e:  # a failed run must not abort the batch
         error = f"{type(e).__name__}: {e}"

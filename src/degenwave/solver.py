@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import CflViolationError, GridMismatchError
 from .grid import Field
-from .piecewise import (
-    DEFAULT_TOL,
-    PiecewiseFunction,
-    lipschitz_on,
-    monotone_split,
-)
+from .piecewise import PiecewiseFunction, lipschitz_on, monotone_split
 from .structure import StructureReport, analyze
 
 _STEP_SLACK = 1e-9
@@ -68,7 +63,7 @@ class SchemeParams:
 class RunResult:
     """Snapshot trajectory together with the model ``(phi, g)`` that made it.
 
-    ``structure`` is ``analyze(phi, g, initial, tol)``, computed on first read
+    ``structure`` is ``analyze(phi, g, initial)``, computed on first read
     and kept, so a run whose structure is never read is never analyzed.
     """
 
@@ -78,11 +73,10 @@ class RunResult:
     step_count: int
     dt: float
     params: SchemeParams
-    tol: float = DEFAULT_TOL
 
     @cached_property
     def structure(self) -> StructureReport:
-        return analyze(self.phi, self.g, self.initial, self.tol)
+        return analyze(self.phi, self.g, self.initial)
 
     @property
     def times(self) -> np.ndarray:
@@ -186,8 +180,11 @@ def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
                 dt: float | None = None) -> float:
     """``max_stable_dt`` for the data range of ``u``.
 
-    Raises CflViolationError when ``dt`` is given and exceeds that limit.
+    Raises ValueError unless ``g`` is flagged monotone_nondecreasing, and
+    CflViolationError when ``dt`` is given and exceeds that limit.
     """
+    if not g.monotone_nondecreasing:
+        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     u_min = float(u.values.min())
     u_max = float(u.values.max())
     dt_max = max_stable_dt(phi, g, u_min, u_max, u.grid.dx)
@@ -200,7 +197,8 @@ def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
 
 
 def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
-    """One explicit update. Raises CflViolationError when dt breaks monotonicity."""
+    """One explicit update. Raises CflViolationError when dt breaks monotonicity,
+    and ValueError unless ``g`` is flagged monotone_nondecreasing."""
     _step_limit(phi, g, u, dt)
     ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # Field reports non-finite values
@@ -223,8 +221,7 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
 
 
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
-        params: SchemeParams, tol: float = DEFAULT_TOL,
-        _dt: float | None = None) -> RunResult:
+        params: SchemeParams, _dt: float | None = None) -> RunResult:
     """Advance ``u0`` to ``t_end``, recording snapshots.
 
     The time step is fixed for the whole run from the initial data range,
@@ -234,11 +231,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     this way. While ``t_end > 0``, a step that is not positive or needs more
     than ``MAX_STEPS`` steps raises CflViolationError before any allocation.
     ``g`` must be flagged monotone_nondecreasing (ValueError otherwise) and
-    the model must cover the data range only (OutOfRangeError otherwise);
-    ``tol`` is kept for the result's ``structure``, which the run never reads.
+    the model must cover the data range only (OutOfRangeError otherwise).
     """
-    if not g.monotone_nondecreasing:
-        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     if _dt is None:
         dt = shared_dt(phi, g, [u0], params)
     else:
@@ -270,11 +264,11 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
                         ptr += 1
                 if final:
                     break
-    return RunResult(snapshots, phi, g, k, dt, params, tol)
+    return RunResult(snapshots, phi, g, k, dt, params)
 
 
 def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
-             params: SchemeParams, tol: float = DEFAULT_TOL) -> list[RunResult]:
+             params: SchemeParams) -> list[RunResult]:
     """Advance every field of ``u0s`` to ``t_end`` with one shared time step.
 
     The step is ``shared_dt`` of the members, so it is admissible for each of
@@ -289,4 +283,4 @@ def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     if any(u0.grid != u0s[0].grid for u0 in u0s):
         raise GridMismatchError("all initial fields of one run must share a grid")
     dt = shared_dt(phi, g, u0s, params)
-    return [run(phi, g, u0, params, tol, _dt=dt) for u0 in u0s]
+    return [run(phi, g, u0, params, _dt=dt) for u0 in u0s]

@@ -16,12 +16,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import BandError, CoverageError, MeanOutOfBandError
 from .grid import Field
-from .piecewise import (
-    DEFAULT_TOL,
-    PiecewiseFunction,
-    maximal_affine_interval,
-    maximal_constant_interval,
-)
+from .piecewise import PiecewiseFunction, maximal_affine_interval, maximal_constant_interval
 
 DEGENERATE_SPEED_H = 1e-6
 
@@ -58,31 +53,39 @@ class StructureReport:
         }
 
 
-def analyze(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
-            tol: float = DEFAULT_TOL) -> StructureReport:
-    """Compute the structure report for initial data ``u0``.
+def require_coverage(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field) -> float:
+    """The sup norm M of ``u0``; CoverageError unless ``phi`` and ``g`` cover [-M, M].
 
-    Both model functions must cover [-M, M] where M is the sup norm of the
-    data (solutions stay inside [min u0, max u0], but the structural
-    intervals are defined relative to the symmetric window). The diffusion
-    must be flagged monotone_nondecreasing.
+    Solutions stay inside [min u0, max u0], but the structural intervals are
+    defined relative to this symmetric window.
     """
-    if not g.monotone_nondecreasing:
-        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     sup = float(np.max(np.abs(u0.values)))
     for name, f in (("phi", phi), ("g", g)):
         if not f.covers(-sup, sup):
             raise CoverageError(
-                f"{name} covers [{f.lo!r}, {f.hi!r}] but the data needs [-{sup!r}, {sup!r}]"
+                name, f"{name} covers [{f.lo!r}, {f.hi!r}] but the data needs [-{sup!r}, {sup!r}]"
             )
+    return sup
+
+
+def analyze(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field) -> StructureReport:
+    """Compute the structure report for initial data ``u0``.
+
+    Both model functions must cover [-M, M] where M is the sup norm of the
+    data (``require_coverage``). The diffusion must be flagged
+    monotone_nondecreasing.
+    """
+    if not g.monotone_nondecreasing:
+        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
+    sup = require_coverage(phi, g, u0)
     # the fsum mean of flat data can round one ulp past its sup norm
     center = min(max(gridmod.mean(u0), -sup), sup)
-    a, b = maximal_affine_interval(phi, center, -sup, sup, tol)
+    a, b = maximal_affine_interval(phi, center, -sup, sup)
     if a < b:
         # slope of the piece containing the mean; exact for affine pieces
         speed = phi.deriv(center)
         degenerate = False
-        a2, b2 = maximal_constant_interval(g, center, a, b, tol)
+        a2, b2 = maximal_constant_interval(g, center, a, b)
     else:
         # any speed works for a constant limit; report a nominal secant slope
         h = DEGENERATE_SPEED_H * max(1.0, sup)

@@ -50,8 +50,7 @@ def weak_form_residual(run_result: RunResult, phi: PiecewiseFunction,
 
 
 def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
-                     g: PiecewiseFunction, k_values=None, test_fns=None,
-                     comparison_constant: float = ENTROPY_COMPARISON_CONSTANT) -> CheckReport:
+                     g: PiecewiseFunction, k_values=None, test_fns=None) -> CheckReport:
     """Entropy-inequality quadrature over all (constant, bump) pairs.
 
     For each entropy constant k and test bump f the residual
@@ -79,7 +78,7 @@ def entropy_residual(run_result: RunResult, phi: PiecewiseFunction,
     phi_u = phi.eval(U)
     g_u = g.eval(U)
     dx = run_result.initial.grid.dx
-    budget_scale = comparison_constant * (dx + snapshot_spacing(run_result))
+    budget_scale = ENTROPY_COMPARISON_CONSTANT * (dx + snapshot_spacing(run_result))
     rows_extra = []
     worst = -math.inf
     for bi, b in enumerate(test_fns):

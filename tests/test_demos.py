@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from degenwave.scenarios import CHECKS, SCENARIO_FIELDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,3 +33,16 @@ def test_readme_python_examples_run_in_order(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     capsys.readouterr()
+
+
+def test_readme_schema_and_checks_match_the_parser():
+    """README's schema block lists the scenario fields the parser accepts, and its
+    checks paragraph lists every check of ``scenarios.CHECKS`` with its parameters."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    schema = re.search(r"^```jsonc\n(.*?)^```$", text, flags=re.S | re.M).group(1)
+    assert set(re.findall(r'^  "(\w+)":', schema, flags=re.M)) == set(SCENARIO_FIELDS)
+    paragraph = text.split("parameters in parentheses are optional):", 1)[1]
+    paragraph = paragraph.split("Every report satisfies", 1)[0]
+    listed = {name: tuple(re.findall(r"`(\w+)`", params))
+              for name, params in re.findall(r"`(\w+)`(?:\s*\(([^)]*)\))?", paragraph)}
+    assert listed == {name: allowed for name, (allowed, _, _) in CHECKS.items()}

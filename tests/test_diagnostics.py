@@ -338,7 +338,7 @@ class TestProfiles:
         t_end = res.params.t_end
         # a final snapshot that lands one ulp before t_end still counts
         early = RunResult(res.snapshots[:-1] + [(float(np.nextafter(t_end, 0.0)), res.final)],
-                          res.phi, res.g, res.step_count, res.dt, res.params, res.tol)
+                          res.phi, res.g, res.step_count, res.dt, res.params)
         for r in (res, early):
             rep = extract_profile(r, t_lo=t_end, threshold=0.0)
             want = l1_to_constant(r.final, r.structure.mean)

@@ -77,8 +77,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
         "outside": [0.0, 2.5],  # beyond the models' [-2, 2] range
     }[k_kind]
     test_fns = None if bump_kind == "default" else bumps
-    kwargs = dict(k_values=k_values, test_fns=test_fns,
-                  comparison_constant=float(rng.uniform(0.5, 20.0)))
+    kwargs = dict(k_values=k_values, test_fns=test_fns)
     want = outcome(entropy_residual_reference, res, phi, g, **kwargs)
     with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
         got = outcome(diagnostics.entropy_residual, res, **kwargs)

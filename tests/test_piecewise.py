@@ -205,12 +205,6 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PiecewiseFunction.from_dict(d)
 
-    def test_plus_linear_exact(self):
-        f = burgers(-1, 1)
-        h = f.plus_linear(2.0, -0.5)
-        xs = np.linspace(-1, 1, 33)
-        assert h.eval(xs) == pytest.approx(f.eval(xs) + 2.0 * xs - 0.5, abs=1e-14)
-
 
 class TestMonotoneSplit:
     def test_parts_sum_to_function(self):

@@ -93,6 +93,18 @@ class TestStep:
         with pytest.raises(CflViolationError):
             step(phi, g, u, grid.dx)  # needs dt <= dx/2
 
+    def test_unflagged_diffusion_is_rejected_before_any_build(self, monkeypatch):
+        # unguarded, this step raises the max of the data from 0.19616 to 0.19692
+        import degenwave.solver as solvermod
+
+        def no_workspace(*args):
+            raise AssertionError("a workspace was built")
+
+        monkeypatch.setattr(solvermod, "_Workspace", no_workspace)
+        u = sine_field(Grid(16), 0.0, 0.2)
+        with pytest.raises(ValueError, match="monotone_nondecreasing"):
+            step(burgers(-1, 1), linear(-1.0, 0.0, -1, 1), u, 1e-4)
+
     def test_comparison_principle_and_contraction(self):
         rng = np.random.default_rng(3)
         grid = Grid(32)

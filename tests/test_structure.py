@@ -78,8 +78,12 @@ class TestAnalyze:
             g = rm.random_monotone_diffusion(rng)
             u0 = rm.random_field(rng, grid)
             base = analyze(phi, g, u0)
-            shifted = analyze(phi.plus_linear(0.0, 4.2), g, u0)
-            tilted = analyze(phi.plus_linear(1.5, 0.0), g, u0)
+            # phi + 4.2 and phi + 1.5 u from phi's coefficients; from_breakpoints
+            # anchors every constant term after the first piece's
+            bps, pieces = phi.breakpoints, [list(p) + [0.0] * (2 - len(p)) for p in phi.pieces]
+            shifted = analyze(from_breakpoints(bps, [[c[0] + 4.2, *c[1:]] for c in pieces]), g, u0)
+            tilted = analyze(from_breakpoints(
+                bps, [[c[0] + 1.5 * bps[0], c[1] + 1.5, *c[2:]] for c in pieces]), g, u0)
             for other, dc in ((shifted, 0.0), (tilted, 1.5)):
                 assert (other.affine_lo, other.affine_hi) == (base.affine_lo, base.affine_hi)
                 assert (other.plateau_lo, other.plateau_hi) == (base.plateau_lo, base.plateau_hi)
