@@ -3,7 +3,10 @@
 A scenario bundles the model pair, initial data, grid, scheme controls, and
 a list of named checks. Configs are plain JSON, floats round-trip through
 their shortest decimal form, and every artifact write is atomic (temp file
-plus rename), so repeated runs of the same config are byte-identical.
+plus rename), so repeated runs of the same config are byte-identical. CSV
+floats are ``repr`` bytes: a file of at least ``_VECTOR_CSV_MIN_VALUES``
+floats is written by the certified vectorized formatter in ``floatfmt``,
+which falls back to ``repr`` for every value it cannot certify.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .solver import RunResult, SchemeParams, run_many
 from .structure import require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
+_VECTOR_CSV_MIN_VALUES = 2**14  # below this many floats, repr beats floatfmt's first call
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A
 # callable takes (result, result_b, params, out) and returns a CheckReport; the
@@ -368,10 +372,15 @@ def config_to_json(cfg) -> str:
 # -- execution -------------------------------------------------------------------
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+def _write_text_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` through a temp file and a rename."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -380,19 +389,26 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_csv(path: Path, header: list[str], matrix: np.ndarray) -> None:
+    """Write the rows of a float matrix under ``header``, each float as its ``repr`` text."""
+    if matrix.size < _VECTOR_CSV_MIN_VALUES:
+        data = _csv_text(header, matrix.tolist()).encode()
+    else:
+        from .floatfmt import csv_bytes  # imported on first use: small runs never load it
+        data = csv_bytes(matrix, "".join(line + "\n" for line in header).encode())
+    _write_text_atomic(path, data)
+
+
 def _write_snapshots_csv(path: Path, result: RunResult) -> None:
-    rows = ([float(t)] + f.values.tolist() for t, f in result.snapshots)
-    _write_text_atomic(path, _csv_text([], rows))
+    _write_csv(path, [], np.column_stack([result.times, [f.values for _, f in result.snapshots]]))
 
 
 def _write_series_csv(path: Path, series) -> None:
-    rows = np.asarray(series, dtype=float).tolist()
-    _write_text_atomic(path, _csv_text(["time,value"], rows))
+    _write_csv(path, ["time,value"], np.asarray(series, dtype=float))
 
 
 def _write_profile_csv(path: Path, profile: Field) -> None:
-    rows = zip(profile.grid.cell_centers().tolist(), profile.values.tolist())
-    _write_text_atomic(path, _csv_text(["x,value"], rows))
+    _write_csv(path, ["x,value"], np.column_stack([profile.grid.cell_centers(), profile.values]))
 
 
 def _failed_report(name: str, exc: Exception) -> diag.CheckReport:

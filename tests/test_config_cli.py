@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -513,29 +515,90 @@ EDGE_TEXT = ["-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "0.1
              "0.3333333333333333"]
 
 
+def csv_of(header, rows) -> bytes:
+    return "".join([line + "\n" for line in header]
+                   + [",".join(map(repr, row)) + "\n" for row in rows]).encode()
+
+
 def test_csv_writers_keep_repr_bytes(tmp_path):
-    # the text repr(float(x)) gives for each value, numpy scalars included
-    grid = Grid(len(EDGE_VALUES))
-    field = Field(grid, EDGE_VALUES)
-    times = (0.0, 1e-05, 1 / 3)
-    result = RunResult([(t, field) for t in times], phi=None, g=None, step_count=2,
-                       dt=1e-05, params=SchemeParams(t_end=1 / 3, snapshot_times=times))
-    _write_snapshots_csv(tmp_path / "snapshots.csv", result)
-    assert (tmp_path / "snapshots.csv").read_bytes() == "".join(
-        ",".join([t] + EDGE_TEXT) + "\n" for t in ("0.0", "1e-05", "0.3333333333333333")
-    ).encode()
+    # the text repr(float(x)) gives for each value, numpy scalars included, in
+    # files below and above the size at which the vectorized formatter takes over
+    for n_cells in (len(EDGE_VALUES), scenarios._VECTOR_CSV_MIN_VALUES):
+        grid = Grid(n_cells)
+        x = grid.cell_centers()
+        values = np.concatenate([EDGE_VALUES,
+                                 0.4 + 0.3 * np.sin(2.0 * np.pi * x[len(EDGE_VALUES):])])
+        text = [repr(float(v)) for v in values]
+        assert text[:len(EDGE_VALUES)] == EDGE_TEXT
+        field = Field(grid, values)
+        times = (0.0, 1e-05, 1 / 3)
+        result = RunResult([(t, field) for t in times], phi=None, g=None, step_count=2,
+                           dt=1e-05, params=SchemeParams(t_end=1 / 3, snapshot_times=times))
+        _write_snapshots_csv(tmp_path / "snapshots.csv", result)
+        assert (tmp_path / "snapshots.csv").read_bytes() == "".join(
+            ",".join([t] + text) + "\n" for t in ("0.0", "1e-05", "0.3333333333333333")
+        ).encode()
 
-    series = tuple(zip(map(np.float64, EDGE_VALUES), reversed(EDGE_VALUES)))
-    _write_series_csv(tmp_path / "series.csv", series)
-    assert (tmp_path / "series.csv").read_bytes() == "".join(
-        ["time,value\n"] + [f"{a},{b}\n" for a, b in zip(EDGE_TEXT, reversed(EDGE_TEXT))]
-    ).encode()
+        series = tuple(zip(map(np.float64, values), reversed(values)))
+        _write_series_csv(tmp_path / "series.csv", series)
+        assert (tmp_path / "series.csv").read_bytes() == "".join(
+            ["time,value\n"] + [f"{a},{b}\n" for a, b in zip(text, reversed(text))]
+        ).encode()
 
-    _write_profile_csv(tmp_path / "profile.csv", field)
-    centers = [repr(float(x)) for x in grid.cell_centers()]
-    assert (tmp_path / "profile.csv").read_bytes() == "".join(
-        ["x,value\n"] + [f"{x},{v}\n" for x, v in zip(centers, EDGE_TEXT)]
-    ).encode()
+        _write_profile_csv(tmp_path / "profile.csv", field)
+        assert (tmp_path / "profile.csv").read_bytes() == csv_of(
+            ["x,value"], zip(x.tolist(), values.tolist()))
+
+
+def test_csv_formatter_is_chosen_by_value_count(tmp_path, monkeypatch):
+    from degenwave import floatfmt
+
+    sizes, real = [], floatfmt.csv_bytes
+
+    def counting(matrix, head=b""):
+        sizes.append(matrix.size)
+        return real(matrix, head)
+
+    monkeypatch.setattr(floatfmt, "csv_bytes", counting)
+    cutoff = scenarios._VECTOR_CSV_MIN_VALUES
+    for rows in (cutoff // 2 - 1, cutoff // 2):
+        series = np.linspace(0.0, 1.0, 2 * rows).reshape(rows, 2)
+        _write_series_csv(tmp_path / "series.csv", series)
+        assert (tmp_path / "series.csv").read_bytes() == csv_of(["time,value"], series.tolist())
+    assert sizes == [cutoff]
+
+
+def test_small_suite_never_loads_the_formatter(tmp_path):
+    code = ("import sys; from degenwave import parse_config, run_suite; "
+            "run_suite([parse_config(sys.argv[1])], sys.argv[2]); "
+            "assert 'degenwave.floatfmt' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, json.dumps(MINIMAL), str(tmp_path)], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (tmp_path / "burgers_min" / "snapshots.csv").exists()
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch, failure):
+    def partial_write(self, data):
+        Path.write_text(self, "partial")
+        raise OSError("disk full")
+
+    def failed_replace(src, dst):
+        raise OSError("rename failed")
+
+    if failure == "write":
+        monkeypatch.setattr(Path, "write_bytes", partial_write)
+    else:
+        monkeypatch.setattr(scenarios.os, "replace", failed_replace)
+    with pytest.raises(OSError):
+        scenarios._write_text_atomic(tmp_path / "checks.json", b"[]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_takes_text_or_bytes(tmp_path):
+    scenarios._write_text_atomic(tmp_path / "a.txt", "\u00b5s\n")
+    scenarios._write_text_atomic(tmp_path / "b.txt", "\u00b5s\n".encode())
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes() == b"\xc2\xb5s\n"
 
 
 class TestSuite:
