@@ -28,7 +28,10 @@ DISTANCE_MONOTONE_TOL = 1e-10
 CONSERVATION_TOL = 1e-10
 DOMINATION_TOL = 1e-10
 ENTROPY_COMPARISON_CONSTANT = 10.0
-_ENTROPY_BLOCK_CELLS = 1 << 16  # snapshot cells per block of _bump_integrals
+_BLOCK_CELLS = 1 << 16  # snapshot cells per stacked row block
+# runs with fewer cells are summed one snapshot at a time: below this size the
+# stacked sums cost more than fsum in a fresh process (first numpy calls)
+_STACK_MIN_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     A, S, G = u, phi(u), g(u). The quadrature is the trapezoid rule in time
     of midpoint sums in space.
 
-    Rows go in blocks of ``_ENTROPY_BLOCK_CELLS`` cells; A, S and G are built
+    Rows go in blocks of ``_BLOCK_CELLS`` cells; A, S and G are built
     once per block and entry, and a bump skips the rows outside its time
     support (all +0.0 there), so every value equals the full-matrix
     formula's bitwise.
@@ -208,7 +211,7 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
         factors.append((lo, hi, b._time(times, 1), b._time(times, 0),
                         b._space(centers, 0), b._space(centers, 1), b._space(centers, 2)))
     spatial = [[np.zeros(len(times)) for _ in entries] for _ in bumps]
-    block = max(1, _ENTROPY_BLOCK_CELLS // len(centers))
+    block = max(1, _BLOCK_CELLS // len(centers))
     for r0 in range(0, len(times), block):
         r1 = min(r0 + block, len(times))
         live_blocks = []
@@ -234,6 +237,27 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
                 spatial[bi][ki][rows_at] = rows.sum(axis=1) * dx
     w = _time_weights(times)
     return [[float(np.dot(w, s)) for s in row] for row in spatial]
+
+
+def _row_integrals(snapshots, fn) -> list[float]:
+    """``math.fsum`` of ``fn(U, r0)`` over each row, times dx, for the
+    snapshot fields stacked ``_BLOCK_CELLS`` cells at a time (``U`` holds
+    fields r0, r0+1, ...); a run below ``_STACK_MIN_CELLS`` cells goes one
+    row at a time.
+
+    With ``fn`` elementwise, each value equals the grid function that sums
+    the same map over one field (``mean``, ``l1_to_constant``, ...) bitwise.
+    """
+    grid = snapshots[0][1].grid
+    if len(snapshots) * grid.n_cells < _STACK_MIN_CELLS:
+        return [math.fsum(fn(f.values[None, :], i)[0].tolist()) * grid.dx
+                for i, (_, f) in enumerate(snapshots)]
+    block = max(1, _BLOCK_CELLS // grid.n_cells)
+    out = []
+    for r0 in range(0, len(snapshots), block):
+        U = np.stack([f.values for _, f in snapshots[r0:r0 + block]])
+        out.extend(s * grid.dx for s in gridmod.exact_row_sums(fn(U, r0)))
+    return out
 
 
 def weak_form_residual(run_result: RunResult, bump: TestBump) -> float:
@@ -305,9 +329,10 @@ def contraction_monitor(run_a: RunResult, run_b: RunResult) -> CheckReport:
 
 def conservation_monitor(run_result: RunResult) -> CheckReport:
     """Spatial mean of every snapshot must match the initial mean."""
-    reference = gridmod.mean(run_result.initial)
-    series = [(float(t), abs(gridmod.mean(f) - reference))
-              for t, f in run_result.snapshots]
+    means = _row_integrals(run_result.snapshots, lambda U, r0: U)
+    reference = means[0]  # the initial mean
+    series = [(float(t), abs(m - reference))
+              for (t, _), m in zip(run_result.snapshots, means)]
     observed = max(v for _, v in series)
     return CheckReport("conservation", observed=observed,
                        threshold=CONSERVATION_TOL, series=tuple(series))
@@ -316,8 +341,8 @@ def conservation_monitor(run_result: RunResult) -> CheckReport:
 def decay_metric(run_result: RunResult, threshold: float | None = None) -> CheckReport:
     """L1 distance to the constant mean; passes when the final value is small."""
     target = run_result.structure.mean
-    series = [(float(t), gridmod.l1_to_constant(f, target))
-              for t, f in run_result.snapshots]
+    dists = _row_integrals(run_result.snapshots, lambda U, r0: np.abs(U - target))
+    series = [(float(t), d) for (t, _), d in zip(run_result.snapshots, dists)]
     if threshold is None:
         threshold = 0.01 * series[0][1]
     return CheckReport("decay", observed=series[-1][1], threshold=float(threshold),
@@ -428,8 +453,10 @@ def extract_profile(run_result: RunResult, t_lo: float | None = None,
     profile = traveling_profile(run_result)
     # a constant profile is its own shift, whatever its nominal speed
     speed = 0.0 if st.degenerate_speed else st.speed
-    history = tuple((float(t), l1_distance(f, shift(profile, int(round(speed * t * n)))))
-                    for t, f in tail)
+    shifts = [int(round(speed * t * n)) for t, _ in tail]
+    dists = _row_integrals(tail, lambda U, r0: np.abs(U - np.stack(
+        [np.roll(profile.values, s) for s in shifts[r0:r0 + len(U)]])))
+    history = tuple((float(t), d) for (t, _), d in zip(tail, dists))
     observed = max(v for _, v in history)
     threshold = float(threshold)
     return CheckReport("profile", observed=observed, threshold=threshold, series=history,

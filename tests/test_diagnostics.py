@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,15 @@ from degenwave import (
     positive_part_distance,
     run,
     run_many,
+    shift,
     squeeze_bounds,
     t_nonexpansive_from_runs,
     total_variation,
     traveling_profile,
     weak_form_residual,
 )
+from degenwave import diagnostics
+from degenwave import grid as gridmod
 from degenwave.diagnostics import snapshot_spacing
 from degenwave.solver import RunResult
 from entropy_reference import _quadrature
@@ -367,6 +372,54 @@ class TestProfiles:
             assert list(rep.series) == tail
         assert not extract_profile(res, threshold=0.0).passed
         assert extract_profile(res, threshold=1.0).passed
+
+
+class TestWholeRunSums:
+    """conservation, decay and profile reduce whole runs; every value equals
+    the per-snapshot grid formula's, repr for repr."""
+
+    def per_snapshot(self, res):
+        st, n = res.structure, res.initial.grid.n_cells
+        profile = traveling_profile(res)
+        speed = 0.0 if st.degenerate_speed else st.speed
+        return {
+            "conservation": [(t, abs(mean(f) - mean(res.initial))) for t, f in res.snapshots],
+            "decay": [(t, l1_to_constant(f, st.mean)) for t, f in res.snapshots],
+            "profile": [(t, l1_distance(f, shift(profile, int(round(speed * t * n)))))
+                        for t, f in res.snapshots],
+        }
+
+    @pytest.mark.parametrize("n, t_end", [(3000, 0.01), (300, 0.05), (64, 0.0)])
+    def test_series_match_per_snapshot_formulas(self, n, t_end):
+        grid = Grid(n)
+        res = run(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), sine_field(grid, 0.5, 0.25),
+                  SchemeParams(t_end=t_end, snapshot_times=tuple(np.linspace(0, t_end, 50))))
+        assert len(res.snapshots) == (50 if t_end else 1)
+        want = self.per_snapshot(res)
+        if n == 3000:
+            # stacked, and the rows span several blocks
+            assert len(res.snapshots) * n >= diagnostics._STACK_MIN_CELLS
+            assert len(res.snapshots) > 2 * (diagnostics._BLOCK_CELLS // n)
+        if t_end:
+            # the profile shift differs by row
+            assert len({int(round(2.0 * t * n)) for t in res.times}) > 25
+        for rep in (conservation_monitor(res), decay_metric(res), extract_profile(res, t_lo=0.0)):
+            assert repr(rep.series) == repr(tuple(want[rep.name]))
+            expected = want[rep.name][-1][1] if rep.name == "decay" else max(
+                v for _, v in want[rep.name])
+            assert repr(rep.observed) == repr(expected)
+        assert any(v > 0.0 for _, v in want["profile"]) == bool(t_end)
+
+    @pytest.mark.parametrize("rows, stacked", [(64, True), (63, False)])
+    def test_stacking_starts_at_min_cells(self, rows, stacked):
+        grid = Grid(diagnostics._STACK_MIN_CELLS // 64)
+        res = RunResult([(0.01 * i, sine_field(grid, 0.5, 0.25, phase=i)) for i in range(rows)],
+                        burgers(-1, 1), constant(0.0, -1, 1), 0, 0.01,
+                        SchemeParams(t_end=0.01 * (rows - 1)))
+        with mock.patch.object(gridmod, "exact_row_sums", wraps=gridmod.exact_row_sums) as spy:
+            rep = conservation_monitor(res)
+        assert spy.called is stacked
+        assert rep.series[0][1] == 0.0
 
 
 class TestNonexpansive:

@@ -59,7 +59,7 @@ def outcome(fn, *args, **kwargs):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 37, 1000, 5000]), count=st.integers(2, 40),
-       block_cells=st.sampled_from([1, 100, diagnostics._ENTROPY_BLOCK_CELLS]),
+       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
        k_kind=st.sampled_from(["default", "random", "empty", "outside"]),
        bump_kind=st.sampled_from(["default", "edges", "empty"]))
 def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
@@ -79,7 +79,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
     test_fns = None if bump_kind == "default" else bumps
     kwargs = dict(k_values=k_values, test_fns=test_fns)
     want = outcome(entropy_residual_reference, res, phi, g, **kwargs)
-    with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
         got = outcome(diagnostics.entropy_residual, res, **kwargs)
     assert got == want
 
@@ -94,7 +94,7 @@ def dead_bump(rng, times):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 37, 1000, 5000]), count=st.integers(2, 40),
-       block_cells=st.sampled_from([1, 100, diagnostics._ENTROPY_BLOCK_CELLS]),
+       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
        bump_kind=st.sampled_from(["edges", "dead"]))
 def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_kind):
     rng = np.random.default_rng(seed)
@@ -106,7 +106,7 @@ def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_ki
         bumps = [dead_bump(rng, res.times)]
     for bump in bumps:
         want = weak_form_residual_reference(res, phi, g, bump)
-        with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", block_cells):
+        with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
             got = diagnostics.weak_form_residual(res, bump)
         assert repr(got) == repr(want)
 
@@ -128,7 +128,7 @@ def test_blocks_outside_every_bump_are_not_evaluated():
         shapes.append(np.shape(u))
         return evaluate(self, u)
 
-    with mock.patch.object(diagnostics, "_ENTROPY_BLOCK_CELLS", 2 * 16), \
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", 2 * 16), \
             mock.patch.object(PiecewiseFunction, "eval", counted):
         got = diagnostics.weak_form_residual(res, bump)
     # two rows per block: rows 7..13 lie in the blocks at rows 6, 8, 10 and 12,

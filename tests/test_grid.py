@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randmodels as rm
 from degenwave import (
@@ -13,11 +17,21 @@ from degenwave import (
     shift,
     total_variation,
 )
+from degenwave.grid import exact_row_sums
 
 
 def test_grid_rejects_tiny():
     with pytest.raises(ValueError):
         Grid(3)
+
+
+def test_grid_cell_count_must_be_an_integer():
+    grid = Grid(np.int64(8))
+    assert type(grid.n_cells) is int and grid == Grid(8)
+    assert constant_field(Grid(np.int32(8)), 1.0).values.shape == (8,)
+    for bad in (4.5, 8.0, "8"):
+        with pytest.raises(TypeError):
+            Grid(bad)
 
 
 def test_field_validates_shape_and_finiteness():
@@ -121,3 +135,78 @@ class TestShift:
 def test_total_variation_sawtooth():
     u = Field(Grid(4), [0.0, 1.0, 0.0, 1.0])
     assert total_variation(u) == 4.0
+
+
+def fsum_rows(matrix):
+    """``math.fsum`` of each row as hex, or the type of the first error it raises."""
+    try:
+        return [math.fsum(row).hex() for row in np.asarray(matrix).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def exact_rows(matrix):
+    try:
+        return [s.hex() for s in exact_row_sums(matrix)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_matches_fsum(matrix):
+    expected = fsum_rows(matrix)
+    assert exact_rows(matrix) == expected
+
+
+class TestExactRowSums:
+    def test_cancellation_and_signed_zeros(self):
+        x, y = 0.1, 1e16
+        assert_matches_fsum([[x, -x, y, -y], [y, x, -y, -x], [1.0, 1e-16, -1.0, 0.0]])
+        assert_matches_fsum([[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 1.0]])
+        assert exact_row_sums([[x, -x]]) == [0.0]
+
+    def test_subnormals(self):
+        tiny = [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        assert_matches_fsum([tiny, [5e-324] * 5, [5e-324, 1.0, 5e-324]])
+
+    def test_range_that_needs_many_passes(self):
+        powers = 10.0 ** np.arange(-300, 301, 7)
+        signs = np.where(np.arange(powers.size) % 3 == 0, -1.0, 1.0)
+        assert_matches_fsum([powers * signs, [1e-300, 1e300, -1e300, 3.0]])
+        # one partial sum per pass; only their exact rounding breaks the tie at 1 + 2^-53
+        assert exact_row_sums([[1.0, 2.0 ** -53, 2.0 ** -106]]) == [1.0 + 2.0 ** -52]
+
+    def test_rows_of_different_magnitude_in_one_call(self):
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(-1.0, 1.0, (6, 33)) * np.array([1e-200, 1e-8, 1.0, 3.0, 1e8, 1e200])[:, None]
+        assert_matches_fsum(rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 2 ** 14 + 1])
+    def test_row_lengths(self, n):
+        rng = np.random.default_rng(n)
+        assert_matches_fsum(rng.normal(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-20, 20, (3, n)))
+
+    def test_rows_left_to_fsum(self):
+        big = 1.7976931348623157e308
+        inf, nan = float("inf"), float("nan")
+        rows = [[1.0, inf], [nan, 1.0], [-inf, -inf], [big, -big], [big, 1.0],
+                [2.0 ** 960, -(2.0 ** 960), 0.5], [2.0 ** 961, 1.0], [0.25, 0.5]]
+        assert_matches_fsum(rows)
+        assert exact_rows([[0.5, 1.0], [inf, -inf]]) == fsum_rows([[inf, -inf]]) == ValueError
+        assert exact_rows([[big, big, -big]]) == fsum_rows([[big, big, -big]]) == OverflowError
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 2 ** 64 - 1), min_size=k, max_size=k), min_size=1, max_size=12)))
+def test_exact_row_sums_random_bit_patterns(rows):
+    assert_matches_fsum(np.array(rows, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mean_=st.floats(-2.0, 2.0), amplitude=st.floats(0.0, 1.0), noise=st.floats(0.0, 1e-3),
+       n=st.integers(4, 3000), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_row_sums_snapshot_like(mean_, amplitude, noise, n, k, seed):
+    rng = np.random.default_rng(seed)
+    x = (np.arange(n) + 0.5) / n
+    rows = mean_ + amplitude * np.sin(2 * np.pi * (x[None, :] + rng.uniform(0, 1, (k, 1))))
+    assert_matches_fsum(rows + noise * rng.standard_normal((k, n)))
