@@ -29,7 +29,7 @@ print("structure:", report.to_dict())
 print(f"{res.step_count} steps at dt = {res.dt:.3e}")
 print()
 print("  t      ||u(t) - mean||_1")
-series = [(t, dw.l1_to_constant(f, report.mean)) for t, f in res.snapshots]
+series = dw.decay_metric(res).series  # (t, ||u(t) - mean||_1) per snapshot
 for t, v in series[::5]:
     print(f"{t:6.1f}   {v:.5f}")
 print()
@@ -46,8 +46,9 @@ try:
     import matplotlib.pyplot as plt
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-    for t, f in res.snapshots[:: len(res.snapshots) // 5]:
-        ax1.plot(grid.cell_centers(), f.values, label=f"t={t:.1f}")
+    every = len(res.times) // 5
+    for t, row in zip(res.times[::every], res.values[::every]):
+        ax1.plot(grid.cell_centers(), row, label=f"t={t:.1f}")
     ax1.set_xlabel("x"); ax1.set_ylabel("u"); ax1.legend(fontsize=7)
     ax1.set_title("profiles steepen, then flatten")
     ax2.semilogy(*zip(*series))

@@ -50,8 +50,8 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(7, 4))
-    for t, f in res.snapshots[::4]:
-        ax.plot(grid.cell_centers(), f.values, label=f"t={t:.2f}")
+    for t, row in zip(res.times[::4], res.values[::4]):
+        ax.plot(grid.cell_centers(), row, label=f"t={t:.2f}")
     ax.axhline(0.8, color="k", ls="--", lw=0.8)
     ax.axhline(0.0, color="k", ls="--", lw=0.8)
     ax.set_xlabel("x"); ax.set_ylabel("u"); ax.legend(fontsize=7)

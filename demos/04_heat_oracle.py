@@ -23,8 +23,8 @@ res = dw.run(dw.constant(0.0, -1, 1), dw.identity(-1, 1), u0,
 
 print(f"{res.step_count} steps at dt = {res.dt:.3e} (parabolic restriction)")
 print("\n  t       observed     closed form   rel. error")
-for t, f in res.snapshots[1:]:
-    obs = dw.l1_to_constant(f, 0.5)
+for t, row in zip(res.times[1:], res.values[1:]):
+    obs = dw.l1_to_constant(dw.Field(grid, row), 0.5)
     ref = (2.0 / math.pi) * 0.1 * math.exp(-4.0 * math.pi ** 2 * t)
     print(f"{t:6.3f}   {obs:.6f}    {ref:.6f}    {abs(obs - ref) / ref:.2e}")
 

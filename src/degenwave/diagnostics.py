@@ -14,9 +14,8 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import UnsupportedTestFnError
-from .grid import Field, constant_field, l1_distance, positive_part_distance, shift
+from .grid import Field, constant_field, l1_distance, shift
 from .solver import RunResult, run, shared_dt
-from .structure import cutoff
 
 # Sup norms of the standard bump exp(1 - 1/(1 - s^2)) and its derivatives,
 # slightly rounded up so they stay valid upper bounds.
@@ -199,8 +198,8 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
         b.require_supported_inside(times[-1])
     if not bumps:
         return []
-    centers = run_result.initial.grid.cell_centers()
-    dx = run_result.initial.grid.dx
+    centers = run_result.grid.cell_centers()
+    dx = run_result.grid.dx
     phi, g = run_result.phi, run_result.g
     consts = [None if k is None else (k, phi.eval(k), g.eval(k)) for k in entries]
     factors = []
@@ -223,7 +222,7 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
                                     t0[a:z, None] * s2))
         if not live_blocks:
             continue
-        U = np.stack([f.values for _, f in run_result.snapshots[r0:r1]])
+        U = run_result.values[r0:r1]
         phi_u, g_u = phi.eval(U), g.eval(U)
         for ki, const in enumerate(consts):
             if const is None:
@@ -239,24 +238,23 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     return [[float(np.dot(w, s)) for s in row] for row in spatial]
 
 
-def _row_integrals(snapshots, fn) -> list[float]:
-    """``math.fsum`` of ``fn(U, r0)`` over each row, times dx, for the
-    snapshot fields stacked ``_BLOCK_CELLS`` cells at a time (``U`` holds
-    fields r0, r0+1, ...); a run below ``_STACK_MIN_CELLS`` cells goes one
-    row at a time.
+def _row_integrals(run_result: RunResult, fn, first: int = 0) -> list[float]:
+    """``math.fsum`` of ``fn(U, r0)`` over each row, times dx, for the rows
+    ``first, first+1, ...`` of the run's values taken ``_BLOCK_CELLS`` cells
+    at a time (``U`` holds rows r0, r0+1, ... of that tail); a run below
+    ``_STACK_MIN_CELLS`` cells goes one row at a time.
 
     With ``fn`` elementwise, each value equals the grid function that sums
-    the same map over one field (``mean``, ``l1_to_constant``, ...) bitwise.
+    the same map over one field (``mean``, ``l1_distance``, ...) bitwise.
     """
-    grid = snapshots[0][1].grid
-    if len(snapshots) * grid.n_cells < _STACK_MIN_CELLS:
-        return [math.fsum(fn(f.values[None, :], i)[0].tolist()) * grid.dx
-                for i, (_, f) in enumerate(snapshots)]
-    block = max(1, _BLOCK_CELLS // grid.n_cells)
+    values, dx = run_result.values[first:], run_result.grid.dx
+    s, n = values.shape
+    if s * n < _STACK_MIN_CELLS:
+        return [math.fsum(fn(values[i:i + 1], i)[0].tolist()) * dx for i in range(s)]
+    block = max(1, _BLOCK_CELLS // n)
     out = []
-    for r0 in range(0, len(snapshots), block):
-        U = np.stack([f.values for _, f in snapshots[r0:r0 + block]])
-        out.extend(s * grid.dx for s in gridmod.exact_row_sums(fn(U, r0)))
+    for r0 in range(0, s, block):
+        out.extend(v * dx for v in gridmod.exact_row_sums(fn(values[r0:r0 + block], r0)))
     return out
 
 
@@ -286,7 +284,7 @@ def entropy_residual(run_result: RunResult, k_values=None, test_fns=None) -> Che
         test_fns = default_bumps(run_result.params.t_end)
     ks = [float(k) for k in k_values]
     values = _bump_integrals(run_result, test_fns, ks)
-    budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.initial.grid.dx
+    budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.grid.dx
                                                   + snapshot_spacing(run_result))
     rows_extra = []
     worst = -math.inf
@@ -305,34 +303,33 @@ def _matched_times(run_a: RunResult, run_b: RunResult) -> np.ndarray:
     tb = run_b.times
     if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-9 * max(1.0, float(ta[-1])):
         raise ValueError("runs do not share a snapshot schedule")
+    gridmod._require_same_grid(run_a.initial, run_b.initial)
     return ta
 
 
 def contraction_monitor(run_a: RunResult, run_b: RunResult) -> CheckReport:
     """Ordered and absolute L1 distances must never increase along the run."""
     times = _matched_times(run_a, run_b)
-    pp_ab, pp_ba, l1 = [], [], []
-    for (_, ua), (_, ub) in zip(run_a.snapshots, run_b.snapshots):
-        pp_ab.append(positive_part_distance(ua, ub))
-        pp_ba.append(positive_part_distance(ub, ua))
-        l1.append(l1_distance(ua, ub))
+    B = run_b.values
+    pp_ab = _row_integrals(run_a, lambda U, r0: np.maximum(U - B[r0:r0 + len(U)], 0.0))
+    pp_ba = _row_integrals(run_a, lambda U, r0: np.maximum(B[r0:r0 + len(U)] - U, 0.0))
+    l1 = _row_integrals(run_a, lambda U, r0: np.abs(U - B[r0:r0 + len(U)]))
     worst = 0.0
     for series in (pp_ab, pp_ba, l1):
         for prev, nxt in zip(series, series[1:]):
             worst = max(worst, nxt - prev)
     return CheckReport(
         "contraction", observed=worst, threshold=DISTANCE_MONOTONE_TOL,
-        series=tuple(zip(map(float, times), l1)),
+        series=tuple(zip(times.tolist(), l1)),
         extra={"positive_part_final": pp_ab[-1], "l1_final": l1[-1]},
     )
 
 
 def conservation_monitor(run_result: RunResult) -> CheckReport:
     """Spatial mean of every snapshot must match the initial mean."""
-    means = _row_integrals(run_result.snapshots, lambda U, r0: U)
+    means = _row_integrals(run_result, lambda U, r0: U)
     reference = means[0]  # the initial mean
-    series = [(float(t), abs(m - reference))
-              for (t, _), m in zip(run_result.snapshots, means)]
+    series = [(t, abs(m - reference)) for t, m in zip(run_result.times.tolist(), means)]
     observed = max(v for _, v in series)
     return CheckReport("conservation", observed=observed,
                        threshold=CONSERVATION_TOL, series=tuple(series))
@@ -341,24 +338,24 @@ def conservation_monitor(run_result: RunResult) -> CheckReport:
 def decay_metric(run_result: RunResult, threshold: float | None = None) -> CheckReport:
     """L1 distance to the constant mean; passes when the final value is small."""
     target = run_result.structure.mean
-    dists = _row_integrals(run_result.snapshots, lambda U, r0: np.abs(U - target))
-    series = [(float(t), d) for (t, _), d in zip(run_result.snapshots, dists)]
+    dists = _row_integrals(run_result, lambda U, r0: np.abs(U - target))
+    series = tuple(zip(run_result.times.tolist(), dists))
     if threshold is None:
         threshold = 0.01 * series[0][1]
     return CheckReport("decay", observed=series[-1][1], threshold=float(threshold),
-                       series=tuple(series))
+                       series=series)
 
 
 def cutoff_convergence(run_result: RunResult, threshold: float | None = None) -> CheckReport:
     """L1 gap between the solution and its clamp into the plateau band."""
     st = run_result.structure
     lo, hi = st.plateau_lo, st.plateau_hi
-    series = [(float(t), l1_distance(f, cutoff(f, lo, hi)))
-              for t, f in run_result.snapshots]
+    series = tuple(zip(run_result.times.tolist(), _row_integrals(
+        run_result, lambda U, r0: np.abs(U - np.clip(U, lo, hi)))))
     if threshold is None:
-        threshold = 0.02 * (series[0][1] + run_result.initial.grid.dx)
+        threshold = 0.02 * (series[0][1] + run_result.grid.dx)
     return CheckReport("cutoff_convergence", observed=series[-1][1],
-                       threshold=float(threshold), series=tuple(series),
+                       threshold=float(threshold), series=series,
                        extra={"band_lo": lo, "band_hi": hi})
 
 
@@ -393,15 +390,14 @@ def squeeze_bounds(run_result: RunResult, shift_upper: float | None = None,
     lower_run = run(phi, g, lower0, params, _dt=dt_shared)
     _matched_times(base, upper_run)
     _matched_times(base, lower_run)
-    level_hi = st.mean + su
-    level_lo = st.mean + sl
-    upper_level, lower_level = constant_field(grid, level_hi), constant_field(grid, level_lo)
-    exceed_up = [positive_part_distance(f, upper_level) for _, f in base.snapshots]
-    dominate_up = [positive_part_distance(f, upper_level) for _, f in upper_run.snapshots]
-    exceed_lo = [positive_part_distance(lower_level, f) for _, f in base.snapshots]
-    dominate_lo = [positive_part_distance(lower_level, f) for _, f in lower_run.snapshots]
-    series = [(float(t), max(eu - du, el - dl, 0.0)) for (t, _), eu, du, el, dl
-              in zip(base.snapshots, exceed_up, dominate_up, exceed_lo, dominate_lo)]
+    level_hi, level_lo = st.mean + su, st.mean + sl
+    above = lambda U, r0: np.maximum(U - level_hi, 0.0)
+    below = lambda U, r0: np.maximum(level_lo - U, 0.0)
+    exceed_up, dominate_up, exceed_lo, dominate_lo = (
+        _row_integrals(r, fn)
+        for r, fn in ((base, above), (upper_run, above), (base, below), (lower_run, below)))
+    series = [(t, max(eu - du, el - dl, 0.0)) for t, eu, du, el, dl
+              in zip(base.times.tolist(), exceed_up, dominate_up, exceed_lo, dominate_lo)]
     observed = max(v for _, v in series)
     return CheckReport(
         "squeeze_bounds", observed=observed, threshold=DOMINATION_TOL,
@@ -418,10 +414,10 @@ def traveling_profile(run_result: RunResult) -> Field:
     the integer cell shift nearest to speed * t_final * n_cells, or the
     constant mean for a degenerate speed."""
     st = run_result.structure
-    grid = run_result.initial.grid
+    grid = run_result.grid
     if st.degenerate_speed:
         return constant_field(grid, st.mean)
-    t_final = run_result.snapshots[-1][0]
+    t_final = run_result.times[-1]
     return shift(run_result.final, -int(round(st.speed * t_final * grid.n_cells)))
 
 
@@ -442,8 +438,8 @@ def extract_profile(run_result: RunResult, t_lo: float | None = None,
     if t_lo > t_end:
         raise ValueError(f"t_lo={t_lo!r} lies past the run horizon t_end={t_end!r}")
     # the final snapshot may land a rounding step before t_end; it still counts
-    tail = [(t, f) for t, f in run_result.snapshots[:-1] if t >= t_lo]
-    tail.append(run_result.snapshots[-1])
+    first = int(np.searchsorted(run_result.times[:-1], t_lo))
+    times = run_result.times[first:].tolist()
     st = run_result.structure
     u0 = run_result.initial
     n = u0.grid.n_cells
@@ -453,10 +449,10 @@ def extract_profile(run_result: RunResult, t_lo: float | None = None,
     profile = traveling_profile(run_result)
     # a constant profile is its own shift, whatever its nominal speed
     speed = 0.0 if st.degenerate_speed else st.speed
-    shifts = [int(round(speed * t * n)) for t, _ in tail]
-    dists = _row_integrals(tail, lambda U, r0: np.abs(U - np.stack(
-        [np.roll(profile.values, s) for s in shifts[r0:r0 + len(U)]])))
-    history = tuple((float(t), d) for (t, _), d in zip(tail, dists))
+    shifts = [int(round(speed * t * n)) for t in times]
+    dists = _row_integrals(run_result, lambda U, r0: np.abs(U - np.stack(
+        [np.roll(profile.values, s) for s in shifts[r0:r0 + len(U)]])), first)
+    history = tuple(zip(times, dists))
     observed = max(v for _, v in history)
     threshold = float(threshold)
     return CheckReport("profile", observed=observed, threshold=threshold, series=history,

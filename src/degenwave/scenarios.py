@@ -400,7 +400,7 @@ def _write_csv(path: Path, header: list[str], matrix: np.ndarray) -> None:
 
 
 def _write_snapshots_csv(path: Path, result: RunResult) -> None:
-    _write_csv(path, [], np.column_stack([result.times, [f.values for _, f in result.snapshots]]))
+    _write_csv(path, [], result.table)
 
 
 def _write_series_csv(path: Path, series) -> None:

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CflViolationError, GridMismatchError
-from .grid import Field
+from .grid import Field, Grid
 from .piecewise import PiecewiseFunction, lipschitz_on, monotone_split
 from .structure import StructureReport, analyze
 
@@ -63,11 +63,14 @@ class SchemeParams:
 class RunResult:
     """Snapshot trajectory together with the model ``(phi, g)`` that made it.
 
-    ``structure`` is ``analyze(phi, g, initial)``, computed on first read
-    and kept, so a run whose structure is never read is never analyzed.
+    ``table`` holds one row per snapshot: its time, then its cell values on
+    ``grid`` (the layout of ``snapshots.csv``); ``times`` and ``values`` are
+    views. ``structure`` is ``analyze(phi, g, initial)``, computed on first
+    read and kept, so a run whose structure is never read is never analyzed.
     """
 
-    snapshots: list[tuple[float, Field]]
+    table: np.ndarray
+    grid: Grid
     phi: PiecewiseFunction
     g: PiecewiseFunction
     step_count: int
@@ -80,15 +83,19 @@ class RunResult:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray([t for t, _ in self.snapshots])
+        return self.table[:, 0]
 
     @property
+    def values(self) -> np.ndarray:
+        return self.table[:, 1:]
+
+    @cached_property
     def initial(self) -> Field:
-        return self.snapshots[0][1]
+        return Field(self.grid, self.table[0, 1:])
 
-    @property
+    @cached_property
     def final(self) -> Field:
-        return self.snapshots[-1][1]
+        return Field(self.grid, self.table[-1, 1:])
 
 
 def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
@@ -222,7 +229,7 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
 
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
         params: SchemeParams, _dt: float | None = None) -> RunResult:
-    """Advance ``u0`` to ``t_end``, recording snapshots.
+    """Advance ``u0`` to ``t_end``, recording snapshots as the rows of a table.
 
     The time step is fixed for the whole run from the initial data range,
     which stays valid because the range never grows (max principle). The
@@ -242,14 +249,16 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
         why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
             f"needs {params.t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
         raise CflViolationError(f"time step {dt!r} {why}")
-    snapshots: list[tuple[float, Field]] = [(0.0, u0.copy())]
     requested = [t for t in params.snapshot_times if t > 0.0]
-    ptr = 0
-    k = 0
+    # one row per due step (at most one per requested time), the initial and the final state
+    steps = math.ceil(params.t_end / dt) if params.t_end > 0.0 else 0
+    table = np.empty((min(len(requested), steps) + 2, u0.grid.n_cells + 1))
+    table[0, 0], table[0, 1:] = 0.0, u0.values
+    s, ptr, k = 1, 0, 0
     if params.t_end > 0.0:
         ws = _Workspace(_kernel_table(phi, g), u0.values, u0.grid.dx, dt)
         cur, nxt = ws.bufs
-        # an overflow shows as non-finite Field values at the next snapshot, not as a warning
+        # an overflow shows as non-finite values at the next snapshot, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 k += 1
@@ -259,12 +268,15 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
                 final = t >= params.t_end - _STEP_SLACK * dt
                 due = ptr < len(requested) and t >= requested[ptr] - _STEP_SLACK * dt
                 if final or due:
-                    snapshots.append((t, Field(u0.grid, cur[1:-1])))
+                    table[s, 0], table[s, 1:] = t, cur[1:-1]
+                    if not np.isfinite(table[s, 1:]).all():
+                        raise ValueError("field values must be finite")
+                    s += 1
                     while ptr < len(requested) and (final or requested[ptr] <= t + _STEP_SLACK * dt):
                         ptr += 1
                 if final:
                     break
-    return RunResult(snapshots, phi, g, k, dt, params)
+    return RunResult(table[:s], u0.grid, phi, g, k, dt, params)
 
 
 def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,

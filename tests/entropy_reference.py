@@ -25,7 +25,7 @@ from degenwave.solver import RunResult
 
 def snapshot_matrix(run_result: RunResult) -> np.ndarray:
     """Snapshot values stacked row-wise (one row per snapshot time)."""
-    return np.stack([f.values for _, f in run_result.snapshots])
+    return run_result.values
 
 
 def _quadrature(run_result: RunResult, rows: np.ndarray) -> float:

@@ -111,7 +111,7 @@ def test_criterion_2_exact_transport_oracle():
                           snapshot_times=tuple(np.linspace(0.0, 3.0, 13)))
     res = run(phi, g, u0, params)
     speed_exact = res.structure.speed == 2.0
-    cells = int(round(res.structure.speed * res.snapshots[-1][0] * n))
+    cells = int(round(res.structure.speed * res.times[-1] * n))
     gap = float(np.max(np.abs(res.final.values - shift(u0, cells).values)))
     rep = extract_profile(res, t_lo=0.0)
     worst_resid = max(v for _, v in rep.series)
@@ -133,9 +133,9 @@ def test_criterion_3_heat_decay_oracle():
               SchemeParams(t_end=0.05, snapshot_times=(0.0,) + times))
     elapsed = time.perf_counter() - started
     worst_rel = 0.0
-    for t, f in res.snapshots[1:]:
+    for t, row in zip(res.times[1:], res.values[1:]):
         want = (2.0 / math.pi) * 0.1 * math.exp(-4.0 * math.pi ** 2 * t)
-        worst_rel = max(worst_rel, abs(l1_to_constant(f, 0.5) - want) / want)
+        worst_rel = max(worst_rel, abs(l1_to_constant(Field(grid, row), 0.5) - want) / want)
     ok = worst_rel <= 0.10 and elapsed < 20.0
     report(3, "heat decay oracle", ok,
            f"worst_rel={worst_rel:.2%} runtime={elapsed:.1f}s")
@@ -153,7 +153,8 @@ def test_criterion_4_burgers_decay():
     res = run(phi, g, u0, SchemeParams(t_end=20.0,
                                        snapshot_times=tuple(np.linspace(0, 20, 41))))
     target = res.structure.mean
-    series = [(t, l1_to_constant(f, target)) for t, f in res.snapshots]
+    series = [(t, l1_to_constant(Field(grid, row), target))
+              for t, row in zip(res.times, res.values)]
     tail = [(t, v) for t, v in series if t >= 1.0]
     worst_increase = max(b - a for (_, a), (_, b) in zip(tail, tail[1:]))
     final_t, final = series[-1]
@@ -165,15 +166,15 @@ def test_criterion_4_burgers_decay():
     # bound. An absolute level such as 0.01 at t=20 is no bound at all: the
     # exact solution sits at 0.01211 there (see the oracle test below).
     l1_ratio = max(4.0 * kappa * t * v for t, v in series if t > 0.0)
-    slope_ratio = max(kappa * t * float(np.max(np.roll(f.values, -1) - f.values))
-                      / grid.dx for t, f in res.snapshots if t > 0.0)
+    slope_ratio = max(kappa * t * float(np.max(np.roll(row, -1) - row))
+                      / grid.dx for t, row in zip(res.times, res.values) if t > 0.0)
     bound = 1.0 / (4.0 * kappa * final_t)
     # negative control: pure transport at unit CFL keeps the distance
     control = run(linear(2.0, 0.0, -1, 1), g, u0,
                   SchemeParams(t_end=20.0, cfl_safety=1.0,
                                snapshot_times=(0.0, 20.0)))
     floor = series[0][1] - 2.0 * grid.dx * total_variation(u0)
-    control_t, control_u = control.snapshots[-1]
+    control_t, control_u = control.times[-1], control.final
     control_final = l1_to_constant(control_u, target)
     control_bound = 1.0 / (4.0 * kappa * control_t)
     monotone_ok = worst_increase <= 1e-12 and final < tail[0][1]
@@ -232,7 +233,7 @@ def test_criterion_4_exact_lax_oleinik_oracle():
     for n in (100, 200, 400):
         grid = Grid(n)
         res = run(phi, g, sine_field(grid, 0.5, 0.25), SchemeParams(t_end=20.0))
-        t, u = res.snapshots[-1]
+        t, u = res.times[-1], res.final
         errors.append(l1_distance(u, hopf_lax_cell_averages(grid, 0.5, 0.25, t)))
     ratios = [b / a for a, b in zip(errors, errors[1:])]
     pinned_ok = abs(exact_5 - 0.04430) <= 5e-6 and abs(exact_20 - 0.01211) <= 5e-6

@@ -532,7 +532,8 @@ def test_csv_writers_keep_repr_bytes(tmp_path):
         assert text[:len(EDGE_VALUES)] == EDGE_TEXT
         field = Field(grid, values)
         times = (0.0, 1e-05, 1 / 3)
-        result = RunResult([(t, field) for t in times], phi=None, g=None, step_count=2,
+        result = RunResult(np.column_stack([times, [values] * len(times)]), grid,
+                           phi=None, g=None, step_count=2,
                            dt=1e-05, params=SchemeParams(t_end=1 / 3, snapshot_times=times))
         _write_snapshots_csv(tmp_path / "snapshots.csv", result)
         assert (tmp_path / "snapshots.csv").read_bytes() == "".join(

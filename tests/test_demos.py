@@ -1,5 +1,6 @@
 """Smoke test: every demo and README example runs to completion against the current API."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from degenwave.scenarios import CHECKS, SCENARIO_FIELDS
+from degenwave.solver import RunResult
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +48,11 @@ def test_readme_schema_and_checks_match_the_parser():
     listed = {name: tuple(re.findall(r"`(\w+)`", params))
               for name, params in re.findall(r"`(\w+)`(?:\s*\(([^)]*)\))?", paragraph)}
     assert listed == {name: allowed for name, (allowed, _, _) in CHECKS.items()}
+
+
+def test_readme_lists_the_run_result_fields():
+    """README's RunResult paragraph names the dataclass fields, in order."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = text.split("A `RunResult` holds", 1)[1].split("Its fields are", 1)[1]
+    listed = re.findall(r"`(\w+)`", sentence.split(".", 1)[0])
+    assert listed == [f.name for f in dataclasses.fields(RunResult)]

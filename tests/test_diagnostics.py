@@ -7,6 +7,7 @@ import randmodels as rm
 from degenwave import (
     Field,
     Grid,
+    GridMismatchError,
     OutOfRangeError,
     SchemeParams,
     TestBump,
@@ -16,6 +17,7 @@ from degenwave import (
     constant,
     constant_field,
     contraction_monitor,
+    cutoff,
     cutoff_convergence,
     decay_metric,
     entropy_residual,
@@ -176,8 +178,8 @@ class TestMonitors:
                                            sine_field(grid, 0.55, 0.2)], params)
         rep = contraction_monitor(lo_run, hi_run)
         assert rep.passed
-        for (_, a), (_, b) in zip(lo_run.snapshots, hi_run.snapshots):
-            assert positive_part_distance(a, b) <= 1e-15
+        for a, b in zip(lo_run.values, hi_run.values):
+            assert positive_part_distance(Field(grid, a), Field(grid, b)) <= 1e-15
 
     def test_contraction_shifted_burgers_pair(self):
         grid = Grid(96)
@@ -342,8 +344,9 @@ class TestProfiles:
         phi, g, res = burgers_run(n=64, t_end=0.1)
         t_end = res.params.t_end
         # a final snapshot that lands one ulp before t_end still counts
-        early = RunResult(res.snapshots[:-1] + [(float(np.nextafter(t_end, 0.0)), res.final)],
-                          res.phi, res.g, res.step_count, res.dt, res.params)
+        table = res.table.copy()
+        table[-1, 0] = np.nextafter(t_end, 0.0)
+        early = RunResult(table, res.grid, res.phi, res.g, res.step_count, res.dt, res.params)
         for r in (res, early):
             rep = extract_profile(r, t_lo=t_end, threshold=0.0)
             want = l1_to_constant(r.final, r.structure.mean)
@@ -375,46 +378,124 @@ class TestProfiles:
 
 
 class TestWholeRunSums:
-    """conservation, decay and profile reduce whole runs; every value equals
-    the per-snapshot grid formula's, repr for repr."""
+    """All six whole-run reductions (conservation, decay, profile,
+    cutoff_convergence, squeeze_bounds, contraction) sum slices of the run
+    tables; every value equals the per-snapshot grid formula's, repr for repr."""
+
+    phi = from_breakpoints([-2, 0, 2], [[2.0, -1.0], [0.0, 2.0]])
+    g = from_breakpoints([-2, 0.8, 2], [[0.0], [0.0, 0.002]], monotone=True)
+
+    def fields(self, res):
+        return [(t, Field(res.grid, row)) for t, row in zip(res.times.tolist(), res.values)]
 
     def per_snapshot(self, res):
-        st, n = res.structure, res.initial.grid.n_cells
+        st, n = res.structure, res.grid.n_cells
+        snaps = self.fields(res)
         profile = traveling_profile(res)
         speed = 0.0 if st.degenerate_speed else st.speed
+        lo, hi = st.plateau_lo, st.plateau_hi
         return {
-            "conservation": [(t, abs(mean(f) - mean(res.initial))) for t, f in res.snapshots],
-            "decay": [(t, l1_to_constant(f, st.mean)) for t, f in res.snapshots],
+            "conservation": [(t, abs(mean(f) - mean(res.initial))) for t, f in snaps],
+            "decay": [(t, l1_to_constant(f, st.mean)) for t, f in snaps],
             "profile": [(t, l1_distance(f, shift(profile, int(round(speed * t * n)))))
-                        for t, f in res.snapshots],
+                        for t, f in snaps],
+            "cutoff_convergence": [(t, l1_distance(f, cutoff(f, lo, hi))) for t, f in snaps],
         }
+
+    def assert_contraction_matches(self, ra, rb):
+        pairs = [(t, a, b) for (t, a), (_, b) in zip(self.fields(ra), self.fields(rb))]
+        pp_ab = [positive_part_distance(a, b) for _, a, b in pairs]
+        pp_ba = [positive_part_distance(b, a) for _, a, b in pairs]
+        l1 = [l1_distance(a, b) for _, a, b in pairs]
+        worst = max([0.0] + [y - x for d in (pp_ab, pp_ba, l1) for x, y in zip(d, d[1:])])
+        rep = contraction_monitor(ra, rb)
+        assert repr(rep.series) == repr(tuple((t, d) for (t, _, _), d in zip(pairs, l1)))
+        assert repr(rep.observed) == repr(worst)
+        assert repr(rep.extra) == repr({"positive_part_final": pp_ab[-1], "l1_final": l1[-1]})
+        assert l1[-1] > 0.0
+
+    def assert_squeeze_matches(self, res, su, sl):
+        rep = squeeze_bounds(res, shift_upper=su, shift_lower=sl)
+        dt, st = rep.extra["shared_dt"], res.structure
+        base, upper, lower = (res if s == 0.0 and dt == res.dt else
+                              run(res.phi, res.g, Field(res.grid, res.initial.values + s),
+                                  res.params, _dt=dt) for s in (0.0, su, sl))
+        level_hi, level_lo = st.mean + su, st.mean + sl
+        up, down = constant_field(res.grid, level_hi), constant_field(res.grid, level_lo)
+        want = {
+            "exceed_upper": [positive_part_distance(f, up) for _, f in self.fields(base)],
+            "dominate_upper": [positive_part_distance(f, up) for _, f in self.fields(upper)],
+            "exceed_lower": [positive_part_distance(down, f) for _, f in self.fields(base)],
+            "dominate_lower": [positive_part_distance(down, f) for _, f in self.fields(lower)],
+        }
+        series = tuple((t, max(eu - du, el - dl, 0.0)) for t, eu, du, el, dl
+                       in zip(base.times.tolist(), *want.values()))
+        assert repr(rep.series) == repr(series)
+        assert repr(rep.observed) == repr(max(v for _, v in series))
+        for key, values in want.items():
+            assert repr(rep.extra[key]) == repr(values)
+        assert (rep.extra["upper_level"], rep.extra["lower_level"]) == (level_hi, level_lo)
+        assert any(v > 0.0 for v in want["exceed_upper"] + want["exceed_lower"])
+        return rep
 
     @pytest.mark.parametrize("n, t_end", [(3000, 0.01), (300, 0.05), (64, 0.0)])
     def test_series_match_per_snapshot_formulas(self, n, t_end):
         grid = Grid(n)
-        res = run(linear(2.0, 0.0, -2, 2), constant(0.3, -2, 2), sine_field(grid, 0.5, 0.25),
-                  SchemeParams(t_end=t_end, snapshot_times=tuple(np.linspace(0, t_end, 50))))
-        assert len(res.snapshots) == (50 if t_end else 1)
+        params = SchemeParams(t_end=t_end, snapshot_times=tuple(np.linspace(0, t_end, 50)))
+        res, res_b = run_many(self.phi, self.g, [sine_field(grid, 0.625, 0.325),
+                                                 sine_field(grid, 0.6, 0.3, phase=1.0)], params)
+        assert len(res.times) == (50 if t_end else 1)
         want = self.per_snapshot(res)
         if n == 3000:
             # stacked, and the rows span several blocks
-            assert len(res.snapshots) * n >= diagnostics._STACK_MIN_CELLS
-            assert len(res.snapshots) > 2 * (diagnostics._BLOCK_CELLS // n)
+            assert len(res.times) * n >= diagnostics._STACK_MIN_CELLS
+            assert len(res.times) > 2 * (diagnostics._BLOCK_CELLS // n)
+        elif t_end:
+            assert len(res.times) * n < diagnostics._STACK_MIN_CELLS
         if t_end:
             # the profile shift differs by row
             assert len({int(round(2.0 * t * n)) for t in res.times}) > 25
-        for rep in (conservation_monitor(res), decay_metric(res), extract_profile(res, t_lo=0.0)):
+        reports = (conservation_monitor(res), decay_metric(res), extract_profile(res, t_lo=0.0),
+                   cutoff_convergence(res))
+        for rep in reports:
             assert repr(rep.series) == repr(tuple(want[rep.name]))
-            expected = want[rep.name][-1][1] if rep.name == "decay" else max(
-                v for _, v in want[rep.name])
+            expected = max(v for _, v in want[rep.name]) if rep.name in (
+                "conservation", "profile") else want[rep.name][-1][1]
             assert repr(rep.observed) == repr(expected)
         assert any(v > 0.0 for _, v in want["profile"]) == bool(t_end)
+        assert all(v > 0.0 for _, v in want["cutoff_convergence"])
+        self.assert_contraction_matches(res, res_b)
+        # random rows, whose distances grow and shrink, make every series count in observed
+        rng = np.random.default_rng(n)
+        noisy = [RunResult(np.column_stack([res.times, rng.random(res.values.shape)]), grid,
+                           res.phi, res.g, res.step_count, res.dt, res.params) for _ in range(2)]
+        self.assert_contraction_matches(*noisy)
+        rep = self.assert_squeeze_matches(res, 0.1, -0.1)
+        assert rep.extra["shared_dt"] == res.dt
+
+    def test_squeeze_base_rerun_at_shared_dt(self):
+        # the base data stay on g's flat part, the upper companion does not:
+        # its step is smaller, and the base is re-run at it
+        res = run(self.phi, self.g, sine_field(Grid(300), 0.5, 0.25),
+                  SchemeParams(t_end=0.05, snapshot_times=tuple(np.linspace(0, 0.05, 11))))
+        rep = self.assert_squeeze_matches(res, 0.2, -0.1)
+        assert rep.extra["shared_dt"] < res.dt
+
+    def test_runs_on_different_grids_raise(self):
+        # zero horizons share the one-row schedule, so only the grids differ
+        ra, rb = (run(self.phi, self.g, sine_field(Grid(n), 0.5, 0.25), SchemeParams(t_end=0.0))
+                  for n in (64, 32))
+        for a, b in ((ra, rb), (rb, ra)):
+            with pytest.raises(GridMismatchError):
+                contraction_monitor(a, b)
 
     @pytest.mark.parametrize("rows, stacked", [(64, True), (63, False)])
     def test_stacking_starts_at_min_cells(self, rows, stacked):
         grid = Grid(diagnostics._STACK_MIN_CELLS // 64)
-        res = RunResult([(0.01 * i, sine_field(grid, 0.5, 0.25, phase=i)) for i in range(rows)],
-                        burgers(-1, 1), constant(0.0, -1, 1), 0, 0.01,
+        times = [0.01 * i for i in range(rows)]
+        table = np.column_stack([times, [sine_field(grid, 0.5, 0.25, phase=i).values
+                                         for i in range(rows)]])
+        res = RunResult(table, grid, burgers(-1, 1), constant(0.0, -1, 1), 0, 0.01,
                         SchemeParams(t_end=0.01 * (rows - 1)))
         with mock.patch.object(gridmod, "exact_row_sums", wraps=gridmod.exact_row_sums) as spy:
             rep = conservation_monitor(res)

@@ -44,9 +44,9 @@ def synthetic_run(rng, phi, g, n, count, t_end, extra_times):
         inner.append(inner[0])  # a repeated time gets zero trapezoid weight
     times = sorted([0.0, t_end, *extra_times, *inner])
     grid = Grid(n)
-    snapshots = [(t, rm.random_field(rng, grid)) for t in times]
+    table = np.column_stack([times, [rm.random_field(rng, grid).values for _ in times]])
     params = SchemeParams(t_end=t_end, snapshot_times=tuple(times))
-    return RunResult(snapshots, phi, g, step_count=len(times) - 1,
+    return RunResult(table, grid, phi, g, step_count=len(times) - 1,
                      dt=t_end / len(times), params=params)
 
 
@@ -117,8 +117,8 @@ def test_blocks_outside_every_bump_are_not_evaluated():
     phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
     grid = Grid(16)
     times = [i / 20 for i in range(21)]
-    res = RunResult([(t, rm.random_field(rng, grid)) for t in times], phi, g,
-                    step_count=20, dt=0.05,
+    res = RunResult(np.column_stack([times, [rm.random_field(rng, grid).values for _ in times]]),
+                    grid, phi, g, step_count=20, dt=0.05,
                     params=SchemeParams(t_end=1.0, snapshot_times=tuple(times)))
     bump = TestBump(0.5, 0.5, 0.18, 0.3)  # live rows 7..13, t in (0.32, 0.68)
     shapes = []

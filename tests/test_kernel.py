@@ -1,9 +1,9 @@
 """Bit-identity of the stacked step kernel and the shared-dt rule of run_many."""
 
-import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from degenwave import (
     burgers,
     constant,
     from_breakpoints,
+    linear,
     max_stable_dt,
     monotone_split,
     run,
@@ -27,6 +28,7 @@ from degenwave import (
     shift,
 )
 from degenwave.piecewise import _RANGE_SLACK
+from degenwave import solver as solvermod
 from degenwave.solver import _apply_step, _kernel_table, _Workspace
 from kernel_reference import apply_step_reference, eval_reference
 
@@ -196,8 +198,8 @@ def test_piece_index_matches_clamped_search(seed):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 5, 64, 400]), data=st.data())
 def test_run_snapshots_match_reference_loop(seed, n, data):
-    # run steps in two swapped padded buffers; every snapshot must equal the
-    # reference state after its step count and own its memory
+    # run steps in two swapped padded buffers; every snapshot row must equal
+    # the reference state after its step count, and the table owns its memory
     rng, phi, g = random_model(seed)
     grid = Grid(n)
     u0 = rm.random_field(rng, grid)
@@ -206,18 +208,37 @@ def test_run_snapshots_match_reference_loop(seed, n, data):
     picks = st.one_of(st.sampled_from([0.0, t_end]), st.floats(0.0, t_end))
     times = sorted(data.draw(st.lists(picks, max_size=8)) + [0.0, t_end])
     times += [times[data.draw(st.integers(0, len(times) - 1))]]    # one repeated time
-    res = run(phi, g, u0, SchemeParams(t_end=t_end, snapshot_times=sorted(times)))
+    made = []
+    with mock.patch.object(solvermod, "_Workspace",
+                           lambda *args: made.append(_Workspace(*args)) or made[-1]):
+        res = run(phi, g, u0, SchemeParams(t_end=t_end, snapshot_times=sorted(times)))
     up, down = monotone_split(phi)
     states = [u0.values]
     for _ in range(res.step_count):
         states.append(apply_step_reference(up, down, g, states[-1], grid.dx, res.dt))
-    assert res.snapshots[-1][0] == res.step_count * res.dt
-    for t, field in res.snapshots:
+    assert res.times[-1] == res.step_count * res.dt
+    for t, row in zip(res.times.tolist(), res.values):
         k = round(t / res.dt)
         assert t == k * res.dt
-        assert np.array_equal(bits(field.values), bits(states[k]))
-    arrays = [u0.values] + [field.values for _, field in res.snapshots]
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        assert np.array_equal(bits(row), bits(states[k]))
+    (ws,) = made
+    assert not any(np.shares_memory(res.values, a)
+                   for a in (u0.values, *ws.bufs, ws.gath, ws.t, ws.lap))
+
+
+def test_run_table_rows_are_bounded_by_steps():
+    # thousands of requested times on a run of a few steps: one row per step
+    # taken, plus the initial state, and the allocation is no larger
+    grid = Grid(8)
+    u0 = Field(grid, 0.5 + 0.25 * np.sin(2 * np.pi * grid.cell_centers()))
+    phi, g = linear(1.0, 0.0, -1, 1), constant(0.0, -1, 1)
+    t_end = 7.0 / 16.0  # seven steps of dt = cfl_safety * dx
+    params = SchemeParams(t_end=t_end, snapshot_times=tuple(np.linspace(0.0, t_end, 5000)))
+    res = run(phi, g, u0, params)
+    assert res.step_count == 7
+    assert res.table.shape == (res.step_count + 1, grid.n_cells + 1)
+    assert res.table.base.shape[0] <= res.step_count + 2
+    assert np.array_equal(res.times, res.dt * np.arange(res.step_count + 1))
 
 
 @settings(max_examples=15, deadline=None)
@@ -235,9 +256,8 @@ def test_run_many_rows_equal_single_runs(seed, n, offset):
     for got, want in ((ra, run(phi, g, a, params)), (rb, run(phi, g, b, params))):
         assert got.dt == want.dt and got.step_count == want.step_count
         assert got.structure == want.structure
-        assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
-        for (_, fg), (_, fw) in zip(got.snapshots, want.snapshots):
-            assert np.array_equal(bits(fg.values), bits(fw.values))
+        assert got.times.tolist() == want.times.tolist()
+        assert np.array_equal(bits(got.values), bits(want.values))
 
 
 class TestSharedDtRule:
