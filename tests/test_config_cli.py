@@ -191,6 +191,9 @@ class TestParsing:
          "/phi/pieces"),
         # data in [0.25, 0.75] need g on [-0.75, 0.75]
         ({"g": {"kind": "constant", "value": 0.0, "lo": -0.5, "hi": 0.5}}, "/g"),
+        # a repeated check would overwrite its series_<name>.csv
+        ({"checks": ["profile", "decay", "profile"]}, "/checks/2/name"),
+        ({"checks": [{"name": "decay", "threshold": 1.0}, "decay"]}, "/checks/1/name"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -234,6 +237,18 @@ class TestParsing:
         cfg.write_text(json.dumps([doc]).replace("12345.0", "1e999"))
         assert cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error at /0/initial/step:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_scenario_name_is_exit_2(self, tmp_path, capsys):
+        # both scenarios would write into out/same/
+        docs = [minimal(name="same"), minimal(name="other"), minimal(name="same")]
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(docs))
+        assert err.value.path == "/2/name"
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps(docs))
+        assert cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /2/name:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_json(self):
@@ -733,29 +748,37 @@ class TestCli:
         assert checks["error"] == "ValueError: no structure"
         assert [c["passed"] for c in checks["checks"]] == [False, False]
 
-    def test_step_underflow_is_a_run_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model, message", [
         # Lphi/dx overflows, so the admissible step is 0.0 and t_end is never reached
-        doc = minimal(name="steep", phi={"kind": "linear", "slope": 1e308, "lo": -1, "hi": 1},
-                      initial={"sine": {"mean": 0.5, "amplitude": 0.2}},
-                      grid={"n_cells": 16}, scheme={"t_end": 0.01})
-        code = cli(["run", "--config", self.write(tmp_path, doc),
+        ({"phi": {"kind": "linear", "slope": 1e308, "lo": -1, "hi": 1},
+          "scheme": {"t_end": 0.01}},
+         "time step 0.0 is not positive, so t_end is never reached"),
+        # the same for the second data alone, whose step the pair shares
+        ({"phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0], [0.0, 1e308]]},
+          "initial": {"sine": {"mean": -0.5, "amplitude": 0.2}},
+          "initial_b": {"sine": {"mean": 0.5, "amplitude": 0.2}}},
+         "time step 0.0 is not positive, so t_end is never reached"),
+        # about 1.3e9 steps
+        ({"g": {"kind": "linear", "slope": 1, "lo": -1, "hi": 1},
+          "initial": {"cells": [0.25, 0.75] * 2048}, "grid": {"n_cells": 4096},
+          "scheme": {"t_end": 20}},
+         "time step 1.4899797076683654e-08 needs 1.34e+09 steps to reach "
+         "t_end, more than MAX_STEPS = 100000000"),
+    ], ids=["underflow", "underflow_b", "too_many_steps"])
+    def test_step_budget_is_a_config_error(self, model, message, tmp_path, capsys):
+        small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
+        docs = [minimal(name="fine", **small), minimal(name="bad", **{**small, **model})]
+        code = cli(["suite", "--config", self.write(tmp_path, docs),
                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        checks = json.loads((tmp_path / "out" / "steep" / "checks.json").read_text())
-        assert checks["error"].startswith("CflViolationError: time step 0.0 is not positive")
-        capsys.readouterr()
+        assert code == 2
+        assert f"config error at /1/scheme/t_end: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any stepping
 
     @pytest.mark.parametrize("model, message", [
         ({"g": {"kind": "constant", "value": 1e308, "lo": -1, "hi": 1}},
          "ValueError: field values must be finite"),
         ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
          "ValueError: field values must be finite"),
-        # about 1.3e9 steps: the step budget rejects the run before its first step
-        ({"g": {"kind": "linear", "slope": 1, "lo": -1, "hi": 1},
-          "initial": {"cells": [0.25, 0.75] * 2048}, "grid": {"n_cells": 4096},
-          "scheme": {"t_end": 20}},
-         "CflViolationError: time step 1.4899797076683654e-08 needs 1.34e+09 steps to reach "
-         "t_end, more than MAX_STEPS = 100000000"),
     ])
     def test_run_exception_is_reported_and_suite_continues(self, model, message,
                                                            tmp_path, capsys):
@@ -781,6 +804,17 @@ class TestCli:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert json.loads(out.stdout)["degenerate_speed"] is True
+
+    def test_python_m_degenwave(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        good = self.write(tmp_path, MINIMAL)
+        bad = self.write(tmp_path, minimal(grid={"n_cells": 2}), "bad.json")
+        ok, err = (subprocess.run([sys.executable, "-m", "degenwave", "analyze", "--config", cfg],
+                                  capture_output=True, text=True, env=env) for cfg in (good, bad))
+        assert ok.returncode == 0
+        assert json.loads(ok.stdout)["degenerate_speed"] is True
+        assert err.returncode == 2
+        assert "config error at /grid/n_cells:" in err.stderr
 
     def test_shipped_quick_bundle_is_green(self, tmp_path, capsys):
         bundle = Path(__file__).resolve().parent.parent / "configs" / "quick_suite.json"

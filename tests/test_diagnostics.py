@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -39,7 +37,6 @@ from degenwave import (
     weak_form_residual,
 )
 from degenwave import diagnostics
-from degenwave import grid as gridmod
 from degenwave.diagnostics import snapshot_spacing
 from degenwave.solver import RunResult
 from entropy_reference import _quadrature
@@ -447,11 +444,8 @@ class TestWholeRunSums:
         assert len(res.times) == (50 if t_end else 1)
         want = self.per_snapshot(res)
         if n == 3000:
-            # stacked, and the rows span several blocks
-            assert len(res.times) * n >= diagnostics._STACK_MIN_CELLS
+            # the rows span several blocks
             assert len(res.times) > 2 * (diagnostics._BLOCK_CELLS // n)
-        elif t_end:
-            assert len(res.times) * n < diagnostics._STACK_MIN_CELLS
         if t_end:
             # the profile shift differs by row
             assert len({int(round(2.0 * t * n)) for t in res.times}) > 25
@@ -489,18 +483,16 @@ class TestWholeRunSums:
             with pytest.raises(GridMismatchError):
                 contraction_monitor(a, b)
 
-    @pytest.mark.parametrize("rows, stacked", [(64, True), (63, False)])
-    def test_stacking_starts_at_min_cells(self, rows, stacked):
-        grid = Grid(diagnostics._STACK_MIN_CELLS // 64)
-        times = [0.01 * i for i in range(rows)]
-        table = np.column_stack([times, [sine_field(grid, 0.5, 0.25, phase=i).values
-                                         for i in range(rows)]])
-        res = RunResult(table, grid, burgers(-1, 1), constant(0.0, -1, 1), 0, 0.01,
-                        SchemeParams(t_end=0.01 * (rows - 1)))
-        with mock.patch.object(gridmod, "exact_row_sums", wraps=gridmod.exact_row_sums) as spy:
-            rep = conservation_monitor(res)
-        assert spy.called is stacked
-        assert rep.series[0][1] == 0.0
+    @pytest.mark.parametrize("times_b", [(0.01, 0.02, 0.03), (0.01, 0.03)])
+    def test_runs_on_different_schedules_raise(self, times_b):
+        # one grid; the schedules differ in length, or in one time only
+        u0 = sine_field(Grid(64), 0.5, 0.25)
+        ra, rb = (run(self.phi, self.g, u0, SchemeParams(t_end=0.04, snapshot_times=times))
+                  for times in ((0.01, 0.02), times_b))
+        assert len(ra.times) == 4 and len(rb.times) == len(times_b) + 2
+        for a, b in ((ra, rb), (rb, ra)):
+            with pytest.raises(ValueError, match="do not share a snapshot schedule"):
+                contraction_monitor(a, b)
 
 
 class TestNonexpansive:
