@@ -242,22 +242,12 @@ class PiecewiseFunction:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The explicit form of a config function, which ``parse_config`` reads back."""
         return {
             "breakpoints": list(self.breakpoints),
             "pieces": [list(p) for p in self.pieces],
             "monotone": self.monotone_nondecreasing,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PiecewiseFunction":
-        """Inverse of :meth:`to_dict`: numbers must be int or float, ``monotone`` a bool."""
-        bps, pieces, monotone = d["breakpoints"], d["pieces"], d.get("monotone", False)
-        numbers = [*bps, *(c for p in pieces for c in p)]
-        # bool is an int subclass, so it is rejected by name
-        if not isinstance(monotone, bool) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
-            raise ValueError(f"from_dict needs int/float numbers and a bool monotone: {d!r}")
-        return PiecewiseFunction(tuple(bps), tuple(tuple(p) for p in pieces), monotone)
 
 
 # -- named builders ---------------------------------------------------------

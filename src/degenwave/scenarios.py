@@ -53,10 +53,25 @@ CHECKS = {
     "contraction": ((), True, lambda r, rb, p, out: diag.contraction_monitor(r, rb)),
     "t_nonexpansive": ((), True, lambda r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb)),
 }
+# The keys of every config object, each read by _read. A number key maps to its
+# default: _REQUIRED if the object must set it, None if the library picks it.
+_REQUIRED = object()
 SCENARIO_FIELDS = ("name", "phi", "g", "initial", "initial_b", "grid", "scheme", "checks", "seed")
-_INITIAL_PARAMS = {  # parameters of the object-valued initial-data kinds, with defaults
+_GRID_FIELDS = ("n_cells",)
+_SCHEME_NUMBERS = {"t_end": _REQUIRED, "cfl_safety": 0.5}  # and snapshot_times
+_EXPLICIT_FIELDS = ("breakpoints", "pieces", "monotone")  # a function without a kind
+_RANGE = {"lo": -2.0, "hi": 2.0}
+_FUNCTION_KINDS = {  # kind -> (builder, its number parameters)
+    "burgers": (burgers, _RANGE),
+    "identity": (identity, _RANGE),
+    "linear": (linear, {**_RANGE, "slope": 1.0, "intercept": 0.0}),
+    "constant": (constant, {**_RANGE, "value": 0.0}),
+}
+_INITIAL_PARAMS = {  # the initial-data kinds; sine and step are objects of numbers
     "sine": {"mean": 0.0, "amplitude": 0.0, "frequency": 1.0},
-    "step": {"left": None, "right": None, "split": None},
+    "step": dict.fromkeys(("left", "right", "split"), _REQUIRED),
+    "cells": None,
+    "expression": None,
 }
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -114,6 +129,27 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _read(spec, path: str, owner: str, numbers: dict, others=()) -> dict:
+    """The numbers of the config object ``spec`` at ``path``, defaults filled in.
+
+    Any key outside ``numbers`` and ``others`` is a SchemaError at ``path/key``."""
+    if not isinstance(spec, dict):
+        raise SchemaError(path, "expected an object")
+    for key in spec:
+        if key not in numbers and key not in others:
+            raise SchemaError(f"{path}/{key}",
+                              f"unknown field: {owner} does not accept parameter {key!r}")
+    values = {}
+    for key, default in numbers.items():
+        if key in spec:
+            values[key] = _number(spec[key], f"{path}/{key}")
+        elif default is _REQUIRED:
+            raise SchemaError(f"{path}/{key}", f"{owner} requires {key!r}")
+        elif default is not None:
+            values[key] = default
+    return values
+
+
 # -- initial-data builders -----------------------------------------------------
 
 
@@ -146,26 +182,19 @@ def _parse_expression(text: str, path: str) -> list[tuple[float, str, float]]:
 
 def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
     """Materialize an initial-data spec on a grid (values at cell centers)."""
-    if not isinstance(spec, dict) or len(spec) != 1:
+    _read(spec, path, "initial data", {}, _INITIAL_PARAMS)
+    if len(spec) != 1:
         raise SchemaError(path, "expected exactly one of sine/step/cells/expression")
     ((kind, body),) = spec.items()
     x = grid.cell_centers()
-    if kind in _INITIAL_PARAMS:
-        if not isinstance(body, dict):
-            raise SchemaError(f"{path}/{kind}", "expected an object of parameters")
-        for key in body:
-            if key not in _INITIAL_PARAMS[kind]:
-                raise SchemaError(f"{path}/{kind}/{key}", f"{kind} does not accept {key!r}")
+    if _INITIAL_PARAMS[kind] is not None:
+        p = _read(body, f"{path}/{kind}", kind, _INITIAL_PARAMS[kind])
     # overflowing data is reported below as a config error, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "sine":
-            mean, amp, freq = (_number(body.get(key, default), f"{path}/sine/{key}")
-                               for key, default in _INITIAL_PARAMS["sine"].items())
-            vals = mean + amp * np.sin(2.0 * np.pi * freq * x)
+            vals = p["mean"] + p["amplitude"] * np.sin(2.0 * np.pi * p["frequency"] * x)
         elif kind == "step":
-            left, right, split = (_number(body.get(key), f"{path}/step")
-                                  for key in _INITIAL_PARAMS["step"])
-            vals = np.where(x < split, left, right)
+            vals = np.where(x < p["split"], p["left"], p["right"])
         elif kind == "cells":
             if not isinstance(body, list):
                 raise SchemaError(f"{path}/cells", "expected a list of numbers")
@@ -173,7 +202,7 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                 raise SchemaError(f"{path}/cells",
                                   f"expected {grid.n_cells} values, got {len(body)}")
             vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
-        elif kind == "expression":
+        else:
             vals = np.zeros_like(x)
             for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
                 if fn == "const":
@@ -182,8 +211,6 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                     vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
                 else:
                     vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
-        else:
-            raise SchemaError(path, f"unknown initial-data kind {kind!r}")
     if not np.isfinite(vals).all():
         raise SchemaError(f"{path}/{kind}", "initial values must be finite")
     return Field(grid, vals)
@@ -193,30 +220,20 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
 
 
 def _build_function(spec, path: str) -> PiecewiseFunction:
-    if not isinstance(spec, dict):
-        raise SchemaError(path, "expected an object")
-    if "kind" in spec:
+    if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
-
-        def num(key, default):
-            return _number(spec.get(key, default), f"{path}/{key}")
-
-        lo = num("lo", -2.0)
-        hi = num("hi", 2.0)
+        if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
+            raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
+        build, numbers = _FUNCTION_KINDS[kind]
+        params = _read(spec, path, kind, numbers, ("kind",))
         try:
-            if kind == "burgers":
-                return burgers(lo, hi)
-            if kind == "linear":
-                return linear(num("slope", 1.0), num("intercept", 0.0), lo, hi)
-            if kind == "identity":
-                return identity(lo, hi)
-            if kind == "constant":
-                return constant(num("value", 0.0), lo, hi)
+            return build(**params)
         except ValueError as e:
             raise SchemaError(path, str(e)) from e
-        raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
+    _read(spec, path, "a function without a kind", {}, _EXPLICIT_FIELDS)
     if "breakpoints" not in spec or "pieces" not in spec:
-        raise SchemaError(path, "need either kind or breakpoints+pieces")
+        raise SchemaError(f"{path}/{'pieces' if 'breakpoints' in spec else 'breakpoints'}",
+                          "need either kind or breakpoints+pieces")
     if not isinstance(spec["breakpoints"], list):
         raise SchemaError(f"{path}/breakpoints", "expected a list of numbers")
     pieces = spec["pieces"]
@@ -240,34 +257,25 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
 
 
 def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "scenario must be an object")
+    _read(doc, path, "a scenario", {}, SCENARIO_FIELDS)
     name = doc.get("name")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise SchemaError(f"{path}/name",
                           "name must match [A-Za-z0-9._-]+ (used as a directory)")
-    for key in doc:
-        if key not in SCENARIO_FIELDS:
-            raise SchemaError(f"{path}/{key}", "unknown field")
-    if "phi" not in doc or "g" not in doc:
-        raise SchemaError(path, "phi and g are required")
-    phi = _build_function(doc["phi"], f"{path}/phi")
-    g = _build_function(doc["g"], f"{path}/g")
+    phi = _build_function(doc.get("phi"), f"{path}/phi")
+    g = _build_function(doc.get("g"), f"{path}/g")
     if not g.monotone_nondecreasing:
         raise SchemaError(f"{path}/g/monotone",
                           "the diffusion function must be monotone nondecreasing")
-    grid_spec = doc.get("grid")
-    if not isinstance(grid_spec, dict) or "n_cells" not in grid_spec:
-        raise SchemaError(f"{path}/grid", "grid.n_cells is required")
-    n_cells = grid_spec["n_cells"]
+    _read(doc.get("grid"), f"{path}/grid", "grid", {}, _GRID_FIELDS)
+    n_cells = doc["grid"].get("n_cells")
     if not isinstance(n_cells, int) or not MIN_CELLS <= n_cells <= MAX_CELLS:
         raise SchemaError(f"{path}/grid/n_cells",
                           f"n_cells must be an integer in [{MIN_CELLS}, {MAX_CELLS}]")
     scheme_spec = doc.get("scheme")
-    if not isinstance(scheme_spec, dict) or "t_end" not in scheme_spec:
-        raise SchemaError(f"{path}/scheme", "scheme.t_end is required")
-    t_end = _number(scheme_spec["t_end"], f"{path}/scheme/t_end")
-    cfl = _number(scheme_spec.get("cfl_safety", 0.5), f"{path}/scheme/cfl_safety")
+    numbers = _read(scheme_spec, f"{path}/scheme", "scheme", _SCHEME_NUMBERS,
+                    ("snapshot_times",))
+    t_end = numbers["t_end"]
     times = scheme_spec.get("snapshot_times")
     if times is None:
         if t_end > 0.0:
@@ -279,15 +287,13 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         raise SchemaError(f"{path}/scheme/snapshot_times", "expected a list of times")
     times = [_number(t, f"{path}/scheme/snapshot_times/{i}") for i, t in enumerate(times)]
     try:
-        scheme = SchemeParams(t_end=t_end, cfl_safety=cfl, snapshot_times=tuple(times))
+        scheme = SchemeParams(**numbers, snapshot_times=tuple(times))
     except ValueError as e:
         sub = "cfl_safety" if "cfl" in str(e) else (
             "snapshot_times" if "snapshot" in str(e) else "t_end")
         raise SchemaError(f"{path}/scheme/{sub}", str(e)) from e
-    if "initial" not in doc:
-        raise SchemaError(f"{path}/initial", "initial data spec is required")
     grid = Grid(n_cells)
-    u0 = build_initial(doc["initial"], grid, f"{path}/initial")
+    u0 = build_initial(doc.get("initial"), grid, f"{path}/initial")
     fields = [u0]
     initial_b = None
     if "initial_b" in doc:
@@ -320,18 +326,14 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         if needs_b and initial_b is None:
             raise SchemaError(f"{cpath}/name",
                               f"{cname} needs a second initial condition (initial_b)")
-        params = []
-        for key, val in entry.items():
-            if key == "name":
-                continue
-            if key not in allowed:
-                raise SchemaError(f"{cpath}/{key}",
-                                  f"{cname} does not accept parameter {key!r}")
-            value = _number(val, f"{cpath}/{key}")
-            if key == "t_lo" and value > t_end:  # no snapshot would be left to judge
-                raise SchemaError(f"{cpath}/t_lo", f"t_lo {value!r} lies past t_end {t_end!r}")
-            params.append((key, value))
-        checks.append(CheckSpec(cname, tuple(sorted(params))))
+        params = _read(entry, cpath, cname, dict.fromkeys(allowed), ("name",))
+        if params.get("t_lo", t_end) > t_end:  # no snapshot would be left to judge
+            raise SchemaError(f"{cpath}/t_lo", f"t_lo {params['t_lo']!r} lies past t_end {t_end!r}")
+        if params.get("shift_upper", 0.0) < 0.0:  # a companion below the run
+            raise SchemaError(f"{cpath}/shift_upper", "shift_upper must be >= 0")
+        if params.get("shift_lower", 0.0) > 0.0:  # a companion above the run
+            raise SchemaError(f"{cpath}/shift_lower", "shift_lower must be <= 0")
+        checks.append(CheckSpec(cname, tuple(sorted(params.items()))))
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")

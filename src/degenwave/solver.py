@@ -188,16 +188,17 @@ def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
     """``max_stable_dt`` for the data range of ``u``.
 
     Raises ValueError unless ``g`` is flagged monotone_nondecreasing, and
-    CflViolationError when ``dt`` is given and exceeds that limit.
+    CflViolationError when ``dt`` is given and lies outside ``[0, limit]``.
     """
     if not g.monotone_nondecreasing:
         raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     u_min = float(u.values.min())
     u_max = float(u.values.max())
     dt_max = max_stable_dt(phi, g, u_min, u_max, u.grid.dx)
-    if dt is not None and dt > dt_max * (1.0 + _STEP_SLACK):
+    # a negative step runs the update backward, which is not monotone; NaN fails too
+    if dt is not None and not 0.0 <= dt <= dt_max * (1.0 + _STEP_SLACK):
         raise CflViolationError(
-            f"dt={dt!r} exceeds the monotone limit {dt_max!r} for data in "
+            f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone range for data in "
             f"[{u_min!r}, {u_max!r}]"
         )
     return dt_max

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -139,7 +140,8 @@ class TestParsing:
          "/scheme/snapshot_times/1"),
         ({"initial": {"cells": [1e999] + [0.0] * 63}}, "/initial/cells/0"),
         ({"initial": {"expression": "1e999"}}, "/initial/expression"),
-        ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}}, "/initial/step"),
+        ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}},
+         "/initial/step/left"),
         pytest.param({"initial": {"sine": {"mean": 1e308, "amplitude": 1e308}}},
                      "/initial/sine", marks=pytest.mark.filterwarnings("error")),
         ({"initial_b": {"cells": [0.0] * 63 + [-1e999]}, "checks": ["contraction"]},
@@ -154,9 +156,11 @@ class TestParsing:
         ({"scheme": {"t_end": 0.5, "cfl_safety": "0.5"}}, "/scheme/cfl_safety"),
         ({"checks": [{"name": "decay", "threshold": False}]}, "/checks/0/threshold"),
         ({"initial": {"sine": {"mean": 0.5, "amplitude": "0.2"}}}, "/initial/sine/amplitude"),
-        ({"initial": {"step": {"left": True, "right": 0.0, "split": 0.5}}}, "/initial/step"),
-        ({"initial": {"step": {"left": 0.1, "right": "0.2", "split": 0.5}}}, "/initial/step"),
-        ({"initial": {"step": {"left": 0.1, "right": 0.2}}}, "/initial/step"),
+        ({"initial": {"step": {"left": True, "right": 0.0, "split": 0.5}}},
+         "/initial/step/left"),
+        ({"initial": {"step": {"left": 0.1, "right": "0.2", "split": 0.5}}},
+         "/initial/step/right"),
+        ({"initial": {"step": {"left": 0.1, "right": 0.2}}}, "/initial/step/split"),
         ({"seed": True}, "/seed"),
         ({"tol": 10 ** 400}, "/tol"),
         # a misspelt parameter must not fall back to its default
@@ -194,6 +198,12 @@ class TestParsing:
         # a repeated check would overwrite its series_<name>.csv
         ({"checks": ["profile", "decay", "profile"]}, "/checks/2/name"),
         ({"checks": [{"name": "decay", "threshold": 1.0}, "decay"]}, "/checks/1/name"),
+        # a companion below (above) the run would make squeeze_bounds fail at run time
+        ({"checks": [{"name": "squeeze_bounds", "shift_upper": -0.1}]}, "/checks/0/shift_upper"),
+        ({"checks": [{"name": "squeeze_bounds", "shift_lower": 1e-9}]}, "/checks/0/shift_lower"),
+        # a missing key is reported at the path it would have
+        ({"phi": {"pieces": [[0.0, 1.0]]}}, "/phi/breakpoints"),
+        ({"scheme": {"cfl_safety": 0.5}}, "/scheme/t_end"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -224,6 +234,39 @@ class TestParsing:
         err = capsys.readouterr().err
         assert f"config error at {path}:" in err and message in err
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"bogus": 1}, "/bogus"),
+        ({"phi": {"kind": "burgers", "lo": -1, "hi": 1, "bogus": 1}}, "/phi/bogus"),
+        ({"phi": {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "bogus": 1}}, "/phi/bogus"),
+        ({"g": {"kind": "constant", "lo": -1, "hi": 1, "bogus": 1}}, "/g/bogus"),
+        ({"g": {"breakpoints": [-1, 1], "pieces": [[0.0]], "monotone": True, "bogus": 1}},
+         "/g/bogus"),
+        ({"grid": {"n_cells": 64, "bogus": 1}}, "/grid/bogus"),
+        ({"scheme": {"t_end": 0.5, "bogus": 1}}, "/scheme/bogus"),
+        ({"initial": {"sine": {"mean": 0.5}, "bogus": 1}}, "/initial/bogus"),
+        ({"initial": {"sine": {"mean": 0.5, "bogus": 1}}}, "/initial/sine/bogus"),
+        ({"initial": {"step": {"left": 0.4, "right": 0.6, "split": 0.5, "bogus": 1}}},
+         "/initial/step/bogus"),
+        ({"checks": [{"name": "decay", "bogus": 1}]}, "/checks/0/bogus"),
+        # misspelt keys must not fall back to their defaults
+        ({"phi": {"kind": "linear", "slop": 2.0, "lo": -1, "hi": 1}}, "/phi/slop"),
+        ({"phi": {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotne": False}},
+         "/phi/monotne"),
+        ({"phi": {"kind": "burgers", "breakpoints": [-1, 1], "lo": -1, "hi": 1}},
+         "/phi/breakpoints"),
+        ({"grid": {"n_cell": 64}}, "/grid/n_cell"),
+        ({"scheme": {"t_end": 0.5, "cfl": 0.9}}, "/scheme/cfl"),
+    ])
+    def test_unknown_key_is_exit_2_at_its_path(self, overrides, path, tmp_path, capsys):
+        doc = minimal(**overrides)
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == path
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli(["analyze", "--config", str(cfg)]) == 2
+        assert f"config error at {path}: unknown field" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):
@@ -236,7 +279,7 @@ class TestParsing:
         doc = minimal(initial={"step": {"left": 12345.0, "right": 0.0, "split": 0.5}})
         cfg.write_text(json.dumps([doc]).replace("12345.0", "1e999"))
         assert cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "config error at /0/initial/step:" in capsys.readouterr().err
+        assert "config error at /0/initial/step/left:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_repeated_scenario_name_is_exit_2(self, tmp_path, capsys):
@@ -336,6 +379,26 @@ class TestParsing:
             assert parse_config(config_to_json(cfg)) == cfg
 
 
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path so that no benchmark module lands on sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("size", WORKLOADS.SIZES)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_batches_parse(workload, size):
+    # a stricter schema must never reject the batches the benchmark feeds the program
+    for seed in range(10):
+        assert parse_config(WORKLOADS.generate(workload, seed, size))
+
+
 # A 16-cell pair scenario that uses every check with every parameter.
 FUZZ_BASE = {
     "name": "fuzz",
@@ -402,7 +465,8 @@ class TestCheckRegistry:
 
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_every_param_parses(self, name):
-        params = {key: 0.25 for key in CHECKS[name][0]}
+        # shift_lower is the one parameter that must not be positive
+        params = {key: -0.25 if key == "shift_lower" else 0.25 for key in CHECKS[name][0]}
         doc = minimal(initial_b=self.SECOND, checks=[{"name": name, **params}])
         cfg = parse_config(json.dumps(doc))
         assert cfg.checks[0].name == name
@@ -809,12 +873,15 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         good = self.write(tmp_path, MINIMAL)
         bad = self.write(tmp_path, minimal(grid={"n_cells": 2}), "bad.json")
-        ok, err = (subprocess.run([sys.executable, "-m", "degenwave", "analyze", "--config", cfg],
-                                  capture_output=True, text=True, env=env) for cfg in (good, bad))
-        assert ok.returncode == 0
-        assert json.loads(ok.stdout)["degenerate_speed"] is True
-        assert err.returncode == 2
-        assert "config error at /grid/n_cells:" in err.stderr
+        for module in ("degenwave", "degenwave.cli"):
+            ok, err = (subprocess.run([sys.executable, "-m", module, "analyze", "--config", cfg],
+                                      capture_output=True, text=True, env=env)
+                       for cfg in (good, bad))
+            assert ok.returncode == 0
+            assert json.loads(ok.stdout)["degenerate_speed"] is True
+            assert err.returncode == 2
+            assert err.stderr == ("config error at /grid/n_cells: n_cells must be an integer "
+                                  f"in [4, {MAX_CELLS}]\n")
 
     def test_shipped_quick_bundle_is_green(self, tmp_path, capsys):
         bundle = Path(__file__).resolve().parent.parent / "configs" / "quick_suite.json"

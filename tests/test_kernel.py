@@ -23,6 +23,7 @@ from degenwave import (
     linear,
     max_stable_dt,
     monotone_split,
+    parse_config,
     run,
     run_many,
     shift,
@@ -120,7 +121,8 @@ def test_band_squeeze_table_is_linear():
     # the mixed_band model: flux kink at 0, g flat below 0.8; three merged pieces
     bundle = Path(__file__).resolve().parent.parent / "configs" / "acceptance_suite.json"
     (spec,) = [s for s in json.loads(bundle.read_text()) if s["name"] == "mixed_band"]
-    phi, g = (PiecewiseFunction.from_dict(spec[k]) for k in ("phi", "g"))
+    cfg = parse_config(json.dumps(spec))
+    phi, g = cfg.phi, cfg.g
     inner, table = _kernel_table(phi, g)
     assert inner.tolist() == [0.0, 0.8]
     assert table.shape == (3, 3, 3) and table.flags.c_contiguous

@@ -5,6 +5,7 @@ import randmodels as rm
 from degenwave import (
     OutOfRangeError,
     PiecewiseFunction,
+    SchemaError,
     burgers,
     constant,
     from_breakpoints,
@@ -16,6 +17,7 @@ from degenwave import (
     maximal_constant_interval,
     monotone_split,
 )
+from degenwave.scenarios import _build_function
 from kernel_reference import total_variation_between
 
 
@@ -189,9 +191,11 @@ class TestMonotone:
 
 
 class TestSerialization:
+    # to_dict writes the explicit function form of a config, and the config
+    # parser is its one reader
     def test_round_trip(self):
         f = kink_flux()
-        assert PiecewiseFunction.from_dict(f.to_dict()) == f
+        assert _build_function(f.to_dict(), "/phi") == f
 
     @pytest.mark.parametrize("d", [
         {"breakpoints": [-1, True], "pieces": [["0", 1.0]], "monotone": "false"},
@@ -202,8 +206,8 @@ class TestSerialization:
         {"breakpoints": [-1, 1], "pieces": [[0.0, False]], "monotone": True},
     ])
     def test_from_dict_rejects_non_numbers_and_non_bool_flag(self, d):
-        with pytest.raises(ValueError):
-            PiecewiseFunction.from_dict(d)
+        with pytest.raises(SchemaError):
+            _build_function(d, "/phi")
 
 
 class TestMonotoneSplit:

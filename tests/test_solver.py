@@ -105,6 +105,19 @@ class TestStep:
         with pytest.raises(ValueError, match="monotone_nondecreasing"):
             step(burgers(-1, 1), linear(-1.0, 0.0, -1, 1), u, 1e-4)
 
+    @pytest.mark.parametrize("dt", [-0.01, -1e-300, math.nan], ids=["negative", "tiny", "nan"])
+    def test_negative_or_nan_dt_is_rejected_before_any_build(self, dt, monkeypatch):
+        # unguarded, a step of -0.01 runs the update backward and changes the field
+        import degenwave.solver as solvermod
+
+        def no_workspace(*args):
+            raise AssertionError("a workspace was built")
+
+        monkeypatch.setattr(solvermod, "_Workspace", no_workspace)
+        u = sine_field(Grid(16), 0.0, 0.2)
+        with pytest.raises(CflViolationError, match="outside"):
+            step(burgers(-1, 1), constant(0.0, -1, 1), u, dt)
+
     def test_comparison_principle_and_contraction(self):
         rng = np.random.default_rng(3)
         grid = Grid(32)
