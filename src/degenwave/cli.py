@@ -6,7 +6,8 @@ Subcommands:
 * ``suite --config FILE --out DIR``: a batch (object or array) plus summary.json.
 * ``analyze --config FILE``: print the structure report as JSON, no stepping.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error
+or an unusable output directory.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from pathlib import Path
 
 from . import scenarios
 from .errors import DegenwaveError, SchemaError
-from .grid import Grid
-from .scenarios import ScenarioConfig, ScenarioResult, build_initial
+from .scenarios import ScenarioConfig, ScenarioResult
 from .structure import analyze
 
 
@@ -64,9 +64,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
-    grid = Grid(cfg.grid_cells)
-    u0 = build_initial(json.loads(cfg.initial), grid)
-    report = analyze(cfg.phi, cfg.g, u0)
+    report = analyze(cfg.phi, cfg.g, cfg.initial)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -96,7 +94,7 @@ def cli(argv) -> int:
     except SchemaError as e:
         print(f"config error at {e.path or '/'}: {e.message}", file=sys.stderr)
         return 2
-    except DegenwaveError as e:
+    except (DegenwaveError, OSError) as e:  # OSError: --out cannot be made or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -94,11 +94,10 @@ class ScenarioConfig:
     name: str
     phi: PiecewiseFunction
     g: PiecewiseFunction
-    initial: str                  # JSON text of the initial-data spec
-    grid_cells: int
+    initial: Field                # its grid is the scenario's grid
     scheme: SchemeParams
     checks: tuple[CheckSpec, ...] = ()
-    initial_b: str | None = None
+    initial_b: Field | None = None
     seed: int = 0
 
 
@@ -180,8 +179,8 @@ def _parse_expression(text: str, path: str) -> list[tuple[float, str, float]]:
     return terms
 
 
-def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
-    """Materialize an initial-data spec on a grid (values at cell centers)."""
+def build_initial(spec: dict, grid: Grid, path: str) -> Field:
+    """Materialize an initial-data spec on a grid (read-only values at cell centers)."""
     _read(spec, path, "initial data", {}, _INITIAL_PARAMS)
     if len(spec) != 1:
         raise SchemaError(path, "expected exactly one of sine/step/cells/expression")
@@ -203,8 +202,10 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                                   f"expected {grid.n_cells} values, got {len(body)}")
             vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
         else:
+            if not isinstance(body, str):
+                raise SchemaError(f"{path}/expression", "expected a string")
             vals = np.zeros_like(x)
-            for coef, fn, freq in _parse_expression(str(body), f"{path}/expression"):
+            for coef, fn, freq in _parse_expression(body, f"{path}/expression"):
                 if fn == "const":
                     vals = vals + coef
                 elif fn == "sin":
@@ -213,7 +214,9 @@ def build_initial(spec: dict, grid: Grid, path: str = "/initial") -> Field:
                     vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
     if not np.isfinite(vals).all():
         raise SchemaError(f"{path}/{kind}", "initial values must be finite")
-    return Field(grid, vals)
+    u0 = Field(grid, vals)
+    u0.values.flags.writeable = False  # a parsed config is immutable, its data included
+    return u0
 
 
 # -- function specs ------------------------------------------------------------
@@ -293,19 +296,16 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             "snapshot_times" if "snapshot" in str(e) else "t_end")
         raise SchemaError(f"{path}/scheme/{sub}", str(e)) from e
     grid = Grid(n_cells)
-    u0 = build_initial(doc.get("initial"), grid, f"{path}/initial")
-    fields = [u0]
-    initial_b = None
+    fields = [build_initial(doc.get("initial"), grid, f"{path}/initial")]
     if "initial_b" in doc:
         fields.append(build_initial(doc["initial_b"], grid, f"{path}/initial_b"))
-        initial_b = json.dumps(doc["initial_b"])
     for f0 in fields:
         try:
             require_coverage(phi, g, f0)
         except CoverageError as e:
             raise SchemaError(f"{path}/{e.function}", str(e)) from e
-    try:  # the step run_many will take, so a run that exceeds MAX_STEPS never starts
-        require_step_budget(shared_dt(phi, g, fields, scheme), t_end)
+    try:  # the step run_many will take, so a run over the step budget never starts
+        require_step_budget(shared_dt(phi, g, fields, scheme), t_end, n_cells)
     except CflViolationError as e:
         raise SchemaError(f"{path}/scheme/t_end", str(e)) from e
     checks: list[CheckSpec] = []
@@ -323,7 +323,7 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         if any(c.name == cname for c in checks):  # its series_<name>.csv would be overwritten
             raise SchemaError(f"{cpath}/name", f"check {cname!r} is listed twice")
         allowed, needs_b, _ = CHECKS[cname]
-        if needs_b and initial_b is None:
+        if needs_b and "initial_b" not in doc:
             raise SchemaError(f"{cpath}/name",
                               f"{cname} needs a second initial condition (initial_b)")
         params = _read(entry, cpath, cname, dict.fromkeys(allowed), ("name",))
@@ -338,9 +338,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
     return ScenarioConfig(
-        name=name, phi=phi, g=g, initial=json.dumps(doc["initial"]),
-        grid_cells=n_cells, scheme=scheme, checks=tuple(checks),
-        initial_b=initial_b, seed=seed,
+        name=name, phi=phi, g=g, initial=fields[0], scheme=scheme, checks=tuple(checks),
+        initial_b=fields[1] if len(fields) > 1 else None, seed=seed,
     )
 
 
@@ -364,8 +363,8 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         "name": cfg.name,
         "phi": cfg.phi.to_dict(),
         "g": cfg.g.to_dict(),
-        "initial": json.loads(cfg.initial),
-        "grid": {"n_cells": cfg.grid_cells},
+        "initial": {"cells": cfg.initial.values.tolist()},
+        "grid": {"n_cells": cfg.initial.grid.n_cells},
         "scheme": {
             "t_end": cfg.scheme.t_end,
             "cfl_safety": cfg.scheme.cfl_safety,
@@ -375,7 +374,7 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
     }
     if cfg.initial_b is not None:
-        doc["initial_b"] = json.loads(cfg.initial_b)
+        doc["initial_b"] = {"cells": cfg.initial_b.values.tolist()}
     return doc
 
 
@@ -458,16 +457,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     started = time.perf_counter()
     out = Path(out_dir) / cfg.name
     out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(cfg.grid_cells)
-    u0 = build_initial(json.loads(cfg.initial), grid)
     error = None
     reports: list[diag.CheckReport] = []
     try:
-        fields = [u0]
-        if cfg.initial_b is not None:
-            # both trajectories advance with one shared admissible step so the
-            # pair checks compare states at identical times
-            fields.append(build_initial(json.loads(cfg.initial_b), grid))
+        # both trajectories advance with one shared admissible step so the
+        # pair checks compare states at identical times
+        fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
         results = run_many(cfg.phi, cfg.g, fields, cfg.scheme)
         structures = [r.structure for r in results]  # analysis errors are run errors too
     except Exception as e:  # a failed run must not abort the batch

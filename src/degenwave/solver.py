@@ -29,6 +29,7 @@ from .structure import StructureReport, analyze
 
 _STEP_SLACK = 1e-9
 MAX_STEPS = 10 ** 8  # the most steps one run may take
+MAX_CELL_STEPS = 400 * MAX_STEPS  # the most cell updates (steps x cells) one run may make
 
 
 @dataclass(frozen=True)
@@ -228,13 +229,21 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     return dt
 
 
-def require_step_budget(dt: float, t_end: float) -> None:
-    """Raise CflViolationError unless a step ``dt`` reaches ``t_end > 0`` within
-    ``MAX_STEPS`` steps (a zero horizon needs no step)."""
+def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
+    """The steps ``dt`` takes to reach ``t_end`` (none for a zero horizon).
+
+    Raises CflViolationError unless ``t_end > 0`` is reached within
+    ``MAX_STEPS`` steps and ``MAX_CELL_STEPS`` updates of ``n_cells`` cells."""
     if t_end > 0.0 and not dt * MAX_STEPS >= t_end:  # also dt <= 0 or NaN
         why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
             f"needs {t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
         raise CflViolationError(f"time step {dt!r} {why}")
+    steps = math.ceil(t_end / dt) if t_end > 0.0 else 0
+    if steps * n_cells > MAX_CELL_STEPS:
+        raise CflViolationError(
+            f"time step {dt!r} needs {steps} steps of {n_cells} cells to reach t_end, "
+            f"{steps * n_cells:.3g} cell updates, more than MAX_CELL_STEPS = {MAX_CELL_STEPS}")
+    return steps
 
 
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
@@ -246,7 +255,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     step count is deterministic for a given configuration. ``_dt`` forces a
     specific (still admissible) step; ``run_many`` passes its shared step
     this way. While ``t_end > 0``, a step that is not positive or needs more
-    than ``MAX_STEPS`` steps raises CflViolationError before any allocation.
+    than ``MAX_STEPS`` steps or ``MAX_CELL_STEPS`` cell updates raises
+    CflViolationError before any allocation.
     ``g`` must be flagged monotone_nondecreasing (ValueError otherwise) and
     the model must cover the data range only (OutOfRangeError otherwise).
     """
@@ -255,10 +265,9 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     else:
         _step_limit(phi, g, u0, _dt)
         dt = _dt
-    require_step_budget(dt, params.t_end)
+    steps = require_step_budget(dt, params.t_end, u0.grid.n_cells)
     requested = [t for t in params.snapshot_times if t > 0.0]
     # one row per due step (at most one per requested time), the initial and the final state
-    steps = math.ceil(params.t_end / dt) if params.t_end > 0.0 else 0
     table = np.empty((min(len(requested), steps) + 2, u0.grid.n_cells + 1))
     table[0, 0], table[0, 1:] = 0.0, u0.values
     s, ptr, k = 1, 0, 0

@@ -34,7 +34,6 @@ from degenwave.scenarios import (
     _write_profile_csv,
     _write_series_csv,
     _write_snapshots_csv,
-    build_initial,
     config_to_json,
 )
 from degenwave.solver import RunResult, run
@@ -115,10 +114,9 @@ class TestParsing:
     def test_expression_grammar(self):
         doc = minimal(initial={"expression": "0.5 + 0.2*sin(1) - 0.1*cos(2)"})
         cfg = parse_config(json.dumps(doc))
-        u0 = build_initial(json.loads(cfg.initial), Grid(64))
         x = Grid(64).cell_centers()
         want = 0.5 + 0.2 * np.sin(2 * np.pi * x) - 0.1 * np.cos(4 * np.pi * x)
-        assert u0.values == pytest.approx(want, abs=1e-15)
+        assert cfg.initial.values == pytest.approx(want, abs=1e-15)
 
     def test_expression_rejects_garbage(self):
         with pytest.raises(SchemaError) as err:
@@ -204,6 +202,10 @@ class TestParsing:
         # a missing key is reported at the path it would have
         ({"phi": {"pieces": [[0.0, 1.0]]}}, "/phi/breakpoints"),
         ({"scheme": {"cfl_safety": 0.5}}, "/scheme/t_end"),
+        # an expression is text, not a number that would run as a constant
+        ({"initial": {"expression": 0.25}}, "/initial/expression"),
+        ({"initial": {"expression": ["0.25"]}}, "/initial/expression"),
+        ({"initial": {"expression": None}}, "/initial/expression"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -554,6 +556,34 @@ class TestRunScenario:
         assert (tmp_path / "pairtest" / "snapshots_b.csv").exists()
         assert (tmp_path / "pairtest" / "structure_b.json").exists()
 
+    def test_initial_data_is_built_once_by_the_parser(self, tmp_path, monkeypatch, capsys):
+        original, calls = scenarios.build_initial, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # every module that imported it
+            if name.startswith("degenwave") and getattr(module, "build_initial", None) is original:
+                monkeypatch.setattr(module, "build_initial", counting)
+        doc = minimal(scheme={"t_end": 0.25}, grid={"n_cells": 32},
+                      initial_b={"sine": {"mean": 0.55, "amplitude": 0.3}},
+                      checks=["contraction"])
+        cfg = parse_config(json.dumps(doc))
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="read-only"):  # the frozen config's data too
+            cfg.initial_b.values[0] = 0.0
+        calls.clear()
+        assert run_scenario(cfg, tmp_path).passed
+        assert calls == []  # the run takes the parsed fields
+        for data, want in ((MINIMAL, 1), (doc, 2)):
+            calls.clear()
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))
+            assert cli(["analyze", "--config", str(path)]) == 0
+            assert len(calls) == want  # one per datum, all of them in the parser
+        capsys.readouterr()
+
     def test_profile_writes_csv(self, tmp_path):
         cfg = self.scenario(name="prof", checks=["profile"])
         run_scenario(cfg, tmp_path)
@@ -565,8 +595,7 @@ class TestRunScenario:
         # no t_lo in the config: the check and the library share the t_end / 2 default
         cfg = self.scenario(name="prof", checks=["profile"])
         run_scenario(cfg, tmp_path)
-        result = run(cfg.phi, cfg.g, build_initial(json.loads(cfg.initial), Grid(32)),
-                     cfg.scheme)
+        result = run(cfg.phi, cfg.g, cfg.initial, cfg.scheme)
         rep = diagnostics.extract_profile(result)
         assert rep.series[0][0] >= 0.5 * cfg.scheme.t_end > result.times[1]
         (entry,) = json.loads((tmp_path / "prof" / "checks.json").read_text())
@@ -735,6 +764,17 @@ class TestCli:
         assert code == 2
         assert "/scheme/cfl_safety" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_is_exit_2(self, command, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = cli([command, "--config", self.write(tmp_path, minimal(scheme={"t_end": 0.05})),
+                    "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert cli(["frobnicate"]) == 2
         capsys.readouterr()
@@ -828,7 +868,11 @@ class TestCli:
           "scheme": {"t_end": 20}},
          "time step 1.4899797076683654e-08 needs 1.34e+09 steps to reach "
          "t_end, more than MAX_STEPS = 100000000"),
-    ], ids=["underflow", "underflow_b", "too_many_steps"])
+        # within MAX_STEPS, but 78,644 steps of 2^20 cells are 8.2e10 cell updates
+        ({"grid": {"n_cells": 2 ** 20}, "scheme": {"t_end": 0.05}},
+         "time step 6.357828776051177e-07 needs 78644 steps of 1048576 cells to reach "
+         "t_end, 8.25e+10 cell updates, more than MAX_CELL_STEPS = 40000000000"),
+    ], ids=["underflow", "underflow_b", "too_many_steps", "too_much_work"])
     def test_step_budget_is_a_config_error(self, model, message, tmp_path, capsys):
         small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
         docs = [minimal(name="fine", **small), minimal(name="bad", **{**small, **model})]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from degenwave.scenarios import CHECKS, SCENARIO_FIELDS
+from degenwave.scenarios import CHECKS, SCENARIO_FIELDS, ScenarioConfig
 from degenwave.solver import RunResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,9 +50,20 @@ def test_readme_schema_and_checks_match_the_parser():
     assert listed == {name: allowed for name, (allowed, _, _) in CHECKS.items()}
 
 
+def _readme_field_list(lead: str) -> list[str]:
+    """The names in README's "Its fields are ..." sentence after ``lead``."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = text.split(lead, 1)[1].split("Its fields are", 1)[1]
+    return re.findall(r"`(\w+)`", sentence.split(".", 1)[0])
+
+
 def test_readme_lists_the_run_result_fields():
     """README's RunResult paragraph names the dataclass fields, in order."""
-    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    sentence = text.split("A `RunResult` holds", 1)[1].split("Its fields are", 1)[1]
-    listed = re.findall(r"`(\w+)`", sentence.split(".", 1)[0])
+    listed = _readme_field_list("A `RunResult` holds")
     assert listed == [f.name for f in dataclasses.fields(RunResult)]
+
+
+def test_readme_lists_the_scenario_config_fields():
+    """README's ScenarioConfig paragraph names the dataclass fields, in order."""
+    listed = _readme_field_list("A parsed `ScenarioConfig` holds")
+    assert listed == [f.name for f in dataclasses.fields(ScenarioConfig)]

@@ -224,6 +224,12 @@ class TestRun:
         # a zero horizon takes no step, so any step is fine there
         assert run(burgers(-1, 1), g, u0, SchemeParams(t_end=0.0), _dt=0.0).step_count == 0
 
+    def test_run_over_the_cell_update_budget_is_rejected(self):
+        # 5e7 steps are within MAX_STEPS, but not on 1024 cells
+        u0 = sine_field(Grid(1024), 0.5, 0.2)
+        with pytest.raises(CflViolationError, match="more than MAX_CELL_STEPS"):
+            run(burgers(-1, 1), constant(0.0, -1, 1), u0, SchemeParams(t_end=1.0), _dt=2e-8)
+
     def test_unflagged_diffusion_is_rejected_before_any_step(self, monkeypatch):
         # a backward diffusion breaks the max principle the fixed step needs
         import degenwave.solver as solvermod
