@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run --config FILE --out DIR``: one scenario, artifacts under DIR/<name>/.
 * ``suite --config FILE --out DIR``: a batch (object or array) plus summary.json.
-* ``analyze --config FILE``: print the structure report as JSON, no stepping.
+* ``analyze --config FILE``: print the structure report as JSON, no stepping,
+  with the predicted cost of the run under ``cost``.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error
 or an unusable output directory.
@@ -20,6 +21,7 @@ from pathlib import Path
 from . import scenarios
 from .errors import DegenwaveError, SchemaError
 from .scenarios import ScenarioConfig, ScenarioResult
+from .solver import predict_cost
 from .structure import analyze
 
 
@@ -65,7 +67,9 @@ def _cmd_suite(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
     report = analyze(cfg.phi, cfg.g, cfg.initial)
-    print(json.dumps(report.to_dict(), indent=2))
+    fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
+    cost = predict_cost(cfg.phi, cfg.g, fields, cfg.scheme)
+    print(json.dumps({**report.to_dict(), "cost": cost}, indent=2))
     return 0
 
 

@@ -284,6 +284,10 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         if t_end > 0.0:
             times = [i * t_end / (DEFAULT_SNAPSHOT_COUNT - 1)
                      for i in range(DEFAULT_SNAPSHOT_COUNT)]
+            if math.isinf(times[-1]):  # i * t_end overflowed, so the largest did
+                raise SchemaError(f"{path}/scheme/t_end",
+                                  f"t_end {t_end!r} overflows the default snapshot schedule "
+                                  f"i * t_end / {DEFAULT_SNAPSHOT_COUNT - 1}; list snapshot_times")
         else:
             times = [0.0]
     if not isinstance(times, list):

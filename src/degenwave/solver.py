@@ -99,11 +99,18 @@ class RunResult:
         return Field(self.grid, self.table[-1, 1:])
 
 
+def _cfl_terms(phi: PiecewiseFunction, g: PiecewiseFunction,
+               u_min: float, u_max: float, dx: float) -> tuple[float, float]:
+    """``(Lphi/dx, 2 Lg/dx^2)`` for data in [u_min, u_max], the convective and
+    the diffusive term of the step limit."""
+    return lipschitz_on(phi, u_min, u_max) / dx, 2.0 * lipschitz_on(g, u_min, u_max) / (dx * dx)
+
+
 def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
                   u_min: float, u_max: float, dx: float) -> float:
     """Largest dt keeping the update monotone for data in [u_min, u_max]."""
-    denom = lipschitz_on(phi, u_min, u_max) / dx \
-        + 2.0 * lipschitz_on(g, u_min, u_max) / (dx * dx)
+    convective, diffusive = _cfl_terms(phi, g, u_min, u_max, dx)
+    denom = convective + diffusive
     return math.inf if denom == 0.0 else 1.0 / denom
 
 
@@ -138,19 +145,23 @@ def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
 class _Workspace:
     """Buffers, views and constants of ``_apply_step``, built once per run, so
     a step allocates only its piece indices. ``bufs`` are two ghost-padded
-    ``(n+2,)`` states, the first holding ``values``."""
+    ``(n+2,)`` states, the first holding ``values``; ``interiors`` holds the
+    ``(cur[1:-1], nxt[1:-1])`` views of a step from either one. The step
+    ratios are 0-d arrays, which a ufunc takes without converting a float."""
 
     def __init__(self, table, values: np.ndarray, dx: float, dt: float):
         inner, coeffs = table
         self.search, self.take = inner.searchsorted, coeffs.take
         n = values.size
         self.bufs = (np.concatenate((values[-1:], values, values[:1])), np.empty(n + 2))
+        a, b = (buf[1:-1] for buf in self.bufs)
+        self.interiors = {id(self.bufs[0]): (a, b), id(self.bufs[1]): (b, a)}
         self.gath = np.empty((coeffs.shape[0], 3, n + 2))
         self.left, self.acc, *self.rest = self.gath
         self.t, self.lap = np.empty((3, n + 2)), np.empty(n)
         flux, down, G = self.acc
         self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2], G[2:], G[1:-1], G[:-2])
-        self.dt_dx, self.dt_dx2 = dt / dx, dt / (dx * dx)
+        self.dt_dx, self.dt_dx2 = np.array(dt / dx), np.array(dt / (dx * dx))
 
 
 def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
@@ -161,26 +172,28 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     three functions, and one stacked Horner scheme evaluates them, each in
     its own piece-local variable. The arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
-    operation for operation, so the output is the same to the bit.
+    operation for operation, so the output is the same to the bit: ``2 G_j``
+    is ``G_j + G_j``, exact as a doubling is. Every operand goes by position,
+    which spares numpy parsing keywords on each call.
     """
     # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
-    ws.take(ws.search(cur, side="right"), axis=2, out=ws.gath, mode="wrap")
+    ws.take(ws.search(cur, "right"), 2, ws.gath, "wrap")
     acc, t = ws.acc, ws.t
-    np.subtract(cur, ws.left, out=t)
+    np.subtract(cur, ws.left, t)
     for c in ws.rest:
-        np.multiply(acc, t, out=acc)
-        np.add(acc, c, out=acc)
+        np.multiply(acc, t, acc)
+        np.add(acc, c, acc)
     flux_l, down_r, flux_c, flux_p, g_r, g_c, g_l = ws.views
-    np.add(flux_l, down_r, out=flux_l)      # F_{j+1/2} = up_j + down_{j+1}
-    out, lap = nxt[1:-1], ws.lap
-    np.subtract(flux_c, flux_p, out=out)
-    np.multiply(out, ws.dt_dx, out=out)
-    np.subtract(cur[1:-1], out, out=out)
-    np.multiply(2.0, g_c, out=lap)
-    np.subtract(g_r, lap, out=lap)
-    np.add(lap, g_l, out=lap)
-    np.multiply(lap, ws.dt_dx2, out=lap)
-    np.add(out, lap, out=out)
+    np.add(flux_l, down_r, flux_l)          # F_{j+1/2} = up_j + down_{j+1}
+    (u, out), lap = ws.interiors[id(cur)], ws.lap
+    np.subtract(flux_c, flux_p, out)
+    np.multiply(out, ws.dt_dx, out)
+    np.subtract(u, out, out)
+    np.add(g_c, g_c, lap)
+    np.subtract(g_r, lap, lap)
+    np.add(lap, g_l, lap)
+    np.multiply(lap, ws.dt_dx2, lap)
+    np.add(out, lap, out)
     nxt[0], nxt[-1] = nxt[-2], nxt[1]       # one ghost cell per side
 
 
@@ -244,6 +257,29 @@ def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
             f"time step {dt!r} needs {steps} steps of {n_cells} cells to reach t_end, "
             f"{steps * n_cells:.3g} cell updates, more than MAX_CELL_STEPS = {MAX_CELL_STEPS}")
     return steps
+
+
+def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
+                 params: SchemeParams) -> dict:
+    """What ``run_many(phi, g, u0s, params)`` will take, without stepping.
+
+    ``dt`` and ``steps`` are the ``shared_dt`` and ``require_step_budget``
+    that the run applies (and raise as they do), ``cell_updates`` is steps
+    times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are the step-limit terms of the
+    member with the smallest limit, and ``binding`` names the larger of the
+    two (None when both are 0 and the step is the horizon).
+    """
+    u0s = list(u0s)
+    dt = shared_dt(phi, g, u0s, params)
+    n = u0s[0].grid.n_cells
+    steps = require_step_budget(dt, params.t_end, n)
+    terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
+                 for u in u0s), key=sum)
+    return {
+        "dt": dt, "steps": steps, "cell_updates": steps * n,
+        "Lphi/dx": terms[0], "2Lg/dx^2": terms[1],
+        "binding": None if not any(terms) else "Lphi/dx" if terms[0] >= terms[1] else "2Lg/dx^2",
+    }
 
 
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,

@@ -37,6 +37,7 @@ from degenwave.scenarios import (
     config_to_json,
 )
 from degenwave.solver import RunResult, run
+from degenwave.structure import analyze
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +66,15 @@ class TestParsing:
         assert cfg.seed == 0
         assert len(cfg.scheme.snapshot_times) == 33
         assert [c.name for c in cfg.checks] == ["conservation"]
+
+    def test_huge_t_end_keeps_the_default_schedule_or_needs_listed_times(self):
+        flat = {"phi": {"kind": "constant", "value": 0.2, "lo": -1, "hi": 1}}
+        cfg = parse_config(json.dumps(minimal(**flat, scheme={"t_end": 5e306})))
+        assert cfg.scheme.snapshot_times == tuple(i * 5e306 / 32 for i in range(33))
+        assert cfg.scheme.snapshot_times[-1] == 5e306
+        cfg = parse_config(json.dumps(minimal(
+            **flat, scheme={"t_end": 1e308, "snapshot_times": [0.0, 1e308]})))
+        assert cfg.scheme.snapshot_times == (0.0, 1e308)
 
     def test_array_of_scenarios(self):
         cfgs = parse_config(json.dumps([MINIMAL, minimal(name="b2")]))
@@ -206,6 +216,12 @@ class TestParsing:
         ({"initial": {"expression": 0.25}}, "/initial/expression"),
         ({"initial": {"expression": ["0.25"]}}, "/initial/expression"),
         ({"initial": {"expression": None}}, "/initial/expression"),
+        # the default schedule i * t_end / 32 overflows though t_end is finite; a
+        # flat flux takes one step of t_end, so only the schedule is at fault
+        ({"scheme": {"t_end": 1e308}}, "/scheme/t_end"),
+        ({"scheme": {"t_end": 5e307}}, "/scheme/t_end"),
+        ({"phi": {"kind": "constant", "value": 0.2, "lo": -1, "hi": 1},
+          "scheme": {"t_end": 1e308}}, "/scheme/t_end"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -744,6 +760,40 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["a"] == doc["b"] == doc["I"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_analyze_adds_the_cost_of_a_pair(self, tmp_path, capsys):
+        # the wider datum b sets the shared step, and so the printed terms
+        doc = minimal(initial_b={"sine": {"mean": 0.5, "amplitude": 0.45}})
+        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = parse_config(json.dumps(doc))
+        cost = out.pop("cost")
+        assert out == analyze(cfg.phi, cfg.g, cfg.initial).to_dict()
+        assert cost["binding"] == "Lphi/dx" and cost["2Lg/dx^2"] == 0.0
+        assert cost["Lphi/dx"] == pytest.approx(64 * cfg.initial_b.values.max(), rel=1e-12)
+        assert cost["dt"] == 0.5 * (1.0 / cost["Lphi/dx"])
+        ra, rb = solver.run_many(cfg.phi, cfg.g, [cfg.initial, cfg.initial_b], cfg.scheme)
+        assert ra.step_count == rb.step_count == cost["steps"] == cost["cell_updates"] / 64
+        alone = solver.predict_cost(cfg.phi, cfg.g, [cfg.initial], cfg.scheme)
+        assert alone["dt"] > cost["dt"]
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_analyze_predicts_the_steps_of_shipped_runs(self, path, tmp_path, capsys):
+        known = {"mixed_band": (57600, "2Lg/dx^2"), "burgers_decay": (12000, "Lphi/dx")}
+        docs = json.loads(path.read_text())
+        for doc in docs if isinstance(docs, list) else [docs]:
+            assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
+            cost = json.loads(capsys.readouterr().out)["cost"]
+            cfg = parse_config(json.dumps(doc))
+            fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
+            runs = solver.run_many(cfg.phi, cfg.g, fields, cfg.scheme)
+            assert [(r.dt, r.step_count) for r in runs] == [(cost["dt"], cost["steps"])] * len(runs)
+            assert cost["cell_updates"] == cost["steps"] * cfg.initial.grid.n_cells
+            denom = cost["Lphi/dx"] + cost["2Lg/dx^2"]
+            assert cost["dt"] == cfg.scheme.cfl_safety * (1.0 / denom)
+            if cfg.name in known:
+                assert (cost["steps"], cost["binding"]) == known[cfg.name]
 
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -117,11 +118,16 @@ def test_all_linear_table_matches_reference_bit_for_bit(seed, n, g_degree):
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
 
-def test_band_squeeze_table_is_linear():
-    # the mixed_band model: flux kink at 0, g flat below 0.8; three merged pieces
+def mixed_band():
+    """The acceptance bundle's ``mixed_band`` scenario: n=400, flux kink at 0, g flat below 0.8."""
     bundle = Path(__file__).resolve().parent.parent / "configs" / "acceptance_suite.json"
     (spec,) = [s for s in json.loads(bundle.read_text()) if s["name"] == "mixed_band"]
-    cfg = parse_config(json.dumps(spec))
+    return parse_config(json.dumps(spec))
+
+
+def test_band_squeeze_table_is_linear():
+    # the mixed_band model has three merged pieces
+    cfg = mixed_band()
     phi, g = cfg.phi, cfg.g
     inner, table = _kernel_table(phi, g)
     assert inner.tolist() == [0.0, 0.8]
@@ -162,6 +168,75 @@ def test_signed_zero_data_matches_reference(phi, g):
     for row in values:
         got = one_step(_kernel_table(phi, g), row, 1.0 / 16, 1e-3)
         assert np.array_equal(bits(got), bits(apply_step_reference(up, down, g, row, 1.0 / 16, 1e-3)))
+
+
+# signed zeros, subnormals, the smallest normal, ordinary values, the largest
+# finite values (whose doubling overflows) and the infinities
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                    2.2250738585072014e-308, 0.1, -0.3, 1.0, 3.7e5, -6.02e23,
+                    1.7976931348623157e308, -1.7976931348623157e308, 8.98846567431158e307,
+                    math.inf, -math.inf])
+
+
+def test_doubling_by_addition_is_bit_identical():
+    # the kernel forms 2 G_j as G_j + G_j
+    x = np.concatenate((SPECIAL, np.random.default_rng(0).standard_normal(64) * 1e300))
+    with np.errstate(over="ignore"):
+        want = np.multiply(2.0, x)
+        got = np.add(x, x, np.empty_like(x))
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 0.0125, 1.0 / 3.0, 7.2e-5, 5e-324, 1e-310,
+                                   3.0e5, 1.7976931348623157e308])
+def test_zero_d_array_operand_is_bit_identical_to_float(ratio):
+    # the kernel holds dt/dx and dt/dx^2 as 0-d float64 arrays
+    x = np.concatenate((SPECIAL, np.random.default_rng(1).uniform(-2.0, 2.0, size=64)))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.multiply(x, ratio)
+        got = np.multiply(x, np.array(ratio), np.empty_like(x))
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(bits(got), bits(want))
+
+
+def step_peak(ws):
+    """Peak traced bytes of one ``_apply_step``, after an untraced one."""
+    _apply_step(ws, *ws.bufs)              # first calls may fill caches of numpy's
+    tracemalloc.start()
+    try:
+        _apply_step(ws, *ws.bufs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384"])
+def test_a_step_allocates_only_its_piece_indices(case):
+    # numpy may run the one broadcast ufunc (cur minus the left ends) through
+    # iteration buffers of up to getbufsize() elements; at the smallest buffer
+    # size those take a few hundred bytes, and what is left is the step's own
+    if case == "mixed_band_400":
+        cfg = mixed_band()
+        phi, g, values = cfg.phi, cfg.g, cfg.initial.values
+    else:
+        grid = Grid(16384)
+        phi, g = burgers(), constant(0.0)
+        values = 0.5 + 0.3 * np.sin(2 * np.pi * grid.cell_centers())
+    n, slack = values.size, 2048
+    dt = 0.5 * max_stable_dt(phi, g, float(values.min()), float(values.max()), 1.0 / n)
+    ws = _Workspace(_kernel_table(phi, g), values, 1.0 / n, dt)
+    idx = ws.search(ws.bufs[0], "right")
+    assert idx.shape == (n + 2,)
+    old = np.setbufsize(16)
+    try:
+        assert step_peak(ws) <= idx.nbytes + slack
+        # both steps start from bufs[0]; handed its indices, a step allocates
+        # nothing that grows with n, so a temporary of n cells would show
+        ws.search = lambda *args: idx
+        assert step_peak(ws) <= slack
+    finally:
+        np.setbufsize(old)
 
 
 @settings(max_examples=40, deadline=None)
