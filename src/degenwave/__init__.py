@@ -66,7 +66,6 @@ from .scenarios import (
     parse_config,
     run_scenario,
     run_suite,
-    serialize_config,
 )
 from .solver import RunResult, SchemeParams, max_stable_dt, run, run_many, step
 from .structure import StructureReport, analyze, band_project_mean, cutoff

@@ -16,6 +16,7 @@ from . import grid as gridmod
 from .errors import UnsupportedTestFnError
 from .grid import Field, constant_field, l1_distance, shift
 from .solver import RunResult, run, shared_dt
+from .structure import StructureReport
 
 # Sup norms of the standard bump exp(1 - 1/(1 - s^2)) and its derivatives,
 # slightly rounded up so they stay valid upper bounds.
@@ -353,27 +354,37 @@ def cutoff_convergence(run_result: RunResult, threshold: float | None = None) ->
                        extra={"band_lo": lo, "band_hi": hi})
 
 
+def squeeze_companions(u0: Field, structure: StructureReport | None,
+                       shift_upper: float | None = None,
+                       shift_lower: float | None = None) -> tuple[tuple[float, Field], ...]:
+    """``(shift, data)`` of the upper and the lower companion of ``squeeze_bounds``.
+
+    The data are ``u0 + shift``. A shift left None is the distance from the
+    mean to that end of ``structure``'s affine interval; ``structure`` (the
+    analysis of ``u0``) is read only then.
+    """
+    su = (structure.affine_hi - structure.mean) if shift_upper is None else float(shift_upper)
+    sl = (structure.affine_lo - structure.mean) if shift_lower is None else float(shift_lower)
+    if su < 0.0 or sl > 0.0:
+        raise ValueError("shift_upper must be >= 0 and shift_lower <= 0")
+    with np.errstate(over="ignore"):  # data that overflow are Field's ValueError, not a warning
+        upper, lower = u0.values + su, u0.values + sl
+    return (su, Field(u0.grid, upper)), (sl, Field(u0.grid, lower))
+
+
 def squeeze_bounds(run_result: RunResult, shift_upper: float | None = None,
                    shift_lower: float | None = None) -> CheckReport:
     """Exceedance above/below the affine band is dominated by shifted comparison runs.
 
-    Runs two companions from ``u0 + shift_upper`` and ``u0 + shift_lower``
-    (defaults: distance from the mean to the affine interval ends). All
-    trajectories advance with one shared time step so the discrete comparison
-    principle applies exactly; the reported violation is how far the
-    integrated exceedance of the base run rises above the companion's. The
-    companions are never analyzed, so the model needs to cover their data
-    ranges only.
+    Runs two companions from ``squeeze_companions``. All trajectories advance
+    with one shared time step so the discrete comparison principle applies
+    exactly; the reported violation is how far the integrated exceedance of
+    the base run rises above the companion's. The companions are never
+    analyzed, so the model needs to cover their data ranges only.
     """
     st = run_result.structure
-    su = (st.affine_hi - st.mean) if shift_upper is None else float(shift_upper)
-    sl = (st.affine_lo - st.mean) if shift_lower is None else float(shift_lower)
-    if su < 0.0 or sl > 0.0:
-        raise ValueError("shift_upper must be >= 0 and shift_lower <= 0")
     u0 = run_result.initial
-    grid = u0.grid
-    upper0 = Field(grid, u0.values + su)
-    lower0 = Field(grid, u0.values + sl)
+    (su, upper0), (sl, lower0) = squeeze_companions(u0, st, shift_upper, shift_lower)
     phi, g, params = run_result.phi, run_result.g, run_result.params
     dt_shared = min(run_result.dt, shared_dt(phi, g, [upper0, lower0], params))
     if dt_shared == run_result.dt:

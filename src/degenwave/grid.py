@@ -58,11 +58,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values)
 
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
     def __repr__(self):
         return f"Field(n={self.grid.n_cells}, min={self.values.min():g}, max={self.values.max():g})"
 

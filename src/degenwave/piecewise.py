@@ -239,16 +239,6 @@ class PiecewiseFunction:
         i = self.piece_index(u)
         return _deriv_val(self.pieces[i], u - self.breakpoints[i])
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """The explicit form of a config function, which ``parse_config`` reads back."""
-        return {
-            "breakpoints": list(self.breakpoints),
-            "pieces": [list(p) for p in self.pieces],
-            "monotone": self.monotone_nondecreasing,
-        }
-
 
 # -- named builders ---------------------------------------------------------
 

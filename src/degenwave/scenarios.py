@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import CflViolationError, CoverageError, SchemaError
+from .errors import CflViolationError, CoverageError, OutOfRangeError, SchemaError
 from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
 from .piecewise import PiecewiseFunction, burgers, constant, identity, linear
 from .solver import RunResult, SchemeParams, require_step_budget, run_many, shared_dt
-from .structure import require_coverage
+from .structure import analyze, require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
 # Files of fewer floats are written by repr. floatfmt is faster from a few
@@ -98,7 +98,6 @@ class ScenarioConfig:
     scheme: SchemeParams
     checks: tuple[CheckSpec, ...] = ()
     initial_b: Field | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -309,7 +308,8 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         except CoverageError as e:
             raise SchemaError(f"{path}/{e.function}", str(e)) from e
     try:  # the step run_many will take, so a run over the step budget never starts
-        require_step_budget(shared_dt(phi, g, fields, scheme), t_end, n_cells)
+        dt = shared_dt(phi, g, fields, scheme)
+        require_step_budget(dt, t_end, n_cells)
     except CflViolationError as e:
         raise SchemaError(f"{path}/scheme/t_end", str(e)) from e
     checks: list[CheckSpec] = []
@@ -337,13 +337,22 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             raise SchemaError(f"{cpath}/shift_upper", "shift_upper must be >= 0")
         if params.get("shift_lower", 0.0) > 0.0:  # a companion above the run
             raise SchemaError(f"{cpath}/shift_lower", "shift_lower must be <= 0")
+        if cname == "squeeze_bounds":  # the base run and its companions share one step
+            try:
+                st = None if len(params) == 2 else analyze(phi, g, fields[0])
+                companions = [u for _, u in diag.squeeze_companions(fields[0], st, **params)]
+                require_step_budget(min(dt, shared_dt(phi, g, companions, scheme)), t_end, n_cells)
+            except CflViolationError as e:
+                raise SchemaError(f"{cpath}/name", f"squeeze_bounds companions: {e}") from e
+            except (OutOfRangeError, ValueError, OverflowError):
+                pass  # data the model cannot analyze or step fail at run time
         checks.append(CheckSpec(cname, tuple(sorted(params.items()))))
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", 0)  # accepted and checked, not stored
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
     return ScenarioConfig(
         name=name, phi=phi, g=g, initial=fields[0], scheme=scheme, checks=tuple(checks),
-        initial_b=fields[1] if len(fields) > 1 else None, seed=seed,
+        initial_b=fields[1] if len(fields) > 1 else None,
     )
 
 
@@ -360,32 +369,6 @@ def parse_config(text):
                 raise SchemaError(f"/{i}/name", f"scenario name {cfg.name!r} is used twice")
         return cfgs
     return _parse_scenario(doc, "")
-
-
-def serialize_config(cfg: ScenarioConfig) -> dict:
-    doc = {
-        "name": cfg.name,
-        "phi": cfg.phi.to_dict(),
-        "g": cfg.g.to_dict(),
-        "initial": {"cells": cfg.initial.values.tolist()},
-        "grid": {"n_cells": cfg.initial.grid.n_cells},
-        "scheme": {
-            "t_end": cfg.scheme.t_end,
-            "cfl_safety": cfg.scheme.cfl_safety,
-            "snapshot_times": list(cfg.scheme.snapshot_times),
-        },
-        "checks": [{"name": c.name, **c.param_dict()} for c in cfg.checks],
-        "seed": cfg.seed,
-    }
-    if cfg.initial_b is not None:
-        doc["initial_b"] = {"cells": cfg.initial_b.values.tolist()}
-    return doc
-
-
-def config_to_json(cfg) -> str:
-    if isinstance(cfg, list):
-        return json.dumps([serialize_config(c) for c in cfg], indent=2)
-    return json.dumps(serialize_config(cfg), indent=2)
 
 
 # -- execution -------------------------------------------------------------------

@@ -31,10 +31,10 @@ from degenwave.cli import cli
 from degenwave.grid import MAX_CELLS
 from degenwave.scenarios import (
     CHECKS,
+    _build_function,
     _write_profile_csv,
     _write_series_csv,
     _write_snapshots_csv,
-    config_to_json,
 )
 from degenwave.solver import RunResult, run
 from degenwave.structure import analyze
@@ -63,7 +63,6 @@ class TestParsing:
         cfg = parse_config(json.dumps(MINIMAL).encode())
         assert cfg.name == "burgers_min"
         assert cfg.scheme.cfl_safety == 0.5
-        assert cfg.seed == 0
         assert len(cfg.scheme.snapshot_times) == 33
         assert [c.name for c in cfg.checks] == ["conservation"]
 
@@ -288,8 +287,43 @@ class TestParsing:
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):
-        cfgs = parse_config(path.read_bytes())
-        assert parse_config(config_to_json(cfgs)) == cfgs
+        assert parse_config(path.read_bytes())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shifts", [{"shift_upper": 1e308},
+                                        {"shift_upper": 1e308, "shift_lower": 0.0}])
+    def test_squeeze_companions_that_overflow_are_left_to_the_run(self, shifts):
+        # the default lower shift needs analyze, whose fsum mean of these data
+        # overflows, and u0 + 1e308 is inf; the run reports both, as before
+        wide = {"lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(phi={"kind": "constant", **wide}, g={"kind": "constant", **wide},
+                      initial={"sine": {"mean": 1e308}}, grid={"n_cells": 8},
+                      checks=[{"name": "squeeze_bounds", **shifts}])
+        assert parse_config(json.dumps(doc)).checks[0].param_dict() == shifts
+
+    def test_seed_is_checked_not_stored(self):
+        cfg = parse_config(json.dumps(minimal(seed=7)))
+        assert not hasattr(cfg, "seed")
+
+    def test_explicit_function_builds_the_same_function(self):
+        # -u on [-1, 0], 2u on [0, 1]
+        spec = {"breakpoints": [-1, 0, 1], "pieces": [[1.0, -1], [0, 2]], "monotone": False}
+        f = _build_function(spec, "/phi")
+        assert f.breakpoints == (-1.0, 0.0, 1.0)
+        assert f.pieces == ((1.0, -1.0), (0.0, 2.0))
+        assert not f.monotone_nondecreasing
+
+    @pytest.mark.parametrize("d", [
+        {"breakpoints": [-1, True], "pieces": [["0", 1.0]], "monotone": "false"},
+        {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotone": "false"},
+        {"breakpoints": [-1, True], "pieces": [[0.0, 1.0]]},
+        {"breakpoints": [-1, "1"], "pieces": [[0.0, 1.0]]},
+        {"breakpoints": [-1, 1], "pieces": [["0", 1.0]]},
+        {"breakpoints": [-1, 1], "pieces": [[0.0, False]], "monotone": True},
+    ])
+    def test_from_dict_rejects_non_numbers_and_non_bool_flag(self, d):
+        with pytest.raises(SchemaError):
+            _build_function(d, "/phi")
 
     def test_non_finite_literal_in_suite_is_exit_2(self, tmp_path, capsys):
         # 1e999 parses to inf; it must stop the suite before any stepping
@@ -328,73 +362,6 @@ class TestParsing:
         cfg.write_bytes(text)
         assert cli(["analyze", "--config", str(cfg)]) == 2
         assert "config error at /: invalid JSON" in capsys.readouterr().err
-
-    def test_round_trip(self):
-        docs = [
-            MINIMAL,
-            minimal(name="pair", initial_b={"step": {"left": 0.2, "right": 0.6,
-                                                     "split": 0.5}},
-                    checks=["contraction", "t_nonexpansive"]),
-            minimal(name="explicit_fn",
-                    phi={"breakpoints": [-1.0, 0.0, 1.0],
-                         "pieces": [[1.0, -1.0], [0.0, 2.0]], "monotone": False},
-                    checks=[{"name": "decay", "threshold": 0.5}],
-                    seed=7),
-        ]
-        for doc in docs:
-            cfg = parse_config(json.dumps(doc))
-            again = parse_config(config_to_json(cfg))
-            assert again == cfg
-
-    def test_serialized_floats_round_trip_exactly(self):
-        cfg = parse_config(json.dumps(minimal(scheme={"t_end": 0.1,
-                                                      "cfl_safety": 0.3})))
-        again = parse_config(config_to_json(cfg))
-        assert again.scheme.snapshot_times == cfg.scheme.snapshot_times
-
-    def test_round_trip_random_configs(self):
-        rng = np.random.default_rng(11)
-        def random_kink():
-            mid = float(rng.uniform(-0.5, 0.5))
-            c0 = float(rng.uniform(-1, 1))
-            c1 = float(rng.uniform(-1, 1))
-            left_end = c0 + c1 * (mid - (-2.0))
-            return {"breakpoints": [-2.0, mid, 2.0],
-                    "pieces": [[c0, c1], [left_end, float(rng.uniform(-1, 1))]],
-                    "monotone": False}
-
-        kinds = [
-            lambda: {"kind": "burgers", "lo": -2, "hi": 2},
-            lambda: {"kind": "linear", "slope": float(rng.uniform(-2, 2)),
-                     "intercept": float(rng.uniform(-1, 1)), "lo": -2, "hi": 2},
-            random_kink,
-        ]
-        initials = [
-            lambda: {"sine": {"mean": float(rng.uniform(-0.3, 0.3)),
-                              "amplitude": float(rng.uniform(0.05, 0.4)),
-                              "frequency": int(rng.integers(1, 4))}},
-            lambda: {"step": {"left": float(rng.uniform(-0.5, 0.0)),
-                              "right": float(rng.uniform(0.0, 0.5)),
-                              "split": float(rng.uniform(0.2, 0.8))}},
-            lambda: {"expression": f"{float(rng.uniform(-0.3, 0.3))!r} + "
-                                   f"{float(rng.uniform(0.05, 0.3))!r}*sin(2)"},
-        ]
-        for i in range(12):
-            doc = minimal(
-                name=f"rand{i}",
-                phi=kinds[int(rng.integers(0, 3))](),
-                g={"kind": "constant", "value": float(rng.uniform(-1, 1)),
-                   "lo": -2, "hi": 2},
-                initial=initials[int(rng.integers(0, 3))](),
-                grid={"n_cells": int(rng.integers(4, 200))},
-                scheme={"t_end": float(rng.uniform(0.1, 2.0)),
-                        "cfl_safety": float(rng.uniform(0.1, 1.0))},
-                checks=["conservation",
-                        {"name": "decay", "threshold": float(rng.uniform(0.1, 2))}],
-                seed=int(rng.integers(0, 2 ** 31)),
-            )
-            cfg = parse_config(json.dumps(doc))
-            assert parse_config(config_to_json(cfg)) == cfg
 
 
 def _load_workloads():
@@ -931,6 +898,48 @@ class TestCli:
         assert code == 2
         assert f"config error at /1/scheme/t_end: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any stepping
+
+    @staticmethod
+    def steep_squeeze(slope, check):
+        """g is flat on the data [0.2, 0.8] and has ``slope`` on [1, 2], where the
+        upper companion of ``squeeze_bounds`` reaches (its default shift is 0.3)."""
+        return minimal(name="steep", phi={"kind": "linear", "slope": 2},
+                       g={"breakpoints": [-2, 1, 2], "pieces": [[0.0], [0.0, slope]],
+                          "monotone": True},
+                       initial={"sine": {"mean": 0.5, "amplitude": 0.3}},
+                       grid={"n_cells": 64}, scheme={"t_end": 1}, checks=[check])
+
+    @pytest.mark.parametrize("check", [{"name": "squeeze_bounds", "shift_upper": 0.5},
+                                       "squeeze_bounds"], ids=["given_shift", "default_shift"])
+    def test_squeeze_companions_are_in_the_step_budget(self, check, tmp_path, capsys):
+        # the base run takes 256 steps; the upper companion steps at 6.1e-9
+        doc = self.steep_squeeze(1e4, check)
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == "/checks/0/name"
+        assert "needs 1.64e+08 steps to reach t_end" in str(err.value)
+        code = cli(["run", "--config", self.write(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error at /checks/0/name: squeeze_bounds companions: time step 6.1")
+        assert not (tmp_path / "out").exists()  # rejected before any stepping
+        doc["checks"] = ["conservation"]
+        assert parse_config(json.dumps(doc))
+
+    def test_parse_budgets_the_step_squeeze_bounds_runs_at(self, tmp_path, monkeypatch):
+        budgeted = []
+
+        def recording(dt, *args):
+            budgeted.append(dt)
+            return solver.require_step_budget(dt, *args)
+
+        monkeypatch.setattr(scenarios, "require_step_budget", recording)
+        doc = self.steep_squeeze(1000.0, "squeeze_bounds")
+        doc["scheme"] = {"t_end": 1e-5}
+        res = run_scenario(parse_config(json.dumps(doc)), tmp_path)
+        assert res.error is None
+        (rep,) = res.reports
+        assert budgeted[1] == rep.extra["shared_dt"] < budgeted[0]
 
     @pytest.mark.parametrize("model, message", [
         ({"g": {"kind": "constant", "value": 1e308, "lo": -1, "hi": 1}},

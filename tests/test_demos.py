@@ -1,6 +1,7 @@
 """Smoke test: every demo and README example runs to completion against the current API."""
 
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import degenwave
 from degenwave.scenarios import CHECKS, SCENARIO_FIELDS, ScenarioConfig
 from degenwave.solver import RunResult
 
@@ -67,3 +69,14 @@ def test_readme_lists_the_scenario_config_fields():
     """README's ScenarioConfig paragraph names the dataclass fields, in order."""
     listed = _readme_field_list("A parsed `ScenarioConfig` holds")
     assert listed == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+
+def test_readme_public_api_is_the_package_exports():
+    """README's "Public API" list names exactly the public non-module names of
+    ``degenwave``; parenthesized names (a type's fields) are not exports."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Public API", 1)[1].split("`import degenwave` exports:", 1)[1]
+    section = re.sub(r"\([^)]*\)", "", section.split("\n\n", 2)[1])
+    exported = {name for name, value in vars(degenwave).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(re.findall(r"`(\w+)`", section)) == exported

@@ -42,14 +42,6 @@ def test_field_validates_shape_and_finiteness():
         Field(g, [1.0, 2.0, np.nan, 0.0])
 
 
-def test_field_equality_is_grid_and_values():
-    u = Field(Grid(4), [0.1, 0.2, 0.3, 0.4])
-    assert u == u.copy() == Field(Grid(4), np.array([0.1, 0.2, 0.3, 0.4]))
-    assert u != Field(Grid(4), [0.1, 0.2, 0.3, 0.5])
-    assert u != Field(Grid(8), [0.1, 0.2, 0.3, 0.4] * 2)
-    assert u != u.values.tolist()
-
-
 class TestDistances:
     def test_l1_zero_for_equal(self):
         g = Grid(16)

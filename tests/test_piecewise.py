@@ -5,7 +5,6 @@ import randmodels as rm
 from degenwave import (
     OutOfRangeError,
     PiecewiseFunction,
-    SchemaError,
     burgers,
     constant,
     from_breakpoints,
@@ -17,7 +16,6 @@ from degenwave import (
     maximal_constant_interval,
     monotone_split,
 )
-from degenwave.scenarios import _build_function
 from kernel_reference import total_variation_between
 
 
@@ -188,26 +186,6 @@ class TestMonotone:
             xs = np.sort(rng.uniform(g.lo, g.hi, size=30))
             vals = g.eval(xs)
             assert np.all(np.diff(vals) >= -1e-12)
-
-
-class TestSerialization:
-    # to_dict writes the explicit function form of a config, and the config
-    # parser is its one reader
-    def test_round_trip(self):
-        f = kink_flux()
-        assert _build_function(f.to_dict(), "/phi") == f
-
-    @pytest.mark.parametrize("d", [
-        {"breakpoints": [-1, True], "pieces": [["0", 1.0]], "monotone": "false"},
-        {"breakpoints": [-1, 1], "pieces": [[0.0, 1.0]], "monotone": "false"},
-        {"breakpoints": [-1, True], "pieces": [[0.0, 1.0]]},
-        {"breakpoints": [-1, "1"], "pieces": [[0.0, 1.0]]},
-        {"breakpoints": [-1, 1], "pieces": [["0", 1.0]]},
-        {"breakpoints": [-1, 1], "pieces": [[0.0, False]], "monotone": True},
-    ])
-    def test_from_dict_rejects_non_numbers_and_non_bool_flag(self, d):
-        with pytest.raises(SchemaError):
-            _build_function(d, "/phi")
 
 
 class TestMonotoneSplit:
