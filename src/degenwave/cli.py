@@ -7,8 +7,8 @@ Subcommands:
 * ``analyze --config FILE``: print the structure report as JSON, no stepping,
   with the predicted cost of the run under ``cost``.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error
-or an unusable output directory.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
+an unusable output directory, or an ``analyze`` whose analysis fails.
 """
 
 from __future__ import annotations
@@ -66,9 +66,13 @@ def _cmd_suite(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
-    report = analyze(cfg.phi, cfg.g, cfg.initial)
     fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
-    cost = predict_cost(cfg.phi, cfg.g, fields, cfg.scheme)
+    try:
+        report = analyze(cfg.phi, cfg.g, cfg.initial)
+        cost = predict_cost(cfg.phi, cfg.g, fields, cfg.scheme)
+    except (ValueError, OverflowError) as e:  # as a run reports its analysis errors
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     print(json.dumps({**report.to_dict(), "cost": cost}, indent=2))
     return 0
 

@@ -204,17 +204,23 @@ class PiecewiseFunction:
         self._require_inside(u, u)
         return int(np.searchsorted(self._cache["inner"], u, side="right"))
 
-    def _eval_unchecked(self, arr: np.ndarray) -> np.ndarray:
+    def _eval_unchecked(self, arr: np.ndarray, piece: int | None = None) -> np.ndarray:
         """Vector evaluation without range checks (caller guarantees coverage).
 
         One gather fetches every argument's left end and coefficients, then
         Horner runs in place in the piece-local variable. Above a piece's top
         nonzero coefficient the table holds only +0.0, and ``±0 + c == c``
         for every stored ``c`` (none is -0.0), so trimming or padding with
-        zero rows does not change a bit.
+        zero rows does not change a bit. When every argument lies in piece
+        ``piece``, its column alone is read: no lookup and no gather, and
+        the same operations on the same values.
         """
-        idx = np.searchsorted(self._cache["inner"], arr, side="right")
-        left, acc, *rest = np.take(self._cache["table"], idx, axis=1)
+        if piece is None:
+            idx = np.searchsorted(self._cache["inner"], arr, side="right")
+            left, acc, *rest = np.take(self._cache["table"], idx, axis=1)
+        else:
+            left, lead, *rest = self._cache["table"][:, piece]
+            acc = np.full(arr.shape, lead)
         t = arr - left
         for c in rest:
             acc *= t
@@ -227,7 +233,8 @@ class PiecewiseFunction:
         umin = float(arr.min())
         umax = float(arr.max())
         self._require_inside(umin, umax)
-        out = self._eval_unchecked(arr)
+        lo, hi = np.searchsorted(self._cache["inner"], (umin, umax), side="right")
+        out = self._eval_unchecked(arr, int(lo) if lo == hi else None)
         if np.ndim(u) == 0:
             return float(out)
         return out

@@ -142,12 +142,26 @@ def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
     return inner, np.stack(stacked, axis=1)
 
 
+def _piece_span(search, values: np.ndarray) -> tuple[int, int]:
+    """The first and the last merged kernel piece that ``values`` lie in, by
+    ``search``, the ``searchsorted`` of the merged inner breakpoints."""
+    lo, hi = search((values.min(), values.max()), "right")
+    return int(lo), int(hi)
+
+
 class _Workspace:
     """Buffers, views and constants of ``_apply_step``, built once per run, so
-    a step allocates only its piece indices. ``bufs`` are two ghost-padded
+    a step allocates at most its piece indices. ``bufs`` are two ghost-padded
     ``(n+2,)`` states, the first holding ``values``; ``interiors`` holds the
     ``(cur[1:-1], nxt[1:-1])`` views of a step from either one. The step
-    ratios are 0-d arrays, which a ufunc takes without converting a float."""
+    ratios are 0-d arrays, which a ufunc takes without converting a float.
+
+    When ``values`` lie in one merged piece, ``piece`` is its index: ``gath``
+    holds that piece's column in every cell, and ``lead`` keeps its leading
+    coefficient row, from which each step restarts Horner. By the max
+    principle every later state lies in ``[min values, max values]``, so the
+    piece lookup would return ``piece`` in every cell on every step. Otherwise
+    ``piece`` and ``lead`` are None."""
 
     def __init__(self, table, values: np.ndarray, dx: float, dt: float):
         inner, coeffs = table
@@ -162,6 +176,12 @@ class _Workspace:
         flux, down, G = self.acc
         self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2], G[2:], G[1:-1], G[:-2])
         self.dt_dx, self.dt_dx2 = np.array(dt / dx), np.array(dt / (dx * dx))
+        lo, hi = _piece_span(self.search, values)
+        self.piece = self.lead = None
+        if lo == hi:
+            self.piece = lo
+            self.gath[...] = coeffs[:, :, lo, None]
+            self.lead = self.acc.copy()
 
 
 def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
@@ -170,19 +190,27 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     Both are ghost-padded ``(n+2,)`` buffers of ``ws``, so neighbours are
     slices of one contiguous array. One gather fetches the piece data of all
     three functions, and one stacked Horner scheme evaluates them, each in
-    its own piece-local variable. The arithmetic matches
+    its own piece-local variable. With one piece in range (``ws.lead``) the
+    gathered data are already in place, and Horner starts from ``ws.lead``:
+    its first multiply gives the same bits as the in-place one. The
+    arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
     operation for operation, so the output is the same to the bit: ``2 G_j``
     is ``G_j + G_j``, exact as a doubling is. Every operand goes by position,
     which spares numpy parsing keywords on each call.
     """
-    # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
-    ws.take(ws.search(cur, "right"), 2, ws.gath, "wrap")
-    acc, t = ws.acc, ws.t
+    acc, t, lead = ws.acc, ws.t, ws.lead
+    if lead is None:
+        # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
+        ws.take(ws.search(cur, "right"), 2, ws.gath, "wrap")
+        lead = acc
+    elif not ws.rest:
+        np.copyto(acc, lead)                # degree 0: the flux sum below overwrote acc
     np.subtract(cur, ws.left, t)
     for c in ws.rest:
-        np.multiply(acc, t, acc)
+        np.multiply(lead, t, acc)
         np.add(acc, c, acc)
+        lead = acc
     flux_l, down_r, flux_c, flux_p, g_r, g_c, g_l = ws.views
     np.add(flux_l, down_r, flux_l)          # F_{j+1/2} = up_j + down_{j+1}
     (u, out), lap = ws.interiors[id(cur)], ws.lap
@@ -267,7 +295,9 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     that the run applies (and raise as they do), ``cell_updates`` is steps
     times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are the step-limit terms of the
     member with the smallest limit, and ``binding`` names the larger of the
-    two (None when both are 0 and the step is the horizon).
+    two (None when both are 0 and the step is the horizon). ``pieces`` is the
+    most merged kernel pieces that one member's data range touches; at 1,
+    every member steps without the piece lookup.
     """
     u0s = list(u0s)
     dt = shared_dt(phi, g, u0s, params)
@@ -275,10 +305,13 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     steps = require_step_budget(dt, params.t_end, n)
     terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
                  for u in u0s), key=sum)
+    search = _kernel_table(phi, g)[0].searchsorted
+    spans = [_piece_span(search, u.values) for u in u0s]
     return {
         "dt": dt, "steps": steps, "cell_updates": steps * n,
         "Lphi/dx": terms[0], "2Lg/dx^2": terms[1],
         "binding": None if not any(terms) else "Lphi/dx" if terms[0] >= terms[1] else "2Lg/dx^2",
+        "pieces": max(hi - lo + 1 for lo, hi in spans),
     }
 
 
@@ -287,7 +320,10 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     """Advance ``u0`` to ``t_end``, recording snapshots as the rows of a table.
 
     The time step is fixed for the whole run from the initial data range,
-    which stays valid because the range never grows (max principle). The
+    which stays valid because the range never grows (max principle). When
+    that range lies in one merged kernel piece, every step uses that piece's
+    coefficients, and each recorded snapshot is checked to lie in it still
+    (RuntimeError otherwise). The
     step count is deterministic for a given configuration. ``_dt`` forces a
     specific (still admissible) step; ``run_many`` passes its shared step
     this way. While ``t_end > 0``, a step that is not positive or needs more
@@ -323,6 +359,10 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
                     table[s, 0], table[s, 1:] = t, cur[1:-1]
                     if not np.isfinite(table[s, 1:]).all():
                         raise ValueError("field values must be finite")
+                    if ws.piece is not None and \
+                            _piece_span(ws.search, table[s, 1:]) != (ws.piece, ws.piece):
+                        raise RuntimeError(f"the state at t={t!r} left kernel piece {ws.piece}, "
+                                           "which holds the initial data range")
                     s += 1
                     while ptr < len(requested) and (final or requested[ptr] <= t + _STEP_SLACK * dt):
                         ptr += 1

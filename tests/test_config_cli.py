@@ -36,7 +36,7 @@ from degenwave.scenarios import (
     _write_series_csv,
     _write_snapshots_csv,
 )
-from degenwave.solver import RunResult, run
+from degenwave.solver import RunResult, _Workspace, run
 from degenwave.structure import analyze
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -746,21 +746,40 @@ class TestCli:
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.name)
-    def test_analyze_predicts_the_steps_of_shipped_runs(self, path, tmp_path, capsys):
+    def test_analyze_predicts_the_steps_of_shipped_runs(self, path, tmp_path, capsys,
+                                                        monkeypatch):
         known = {"mixed_band": (57600, "2Lg/dx^2"), "burgers_decay": (12000, "Lphi/dx")}
+        made = []
+        monkeypatch.setattr(solver, "_Workspace",
+                            lambda *args: made.append(_Workspace(*args)) or made[-1])
         docs = json.loads(path.read_text())
         for doc in docs if isinstance(docs, list) else [docs]:
             assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
             cost = json.loads(capsys.readouterr().out)["cost"]
             cfg = parse_config(json.dumps(doc))
             fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
+            made.clear()
             runs = solver.run_many(cfg.phi, cfg.g, fields, cfg.scheme)
+            # pieces 1: every member steps without the piece lookup
+            assert cost["pieces"] == (2 if cfg.name in ("mixed_band", "det_mixed") else 1)
+            assert [ws.piece is not None for ws in made] == [cost["pieces"] == 1] * len(runs)
             assert [(r.dt, r.step_count) for r in runs] == [(cost["dt"], cost["steps"])] * len(runs)
             assert cost["cell_updates"] == cost["steps"] * cfg.initial.grid.n_cells
             denom = cost["Lphi/dx"] + cost["2Lg/dx^2"]
             assert cost["dt"] == cfg.scheme.cfl_safety * (1.0 / denom)
             if cfg.name in known:
                 assert (cost["steps"], cost["binding"]) == known[cfg.name]
+
+    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # parsing accepts it; the fsum of the mean overflows
+        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(phi=wide, g=wide, grid={"n_cells": 8},
+                      initial={"sine": {"mean": 1e308, "amplitude": 1e307}})
+        parse_config(json.dumps(doc))
+        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: OverflowError: intermediate overflow in fsum\n"
 
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})

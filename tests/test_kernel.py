@@ -75,6 +75,113 @@ def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
 
+def one_piece_values(rng, inner, n):
+    """A merged piece ``k`` and values inside it, some on its left end."""
+    ends = np.concatenate(([-2.0], inner, [2.0]))
+    k = int(rng.integers(ends.size - 1))
+    values = rng.uniform(ends[k], ends[k + 1], size=n)
+    values[rng.random(size=n) < 0.2] = ends[k]
+    return k, np.minimum(values, np.nextafter(ends[k + 1], -np.inf))
+
+
+def steps_match_reference(phi, g, values, dt, count):
+    """``count`` steps of one workspace equal the reference steps bit for bit;
+    returns the workspace."""
+    up, down = monotone_split(phi)
+    dx = 1.0 / values.size
+    ws = _Workspace(_kernel_table(phi, g), values, dx, dt)
+    cur, nxt = ws.bufs
+    want = values
+    for _ in range(count):
+        _apply_step(ws, cur, nxt)
+        cur, nxt = nxt, cur
+        want = apply_step_reference(up, down, g, want, dx, dt)
+        assert np.array_equal(bits(cur[1:-1]), bits(want))
+    return ws
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 64, 5000]))
+def test_one_piece_kernel_matches_reference_bit_for_bit(seed, n):
+    # data in one merged piece take the path without the lookup; three steps,
+    # since each must rewrite the accumulator row that the last one consumed
+    rng, phi, g = random_model(seed)
+    inner, _ = _kernel_table(phi, g)
+    k, values = one_piece_values(rng, inner, n)
+    dx = 1.0 / n
+    cap = max_stable_dt(phi, g, float(values.min()), float(values.max()), dx)
+    dt = float(rng.uniform(0.1, 1.0)) * min(cap, 1.0)
+    ws = steps_match_reference(phi, g, values, dt, 3)
+    assert ws.piece == k
+
+
+# three merged pieces: phi kinks at 0 and g at 0.5, and D = 2
+KINKED = (from_breakpoints((-2.0, 0.0, 2.0), [[0.0, -1.0], [0.0, 1.0, 0.5]]),
+          from_breakpoints((-2.0, 0.5, 2.0), [[0.0], [0.0, 0.3]], monotone=True))
+
+
+@pytest.mark.parametrize("lo, hi, piece", [
+    (-0.5, 0.0, None),          # max on a breakpoint touches the next piece
+    (-0.5, -1e-12, 0),
+    (0.0, 0.4, 1),              # min on a breakpoint lies in the right-hand piece
+    (0.0, 0.5, None),
+    (0.5, 1.5, 2),
+    (-1.0, 1.0, None),
+])
+def test_one_piece_selection_at_breakpoints(lo, hi, piece):
+    phi, g = KINKED
+    inner, coeffs = _kernel_table(phi, g)
+    assert inner.tolist() == [0.0, 0.5] and coeffs.shape[0] == 4
+    grid = Grid(64)
+    values = lo + (hi - lo) * (0.5 + 0.5 * np.sin(2 * np.pi * grid.cell_centers()))
+    values[[0, 32]] = lo, hi
+    dt = 0.5 * max_stable_dt(phi, g, lo, hi, grid.dx)
+    ws = steps_match_reference(phi, g, values, dt, 4)
+    assert ws.piece == piece
+    assert (ws.lead is None) == (piece is None)
+
+
+def test_run_raises_when_a_snapshot_leaves_the_kernel_piece(monkeypatch):
+    # the max principle keeps every state in piece 1, [0, 0.5); a step that
+    # breaks it is caught at the next snapshot
+    phi, g = KINKED
+    grid = Grid(64)
+    u0 = Field(grid, 0.25 + 0.2 * np.sin(2 * np.pi * grid.cell_centers()))
+    params = SchemeParams(t_end=0.05, snapshot_times=(0.0, 0.05))
+    res = run(phi, g, u0, params)
+    assert res.step_count > 1
+
+    def leaky(ws, cur, nxt):
+        _apply_step(ws, cur, nxt)
+        nxt[9] = 0.5
+
+    monkeypatch.setattr(solvermod, "_apply_step", leaky)
+    with pytest.raises(RuntimeError, match=r"t=.* left kernel piece 1"):
+        run(phi, g, u0, params)
+
+
+@pytest.mark.parametrize("phi", [constant(0.3), linear(0.0, -0.2)], ids=["constant", "flat"])
+def test_degree_zero_one_piece_steps(phi):
+    # constant phi and g leave no Horner row, so every step restores the
+    # accumulator that the flux sum overwrote; the data stay as they are
+    g = from_breakpoints((-2.0, 1.0, 2.0), [[0.25], [0.0]], monotone=True)
+    assert _kernel_table(phi, g)[1].shape[0] == 2
+    values = 0.5 + 0.25 * np.sin(2 * np.pi * Grid(32).cell_centers())
+    ws = steps_match_reference(phi, g, values, 1e-3, 5)
+    assert ws.piece == 0 and not ws.rest
+    assert np.array_equal(ws.bufs[1][1:-1], values)
+    # phi_down is +0.0 at D = 0, so adding it leaves the row as it was; a
+    # table whose down row is 1e308 shows that each step starts from the
+    # table again: a row that kept its sum would reach inf - inf = nan
+    inner, coeffs = _kernel_table(phi, g)
+    coeffs = coeffs.copy()
+    coeffs[1, 1] = 1e308
+    ws = _Workspace((inner, coeffs), values, 1.0 / 32, 1e-3)
+    for cur, nxt in [ws.bufs, ws.bufs[::-1]] * 2:
+        _apply_step(ws, cur, nxt)
+    assert np.array_equal(ws.bufs[0][1:-1], values)
+
+
 def linear_model(rng, g_degree):
     """Piecewise-linear flux that rises on one piece and falls on another, and
     a monotone g of trimmed degree ``g_degree`` (0: flat pieces only, 1: linear)."""
@@ -211,21 +318,33 @@ def step_peak(ws):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384"])
-def test_a_step_allocates_only_its_piece_indices(case):
-    # numpy may run the one broadcast ufunc (cur minus the left ends) through
-    # iteration buffers of up to getbufsize() elements; at the smallest buffer
-    # size those take a few hundred bytes, and what is left is the step's own
-    if case == "mixed_band_400":
+def step_case(case):
+    """The workspace of a step of ``case``, named by its model and cell count."""
+    if case.startswith("mixed_band"):
         cfg = mixed_band()
         phi, g, values = cfg.phi, cfg.g, cfg.initial.values
+        if case.endswith("plateau"):               # inside [0, 0.8], one piece
+            values = 0.4 + 0.3 * np.sin(2 * np.pi * cfg.initial.grid.cell_centers())
     else:
-        grid = Grid(16384)
+        grid = Grid(int(case.split("_")[1]))
         phi, g = burgers(), constant(0.0)
         values = 0.5 + 0.3 * np.sin(2 * np.pi * grid.cell_centers())
-    n, slack = values.size, 2048
+    n = values.size
     dt = 0.5 * max_stable_dt(phi, g, float(values.min()), float(values.max()), 1.0 / n)
-    ws = _Workspace(_kernel_table(phi, g), values, 1.0 / n, dt)
+    return _Workspace(_kernel_table(phi, g), values, 1.0 / n, dt)
+
+
+# numpy may run the one broadcast ufunc (cur minus the left ends) through
+# iteration buffers of up to getbufsize() elements; at the smallest buffer
+# size those take a few hundred bytes, and what is left is the step's own
+SLACK = 2048
+
+
+@pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384"])
+def test_a_step_allocates_only_its_piece_indices(case):
+    ws = step_case(case)
+    ws.piece = ws.lead = None            # Burgers lies in one piece; look it up anyway
+    n, slack = ws.lap.size, SLACK
     idx = ws.search(ws.bufs[0], "right")
     assert idx.shape == (n + 2,)
     old = np.setbufsize(16)
@@ -235,6 +354,17 @@ def test_a_step_allocates_only_its_piece_indices(case):
         # nothing that grows with n, so a temporary of n cells would show
         ws.search = lambda *args: idx
         assert step_peak(ws) <= slack
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("case", ["burgers_400", "burgers_16384", "mixed_band_400_plateau"])
+def test_a_one_piece_step_allocates_nothing_that_grows_with_n(case):
+    ws = step_case(case)
+    assert ws.piece is not None
+    old = np.setbufsize(16)
+    try:
+        assert step_peak(ws) <= SLACK
     finally:
         np.setbufsize(old)
 
@@ -254,6 +384,17 @@ def test_eval_unchecked_matches_reference_bit_for_bit(seed):
         for arg in (x, block, point):
             got, want = f._eval_unchecked(arg), eval_reference(f, arg)
             assert np.shape(got) == np.shape(want) == arg.shape
+            assert np.array_equal(bits(got), bits(want))
+        # arguments confined to one piece, its left end included, read that
+        # piece's column alone; eval picks that path from their range
+        k = int(rng.integers(len(f.pieces)))
+        a, b = f.breakpoints[k], f.breakpoints[k + 1]
+        inside = rng.uniform(a, b, size=(4, 64))
+        inside[:, ::7] = a
+        inside = np.minimum(inside, np.nextafter(b, a) if k + 1 < len(f.pieces) else b)
+        want = eval_reference(f, inside)
+        for got in (f._eval_unchecked(inside, k), f.eval(inside)):
+            assert got.shape == inside.shape and got.base is None
             assert np.array_equal(bits(got), bits(want))
 
 
