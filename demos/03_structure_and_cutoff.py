@@ -23,10 +23,14 @@ u0 = dw.Field(grid, 0.625 + 0.325 * np.sin(2 * np.pi * grid.cell_centers()))
 phi = dw.from_breakpoints([-2.0, 0.0, 2.0], [[2.0, -1.0], [0.0, 2.0]])
 g = dw.from_breakpoints([-2.0, 0.8, 2.0], [[0.0], [0.0, 0.02]], monotone=True)
 
-res = dw.run(phi, g, u0, dw.SchemeParams(t_end=4.0,
-                                         snapshot_times=tuple(np.linspace(0, 4, 17))))
-st = res.structure
+st = dw.analyze(phi, g, u0)
 print("structure:", st.to_dict())
+
+# the squeeze companions: u0 shifted to the ends of the affine interval, stepped
+# with u0 at one shared time step, so the comparison principle holds exactly
+(su, upper), (sl, lower) = dw.squeeze_companions(u0, st)
+res, up, lo = dw.run_many(phi, g, [u0, upper, lower],
+                          dw.SchemeParams(t_end=4.0, snapshot_times=tuple(np.linspace(0, 4, 17))))
 
 cut = dw.cutoff_convergence(res)
 print("\n  t     ||u - clamp(u)||_1")
@@ -35,7 +39,7 @@ for t, v in cut.series[::2]:
 print(f"final {cut.observed:.2e} vs threshold {cut.threshold:.2e} "
       f"-> passed={cut.passed}")
 
-sq = dw.squeeze_bounds(res)
+sq = dw.squeeze_bounds(res, (su, up), (sl, lo))
 print(f"\nsqueeze domination: worst violation {sq.observed:.2e} "
       f"(levels {sq.extra['lower_level']:.3f} / {sq.extra['upper_level']:.3f})")
 

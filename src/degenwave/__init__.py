@@ -21,6 +21,7 @@ from .diagnostics import (
     entropy_residual,
     extract_profile,
     squeeze_bounds,
+    squeeze_companions,
     t_nonexpansive_from_runs,
     traveling_profile,
     weak_form_residual,

@@ -66,13 +66,13 @@ def _cmd_suite(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
-    fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
     try:
         report = analyze(cfg.phi, cfg.g, cfg.initial)
-        cost = predict_cost(cfg.phi, cfg.g, fields, cfg.scheme)
+        cost = predict_cost(cfg.phi, cfg.g, cfg.fields, *cfg.step)
     except (ValueError, OverflowError) as e:  # as a run reports its analysis errors
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    cost["trajectories"] = cfg.trajectories
     print(json.dumps({**report.to_dict(), "cost": cost}, indent=2))
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import UnsupportedTestFnError
 from .grid import Field, constant_field, l1_distance, shift
-from .solver import RunResult, run, shared_dt
+from .solver import RunResult
 from .structure import StructureReport
 
 # Sup norms of the standard bump exp(1 - 1/(1 - s^2)) and its derivatives,
@@ -372,29 +372,23 @@ def squeeze_companions(u0: Field, structure: StructureReport | None,
     return (su, Field(u0.grid, upper)), (sl, Field(u0.grid, lower))
 
 
-def squeeze_bounds(run_result: RunResult, shift_upper: float | None = None,
-                   shift_lower: float | None = None) -> CheckReport:
+def squeeze_bounds(base: RunResult, upper: tuple[float, RunResult],
+                   lower: tuple[float, RunResult]) -> CheckReport:
     """Exceedance above/below the affine band is dominated by shifted comparison runs.
 
-    Runs two companions from ``squeeze_companions``. All trajectories advance
-    with one shared time step so the discrete comparison principle applies
-    exactly; the reported violation is how far the integrated exceedance of
-    the base run rises above the companion's. The companions are never
-    analyzed, so the model needs to cover their data ranges only.
+    ``upper`` and ``lower`` are ``(shift, run)`` of the companions from
+    ``squeeze_companions``, stepped at the time step of ``base`` so the
+    discrete comparison principle applies exactly; the reported violation is
+    how far the integrated exceedance of ``base`` over ``mean + shift`` rises
+    above the companion's. The companions are never analyzed, so the model
+    needs to cover their data ranges only.
     """
-    st = run_result.structure
-    u0 = run_result.initial
-    (su, upper0), (sl, lower0) = squeeze_companions(u0, st, shift_upper, shift_lower)
-    phi, g, params = run_result.phi, run_result.g, run_result.params
-    dt_shared = min(run_result.dt, shared_dt(phi, g, [upper0, lower0], params))
-    if dt_shared == run_result.dt:
-        base = run_result
-    else:
-        base = run(phi, g, u0, params, _dt=dt_shared)
-    upper_run = run(phi, g, upper0, params, _dt=dt_shared)
-    lower_run = run(phi, g, lower0, params, _dt=dt_shared)
+    (su, upper_run), (sl, lower_run) = upper, lower
+    if not upper_run.dt == base.dt == lower_run.dt:
+        raise ValueError("the companion runs do not share the time step of the base run")
     _matched_times(base, upper_run)
     _matched_times(base, lower_run)
+    st = base.structure
     level_hi, level_lo = st.mean + su, st.mean + sl
     above = lambda U, r0: np.maximum(U - level_hi, 0.0)
     below = lambda U, r0: np.maximum(level_lo - U, 0.0)
@@ -408,7 +402,7 @@ def squeeze_bounds(run_result: RunResult, shift_upper: float | None = None,
         "squeeze_bounds", observed=observed, threshold=DOMINATION_TOL,
         series=tuple(series),
         extra={"upper_level": level_hi, "lower_level": level_lo,
-               "shared_dt": dt_shared,
+               "shared_dt": base.dt,
                "exceed_upper": exceed_up, "dominate_upper": dominate_up,
                "exceed_lower": exceed_lo, "dominate_lower": dominate_lo},
     )

@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import diagnostics as diag
 from .errors import CflViolationError, CoverageError, OutOfRangeError, SchemaError
 from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
 from .piecewise import PiecewiseFunction, burgers, constant, identity, linear
-from .solver import RunResult, SchemeParams, require_step_budget, run_many, shared_dt
+from .solver import RunResult, SchemeParams, require_step_budget, run, shared_dt
 from .structure import analyze, require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
@@ -37,21 +38,21 @@ DEFAULT_SNAPSHOT_COUNT = 33
 _VECTOR_CSV_MIN_VALUES = 2**14
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A
-# callable takes (result, result_b, params, out) and returns a CheckReport; the
-# runs carry their model. It looks its diagnostics function up at call time, so
-# a wrapper installed on the module later (a profiler, a test stub) is the one
-# that runs.
+# callable takes (config, result, result_b, params, out) and returns a
+# CheckReport; the runs carry their model. It looks its diagnostics function up
+# at call time, so a wrapper installed on the module later (a profiler, a test
+# stub) is the one that runs.
 CHECKS = {
-    "conservation": ((), False, lambda r, rb, p, out: diag.conservation_monitor(r)),
-    "decay": (("threshold",), False, lambda r, rb, p, out: diag.decay_metric(r, **p)),
+    "conservation": ((), False, lambda c, r, b, p, o: diag.conservation_monitor(r)),
+    "decay": (("threshold",), False, lambda c, r, b, p, o: diag.decay_metric(r, **p)),
     "cutoff_convergence": (("threshold",), False,
-                           lambda r, rb, p, out: diag.cutoff_convergence(r, **p)),
-    "entropy_residual": ((), False, lambda r, rb, p, out: diag.entropy_residual(r)),
+                           lambda c, r, b, p, o: diag.cutoff_convergence(r, **p)),
+    "entropy_residual": ((), False, lambda c, r, b, p, o: diag.entropy_residual(r)),
     "squeeze_bounds": (("shift_upper", "shift_lower"), False,
-                       lambda r, rb, p, out: diag.squeeze_bounds(r, **p)),
-    "profile": (("t_lo", "threshold"), False, lambda r, rb, p, out: _profile_check(r, p, out)),
-    "contraction": ((), True, lambda r, rb, p, out: diag.contraction_monitor(r, rb)),
-    "t_nonexpansive": ((), True, lambda r, rb, p, out: diag.t_nonexpansive_from_runs(r, rb)),
+                       lambda c, r, b, p, o: _squeeze_check(c, r)),
+    "profile": (("t_lo", "threshold"), False, lambda c, r, b, p, o: _profile_check(r, p, o)),
+    "contraction": ((), True, lambda c, r, b, p, o: diag.contraction_monitor(r, b)),
+    "t_nonexpansive": ((), True, lambda c, r, b, p, o: diag.t_nonexpansive_from_runs(r, b)),
 }
 # The keys of every config object, each read by _read. A number key maps to its
 # default: _REQUIRED if the object must set it, None if the library picks it.
@@ -98,6 +99,40 @@ class ScenarioConfig:
     scheme: SchemeParams
     checks: tuple[CheckSpec, ...] = ()
     initial_b: Field | None = None
+
+    @property
+    def fields(self) -> list[Field]:
+        return [self.initial] if self.initial_b is None else [self.initial, self.initial_b]
+
+    @cached_property
+    def step(self) -> tuple[float, int]:
+        """``(dt, steps)`` of ``fields``: their ``shared_dt``, so the pair checks
+        compare states at identical times, within the step budget."""
+        dt = shared_dt(self.phi, self.g, self.fields, self.scheme)
+        return dt, require_step_budget(dt, self.scheme.t_end, self.initial.grid.n_cells)
+
+    @cached_property
+    def squeeze(self) -> tuple[float, tuple[tuple[float, Field], ...]] | None:
+        """``(dt, squeeze_companions(initial))`` of ``squeeze_bounds``, or None:
+        ``dt`` is ``min(step dt, shared_dt(companions))``, within the step budget."""
+        p = next((c.param_dict() for c in self.checks if c.name == "squeeze_bounds"), None)
+        if p is None:
+            return None
+        st = None if len(p) == 2 else analyze(self.phi, self.g, self.initial)
+        companions = diag.squeeze_companions(self.initial, st, **p)
+        dt = min(self.step[0], shared_dt(self.phi, self.g, [u for _, u in companions],
+                                         self.scheme))
+        require_step_budget(dt, self.scheme.t_end, self.initial.grid.n_cells)
+        return dt, companions
+
+    @property
+    def trajectories(self) -> int:
+        """The ``run`` calls of ``run_scenario``, a repeated base run included."""
+        try:
+            squeeze = self.squeeze
+        except (OutOfRangeError, ValueError, OverflowError):  # the check fails before it steps
+            return len(self.fields)
+        return len(self.fields) + (0 if squeeze is None else 2 + (squeeze[0] != self.step[0]))
 
 
 @dataclass
@@ -307,11 +342,6 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             require_coverage(phi, g, f0)
         except CoverageError as e:
             raise SchemaError(f"{path}/{e.function}", str(e)) from e
-    try:  # the step run_many will take, so a run over the step budget never starts
-        dt = shared_dt(phi, g, fields, scheme)
-        require_step_budget(dt, t_end, n_cells)
-    except CflViolationError as e:
-        raise SchemaError(f"{path}/scheme/t_end", str(e)) from e
     checks: list[CheckSpec] = []
     if not isinstance(doc.get("checks", []), list):
         raise SchemaError(f"{path}/checks", "expected a list of checks")
@@ -337,23 +367,24 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
             raise SchemaError(f"{cpath}/shift_upper", "shift_upper must be >= 0")
         if params.get("shift_lower", 0.0) > 0.0:  # a companion above the run
             raise SchemaError(f"{cpath}/shift_lower", "shift_lower must be <= 0")
-        if cname == "squeeze_bounds":  # the base run and its companions share one step
-            try:
-                st = None if len(params) == 2 else analyze(phi, g, fields[0])
-                companions = [u for _, u in diag.squeeze_companions(fields[0], st, **params)]
-                require_step_budget(min(dt, shared_dt(phi, g, companions, scheme)), t_end, n_cells)
-            except CflViolationError as e:
-                raise SchemaError(f"{cpath}/name", f"squeeze_bounds companions: {e}") from e
-            except (OutOfRangeError, ValueError, OverflowError):
-                pass  # data the model cannot analyze or step fail at run time
         checks.append(CheckSpec(cname, tuple(sorted(params.items()))))
     seed = doc.get("seed", 0)  # accepted and checked, not stored
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaError(f"{path}/seed", "seed must be an integer")
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         name=name, phi=phi, g=g, initial=fields[0], scheme=scheme, checks=tuple(checks),
         initial_b=fields[1] if len(fields) > 1 else None,
     )
+    try:  # every planned step, so a run over the step budget never starts
+        cfg.step
+    except CflViolationError as e:
+        raise SchemaError(f"{path}/scheme/t_end", str(e)) from e
+    try:  # plans the companions; data the model cannot analyze or step are left to the run
+        cfg.trajectories
+    except CflViolationError as e:
+        i = [c.name for c in checks].index("squeeze_bounds")
+        raise SchemaError(f"{path}/checks/{i}/name", f"squeeze_bounds companions: {e}") from e
+    return cfg
 
 
 def parse_config(text):
@@ -425,12 +456,20 @@ def _profile_check(result: RunResult, p: dict, out: Path) -> diag.CheckReport:
     return rep
 
 
+def _squeeze_check(cfg: ScenarioConfig, result: RunResult) -> diag.CheckReport:
+    """Steps the companions of ``cfg.squeeze``, and the base again at a smaller step."""
+    dt, ((su, upper), (sl, lower)) = cfg.squeeze
+    at_dt = lambda u0: run(cfg.phi, cfg.g, u0, cfg.scheme, _dt=dt)
+    base = result if dt == result.dt else at_dt(cfg.initial)
+    return diag.squeeze_bounds(base, (su, at_dt(upper)), (sl, at_dt(lower)))
+
+
 def _run_checks(cfg: ScenarioConfig, result: RunResult,
                 result_b: RunResult | None, out: Path) -> list[diag.CheckReport]:
     reports: list[diag.CheckReport] = []
     for spec in cfg.checks:
         try:
-            rep = CHECKS[spec.name][2](result, result_b, spec.param_dict(), out)
+            rep = CHECKS[spec.name][2](cfg, result, result_b, spec.param_dict(), out)
         except Exception as e:  # a failed check must not abort the batch
             rep = _failed_report(spec.name, e)
         reports.append(rep)
@@ -447,10 +486,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     error = None
     reports: list[diag.CheckReport] = []
     try:
-        # both trajectories advance with one shared admissible step so the
-        # pair checks compare states at identical times
-        fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
-        results = run_many(cfg.phi, cfg.g, fields, cfg.scheme)
+        results = [run(cfg.phi, cfg.g, u0, cfg.scheme, _dt=cfg.step[0]) for u0 in cfg.fields]
         structures = [r.structure for r in results]  # analysis errors are run errors too
     except Exception as e:  # a failed run must not abort the batch
         error = f"{type(e).__name__}: {e}"

@@ -288,21 +288,17 @@ def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
 
 
 def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
-                 params: SchemeParams) -> dict:
-    """What ``run_many(phi, g, u0s, params)`` will take, without stepping.
+                 dt: float, steps: int) -> dict:
+    """What ``steps`` steps of ``dt`` from every field of ``u0s`` take, without stepping.
 
-    ``dt`` and ``steps`` are the ``shared_dt`` and ``require_step_budget``
-    that the run applies (and raise as they do), ``cell_updates`` is steps
-    times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are the step-limit terms of the
-    member with the smallest limit, and ``binding`` names the larger of the
-    two (None when both are 0 and the step is the horizon). ``pieces`` is the
-    most merged kernel pieces that one member's data range touches; at 1,
-    every member steps without the piece lookup.
+    ``cell_updates`` is steps times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are
+    the step-limit terms of the member with the smallest limit, and
+    ``binding`` names the larger of the two (None when both are 0 and the
+    step is the horizon). ``pieces`` is the most merged kernel pieces that
+    one member's data range touches; at 1, every member steps without the
+    piece lookup.
     """
-    u0s = list(u0s)
-    dt = shared_dt(phi, g, u0s, params)
     n = u0s[0].grid.n_cells
-    steps = require_step_budget(dt, params.t_end, n)
     terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
                  for u in u0s), key=sum)
     search = _kernel_table(phi, g)[0].searchsorted
@@ -325,8 +321,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     coefficients, and each recorded snapshot is checked to lie in it still
     (RuntimeError otherwise). The
     step count is deterministic for a given configuration. ``_dt`` forces a
-    specific (still admissible) step; ``run_many`` passes its shared step
-    this way. While ``t_end > 0``, a step that is not positive or needs more
+    specific (still admissible) step, the one a group of trajectories
+    shares. While ``t_end > 0``, a step that is not positive or needs more
     than ``MAX_STEPS`` steps or ``MAX_CELL_STEPS`` cell updates raises
     CflViolationError before any allocation.
     ``g`` must be flagged monotone_nondecreasing (ValueError otherwise) and

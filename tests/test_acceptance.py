@@ -19,6 +19,7 @@ from degenwave import (
     Field,
     Grid,
     SchemeParams,
+    analyze,
     band_project_mean,
     burgers,
     constant,
@@ -40,6 +41,7 @@ from degenwave import (
     run_suite,
     shift,
     squeeze_bounds,
+    squeeze_companions,
     step,
     t_nonexpansive_from_runs,
     total_variation,
@@ -258,14 +260,16 @@ def test_criterion_5_cutoff_convergence_and_squeeze():
     u0 = sine_field(grid, 0.625, 0.325)  # range [0.3, 0.95]
     phi = from_breakpoints([-2.0, 0.0, 2.0], [[2.0, -1.0], [0.0, 2.0]])
     g = from_breakpoints([-2.0, 0.8, 2.0], [[0.0], [0.0, 0.02]], monotone=True)
-    res = run(phi, g, u0, SchemeParams(t_end=4.0,
-                                       snapshot_times=tuple(np.linspace(0, 4, 17))))
-    st = res.structure
+    st = analyze(phi, g, u0)
     structure_ok = (st.affine_lo == 0.0 and st.affine_hi == st.sup_norm
                     and (st.plateau_lo, st.plateau_hi) == (0.0, 0.8)
                     and st.speed == 2.0)
+    # the companions, u0 shifted to the ends of the affine interval, share the run's step
+    (su, upper), (sl, lower) = squeeze_companions(u0, st)
+    res, up, lo = run_many(phi, g, [u0, upper, lower],
+                           SchemeParams(t_end=4.0, snapshot_times=tuple(np.linspace(0, 4, 17))))
     cut = cutoff_convergence(res)
-    sq = squeeze_bounds(res)
+    sq = squeeze_bounds(res, (su, up), (sl, lo))
     ok = structure_ok and cut.passed and sq.passed and sq.observed <= 1e-10
     report(5, "cutoff convergence + squeeze", ok,
            f"cut final={cut.observed:.2e} thr={cut.threshold:.2e} "

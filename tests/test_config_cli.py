@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -56,6 +58,15 @@ def minimal(**overrides):
     doc = json.loads(json.dumps(MINIMAL))
     doc.update(overrides)
     return doc
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` in every degenwave module that holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degenwave"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 class TestParsing:
@@ -527,6 +538,37 @@ class TestRunScenario:
         assert "error" in checks[0]["extra"]
         assert checks[1]["name"] == "conservation" and checks[1]["passed"] is True
 
+    WIDE = {"kind": "constant", "lo": -1.5e308, "hi": 1.5e308}
+
+    @pytest.mark.parametrize("model, check, error, digests", [
+        # the default lower shift moves the lower companion below phi's range
+        ({"phi": {"breakpoints": [-1, 0.9, 1.5], "pieces": [[0.0, 1.0], [1.9, 3.0]]},
+          "g": {"kind": "constant", "value": 0.0, "lo": -1, "hi": 1.5},
+          "initial": {"cells": [0.2, 0.4, 0.6, 0.8, 0.9, 0.7, 0.5, 0.3]}},
+         "squeeze_bounds",
+         "OutOfRangeError: [-1.2500000000000002, -0.5500000000000002] outside covered range "
+         "[-1.0, 1.5]",
+         ("09d4b8ad40da4d97a3b306938e2f1974526ba8fbc6e92f2bcbea1a79a2675f4e",
+          "fca9f50a74dd03561f609c39344866eb33d102122c09190664d07e08dfd4ac3d")),
+        # the base run and its analysis are finite; u0 + 1e308 is not
+        ({"phi": WIDE, "g": WIDE, "initial": {"cells": [1e308, -1e308] * 4}},
+         {"name": "squeeze_bounds", "shift_upper": 1e308},
+         "ValueError: field values must be finite",
+         ("1aa1fcfef59ca15bb9679038e669299349d40887dd7a9fa6544b0d6c9dec83d2",
+          "c73c16d4cba3d5a2535f36489b646a5421ffb8135b9c344653677d35b437c111")),
+    ], ids=["lower_out_of_range", "upper_overflows"])
+    def test_companion_failure_fails_only_its_check(self, model, check, error, digests,
+                                                    tmp_path):
+        cfg = self.scenario(name="sq", grid={"n_cells": 8}, checks=["conservation", check],
+                            **model)
+        res = run_scenario(cfg, tmp_path)
+        assert res.error is None
+        assert [r.passed for r in res.reports] == [True, False]
+        assert res.reports[1].extra == {"error": error}
+        assert cfg.trajectories == 1  # the check fails before it steps a companion
+        assert tuple(hashlib.sha256((tmp_path / "sq" / name).read_bytes()).hexdigest()
+                     for name in ("checks.json", "snapshots.csv")) == digests
+
     def test_pair_scenario_shares_timestep(self, tmp_path):
         cfg = self.scenario(
             name="pairtest",
@@ -546,9 +588,7 @@ class TestRunScenario:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):  # every module that imported it
-            if name.startswith("degenwave") and getattr(module, "build_initial", None) is original:
-                monkeypatch.setattr(module, "build_initial", counting)
+        patch_everywhere(monkeypatch, original, counting)
         doc = minimal(scheme={"t_end": 0.25}, grid={"n_cells": 32},
                       initial_b={"sine": {"mean": 0.55, "amplitude": 0.3}},
                       checks=["contraction"])
@@ -599,6 +639,16 @@ class TestRunScenario:
             a = (tmp_path / "one" / "burgers_min" / fname).read_bytes()
             b = (tmp_path / "two" / "burgers_min" / fname).read_bytes()
             assert a == b, fname
+
+
+@pytest.mark.parametrize("name, count", [("acceptance_suite", 6), ("quick_suite", 4)])
+def test_each_step_is_computed_once(name, count, tmp_path, monkeypatch):
+    """One shared_dt per group of trajectories that share a step: each scenario's
+    data, and the squeeze_bounds companions."""
+    calls, original = [], solver.shared_dt
+    patch_everywhere(monkeypatch, original, lambda *args: calls.append(args) or original(*args))
+    run_suite(parse_config((ROOT / "configs" / f"{name}.json").read_bytes()), tmp_path)
+    assert len(calls) == count
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 1 / 3]
@@ -741,29 +791,54 @@ class TestCli:
         assert cost["dt"] == 0.5 * (1.0 / cost["Lphi/dx"])
         ra, rb = solver.run_many(cfg.phi, cfg.g, [cfg.initial, cfg.initial_b], cfg.scheme)
         assert ra.step_count == rb.step_count == cost["steps"] == cost["cell_updates"] / 64
-        alone = solver.predict_cost(cfg.phi, cfg.g, [cfg.initial], cfg.scheme)
-        assert alone["dt"] > cost["dt"]
+        assert solver.shared_dt(cfg.phi, cfg.g, [cfg.initial], cfg.scheme) > cost["dt"]
+        assert cost["trajectories"] == 2
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.name)
     def test_analyze_predicts_the_steps_of_shipped_runs(self, path, tmp_path, capsys,
                                                         monkeypatch):
+        """``cost`` holds the steps and the ``run`` calls of each shipped scenario,
+        and no check steps: no run starts while a diagnostics function runs."""
         known = {"mixed_band": (57600, "2Lg/dx^2"), "burgers_decay": (12000, "Lphi/dx")}
-        made = []
+        trajectories = {"burgers_decay": 1, "transport_wave": 1, "transport_pair": 2,
+                        "heat_decay": 1, "mixed_band": 3, "det_burgers": 4, "det_mixed": 1,
+                        "det_pair": 2}
+        made, runs, inside = [], [], []
         monkeypatch.setattr(solver, "_Workspace",
                             lambda *args: made.append(_Workspace(*args)) or made[-1])
+
+        def watched(fn):
+            def wrapper(*args, **kwargs):
+                inside.append(fn.__name__)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        for fn in [f for f in vars(diagnostics).values()
+                   if inspect.isfunction(f) and f.__module__ == diagnostics.__name__]:
+            patch_everywhere(monkeypatch, fn, watched(fn))
+        patch_everywhere(monkeypatch, run, lambda *args, **kw: runs.append(
+            (tuple(inside), run(*args, **kw))) or runs[-1][1])
         docs = json.loads(path.read_text())
         for doc in docs if isinstance(docs, list) else [docs]:
             assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
             cost = json.loads(capsys.readouterr().out)["cost"]
             cfg = parse_config(json.dumps(doc))
-            fields = [cfg.initial] if cfg.initial_b is None else [cfg.initial, cfg.initial_b]
             made.clear()
-            runs = solver.run_many(cfg.phi, cfg.g, fields, cfg.scheme)
+            runs.clear()
+            assert run_scenario(cfg, tmp_path).passed
+            assert cost["trajectories"] == len(runs) == trajectories[cfg.name]
+            assert [called_in for called_in, _ in runs] == [()] * len(runs)
+            # the scenario's own data come first; the squeeze check's runs follow
+            own = [r for _, r in runs[:len(cfg.fields)]]
+            del made[len(own):]
             # pieces 1: every member steps without the piece lookup
             assert cost["pieces"] == (2 if cfg.name in ("mixed_band", "det_mixed") else 1)
-            assert [ws.piece is not None for ws in made] == [cost["pieces"] == 1] * len(runs)
-            assert [(r.dt, r.step_count) for r in runs] == [(cost["dt"], cost["steps"])] * len(runs)
+            assert [ws.piece is not None for ws in made] == [cost["pieces"] == 1] * len(own)
+            assert [(r.dt, r.step_count) for r in own] == [(cost["dt"], cost["steps"])] * len(own)
             assert cost["cell_updates"] == cost["steps"] * cfg.initial.grid.n_cells
             denom = cost["Lphi/dx"] + cost["2Lg/dx^2"]
             assert cost["dt"] == cfg.scheme.cfl_safety * (1.0 / denom)
@@ -833,7 +908,7 @@ class TestCli:
         def fail(*args, **kwargs):
             raise CflViolationError("no admissible step")
 
-        monkeypatch.setattr(scenarios, "run_many", fail)
+        monkeypatch.setattr(scenarios, "run", fail)
         doc = minimal(name="p", scheme={"t_end": 0.2}, grid={"n_cells": 32},
                       initial_b={"sine": {"mean": 0.55, "amplitude": 0.2}}, checks=[])
         code = cli(["run", "--config", self.write(tmp_path, doc),

@@ -31,6 +31,7 @@ from degenwave import (
     run_many,
     shift,
     squeeze_bounds,
+    squeeze_companions,
     t_nonexpansive_from_runs,
     total_variation,
     traveling_profile,
@@ -56,6 +57,14 @@ def burgers_run(n=128, t_end=1.5, base=0.5, amp=0.25):
     phi, g = burgers(-1, 1), constant(0.0, -1, 1)
     res = run(phi, g, u0, SchemeParams(t_end=t_end, snapshot_times=dx_schedule(n, t_end)))
     return phi, g, res
+
+
+def squeeze(res, shift_upper=None, shift_lower=None):
+    """``squeeze_bounds`` of ``res``'s data and its companions, stepped by one ``run_many``."""
+    (su, upper), (sl, lower) = squeeze_companions(res.initial, res.structure,
+                                                  shift_upper, shift_lower)
+    base, up, lo = run_many(res.phi, res.g, [res.initial, upper, lower], res.params)
+    return squeeze_bounds(base, (su, up), (sl, lo))
 
 
 def transport_run(n=64, t_end=0.5, slope=2.0):
@@ -262,7 +271,7 @@ class TestCutoffConvergence:
 class TestSqueezeBounds:
     def test_zero_shifts_trivial_domination(self):
         phi, g, res = burgers_run(n=64, t_end=0.5)
-        rep = squeeze_bounds(res, shift_upper=0.0, shift_lower=0.0)
+        rep = squeeze(res, shift_upper=0.0, shift_lower=0.0)
         assert rep.passed
         assert rep.observed == 0.0
 
@@ -273,13 +282,13 @@ class TestSqueezeBounds:
         u0 = sine_field(grid, 0.625, 0.325)
         res = run(phi, g, u0, SchemeParams(t_end=2.0,
                                            snapshot_times=tuple(np.linspace(0, 2, 9))))
-        rep = squeeze_bounds(res)
+        rep = squeeze(res)
         assert rep.passed
         assert rep.observed <= 1e-10
 
     def test_burgers_upper_comparison_decays_to_band_end(self):
         phi, g, res = burgers_run(n=96, t_end=8.0, base=0.4, amp=0.2)
-        rep = squeeze_bounds(res, shift_upper=0.25, shift_lower=-0.25)
+        rep = squeeze(res, shift_upper=0.25, shift_lower=-0.25)
         assert rep.passed
         # the dominating series itself decays: the shifted companion converges
         # to the band end, squeezing the base run's exceedance with it
@@ -294,12 +303,22 @@ class TestSqueezeBounds:
         g = constant(0.0, -1, 1.5)
         res = run(phi, g, sine_field(Grid(64), 0.55, 0.35),
                   SchemeParams(t_end=0.5, snapshot_times=tuple(np.linspace(0, 0.5, 6))))
-        rep = squeeze_bounds(res, shift_lower=-0.3)
+        rep = squeeze(res, shift_lower=-0.3)
         assert rep.passed and rep.observed == 0.0
         assert rep.extra["shared_dt"] < res.dt  # the base was re-run at the shared step
-        # the default lower shift moves the lower companion to [-1.249, -0.55], out of range
+        # the default lower shift moves the lower companion to [-1.249, -0.55], out of
+        # range: stepping it fails
         with pytest.raises(OutOfRangeError):
-            squeeze_bounds(res)
+            squeeze(res)
+
+    def test_runs_at_different_steps_raise(self):
+        # the upper companion's larger data range needs a smaller step than the base
+        phi, g, res = burgers_run(n=64, t_end=0.5)
+        (su, upper), (sl, lower) = squeeze_companions(res.initial, None, 0.1, -0.1)
+        up, lo = (run(phi, g, u, res.params) for u in (upper, lower))
+        assert up.dt < res.dt
+        with pytest.raises(ValueError, match="time step"):
+            squeeze_bounds(res, (su, up), (sl, lo))
 
 
 class TestProfiles:
@@ -412,11 +431,13 @@ class TestWholeRunSums:
         assert l1[-1] > 0.0
 
     def assert_squeeze_matches(self, res, su, sl):
-        rep = squeeze_bounds(res, shift_upper=su, shift_lower=sl)
-        dt, st = rep.extra["shared_dt"], res.structure
-        base, upper, lower = (res if s == 0.0 and dt == res.dt else
-                              run(res.phi, res.g, Field(res.grid, res.initial.values + s),
-                                  res.params, _dt=dt) for s in (0.0, su, sl))
+        (_, upper), (_, lower) = squeeze_companions(res.initial, None, su, sl)
+        for companion, s in ((upper, su), (lower, sl)):
+            assert np.array_equal(companion.values, res.initial.values + s)
+        base, upper, lower = run_many(res.phi, res.g, [res.initial, upper, lower], res.params)
+        rep = squeeze_bounds(base, (su, upper), (sl, lower))
+        assert rep.extra["shared_dt"] == base.dt == upper.dt == lower.dt
+        st = res.structure
         level_hi, level_lo = st.mean + su, st.mean + sl
         up, down = constant_field(res.grid, level_hi), constant_field(res.grid, level_lo)
         want = {
