@@ -190,6 +190,12 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     once per block and entry, and a bump skips the rows outside its time
     support (all +0.0 there), so every value equals the full-matrix
     formula's bitwise.
+
+    When ``g(U)`` is one finite value ``g(k)`` over a block, G is +0.0 in
+    every cell and ``G f_xx`` a zero, wherever ``f_xx`` is finite; then the
+    rows skip G. Adding a zero changes only the sign of a zero, so a row
+    sum can differ only when it is 0, and such a sum is recomputed with the
+    +0.0 term added.
     """
     times = run_result.times
     for b in bumps:
@@ -207,6 +213,8 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
         lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
         factors.append((lo, hi, b._time(times, 1), b._time(times, 0),
                         b._space(centers, 0), b._space(centers, 1), b._space(centers, 2)))
+    # f_xx = t0 * s2, and the bump's time factor t0 lies in [0, 1]: finite where s2 is
+    finite_fxx = all(np.isfinite(f[-1]).all() for f in factors)
     spatial = [[np.zeros(len(times)) for _ in entries] for _ in bumps]
     block = max(1, _BLOCK_CELLS // len(centers))
     for r0 in range(0, len(times), block):
@@ -222,16 +230,26 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
             continue
         U = run_result.values[r0:r1]
         phi_u, g_u = phi.eval(U), g.eval(U)
+        g_lo, g_hi = g_u.min(), g_u.max()   # NaN if any g(U) is
         for ki, const in enumerate(consts):
             if const is None:
                 A, S, G = U, phi_u, g_u
             else:
                 k, phi_k, g_k = const
                 d = U - k
-                A, S, G = np.abs(d), np.sign(d) * (phi_u - phi_k), np.abs(g_u - g_k)
+                A, S = np.abs(d), np.sign(d) * (phi_u - phi_k)
+                flat = finite_fxx and g_lo == g_hi == g_k and math.isfinite(g_k)
+                G = None if flat else np.abs(g_u - g_k)
             for bi, local, rows_at, ft, fx, fxx in live_blocks:
-                rows = A[local] * ft + S[local] * fx + G[local] * fxx
-                spatial[bi][ki][rows_at] = rows.sum(axis=1) * dx
+                rows = A[local] * ft + S[local] * fx
+                if G is not None:
+                    rows += G[local] * fxx
+                sums = rows.sum(axis=1)
+                if G is None:
+                    zero = sums == 0.0
+                    if zero.any():
+                        sums[zero] = (rows[zero] + 0.0 * fxx[zero]).sum(axis=1)
+                spatial[bi][ki][rows_at] = sums * dx
     w = _time_weights(times)
     return [[float(np.dot(w, s)) for s in row] for row in spatial]
 

@@ -149,6 +149,23 @@ def _piece_span(search, values: np.ndarray) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _flat_g(coeffs: np.ndarray, lo: int, hi: int, dt_dx2: float) -> bool:
+    """Whether the diffusion term of every step is exactly +0.0 for data in
+    the merged kernel pieces ``lo..hi`` of ``coeffs`` (``_kernel_table``).
+
+    That holds when ``g`` is one constant ``c`` there (every other
+    coefficient +0.0, so Horner yields ``c`` in every cell of finite data),
+    ``c + c`` is finite and so is ``dt/dx^2``: then
+    ``G_{j+1} - (G_j + G_j) + G_{j-1}`` is ``c - 2c + c``, exactly +0.0,
+    and so is its product with ``dt/dx^2``. A cell whose piece-local
+    variable is not finite makes its own update non-finite with or without
+    the term, so the run fails at the same snapshot either way."""
+    g = coeffs[1:, 2, lo:hi + 1]
+    c = float(g[-1, 0])
+    return not g[:-1].any() and bool((g[-1] == c).all()) \
+        and math.isfinite(c + c) and math.isfinite(dt_dx2)
+
+
 class _Workspace:
     """Buffers, views and constants of ``_apply_step``, built once per run, so
     a step allocates at most its piece indices. ``bufs`` are two ghost-padded
@@ -161,22 +178,33 @@ class _Workspace:
     coefficient row, from which each step restarts Horner. By the max
     principle every later state lies in ``[min values, max values]``, so the
     piece lookup would return ``piece`` in every cell on every step. Otherwise
-    ``piece`` and ``lead`` are None."""
+    ``piece`` and ``lead`` are None.
+
+    ``diffusion`` holds the three ``G`` views of the Laplacian, or is None
+    when ``g`` is flat on the data range (``_flat_g``). Then the tables,
+    ``gath`` and Horner hold the two flux rows only, and ``zero`` is the
+    +0.0 that stands for the diffusion term."""
 
     def __init__(self, table, values: np.ndarray, dx: float, dt: float):
         inner, coeffs = table
-        self.search, self.take = inner.searchsorted, coeffs.take
+        self.search = inner.searchsorted
+        lo, hi = _piece_span(self.search, values)
+        flat = _flat_g(coeffs, lo, hi, dt / (dx * dx))
+        if flat:
+            coeffs = np.ascontiguousarray(coeffs[:, :2])
+        self.take = coeffs.take
         n = values.size
         self.bufs = (np.concatenate((values[-1:], values, values[:1])), np.empty(n + 2))
         a, b = (buf[1:-1] for buf in self.bufs)
         self.interiors = {id(self.bufs[0]): (a, b), id(self.bufs[1]): (b, a)}
-        self.gath = np.empty((coeffs.shape[0], 3, n + 2))
+        self.gath = np.empty((*coeffs.shape[:2], n + 2))
         self.left, self.acc, *self.rest = self.gath
-        self.t, self.lap = np.empty((3, n + 2)), np.empty(n)
-        flux, down, G = self.acc
-        self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2], G[2:], G[1:-1], G[:-2])
+        self.t, self.lap = np.empty((coeffs.shape[1], n + 2)), np.empty(n)
+        flux, down, G = self.acc[0], self.acc[1], self.acc[-1]
+        self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2])
+        self.diffusion = None if flat else (G[2:], G[1:-1], G[:-2])
         self.dt_dx, self.dt_dx2 = np.array(dt / dx), np.array(dt / (dx * dx))
-        lo, hi = _piece_span(self.search, values)
+        self.zero = np.zeros(())
         self.piece = self.lead = None
         if lo == hi:
             self.piece = lo
@@ -196,8 +224,11 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
     operation for operation, so the output is the same to the bit: ``2 G_j``
-    is ``G_j + G_j``, exact as a doubling is. Every operand goes by position,
-    which spares numpy parsing keywords on each call.
+    is ``G_j + G_j``, exact as a doubling is. With ``g`` flat on the data
+    range (``ws.diffusion`` None) the gather and Horner skip ``g``, and the
+    diffusion term is added as the +0.0 it equals, which turns a -0.0 of
+    ``u - dt/dx (...)`` into +0.0 as the full sum does. Every operand goes
+    by position, which spares numpy parsing keywords on each call.
     """
     acc, t, lead = ws.acc, ws.t, ws.lead
     if lead is None:
@@ -211,17 +242,21 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
         np.multiply(lead, t, acc)
         np.add(acc, c, acc)
         lead = acc
-    flux_l, down_r, flux_c, flux_p, g_r, g_c, g_l = ws.views
+    flux_l, down_r, flux_c, flux_p = ws.views
     np.add(flux_l, down_r, flux_l)          # F_{j+1/2} = up_j + down_{j+1}
     (u, out), lap = ws.interiors[id(cur)], ws.lap
     np.subtract(flux_c, flux_p, out)
     np.multiply(out, ws.dt_dx, out)
     np.subtract(u, out, out)
-    np.add(g_c, g_c, lap)
-    np.subtract(g_r, lap, lap)
-    np.add(lap, g_l, lap)
-    np.multiply(lap, ws.dt_dx2, lap)
-    np.add(out, lap, out)
+    if ws.diffusion is None:
+        np.add(out, ws.zero, out)
+    else:
+        g_r, g_c, g_l = ws.diffusion
+        np.add(g_c, g_c, lap)
+        np.subtract(g_r, lap, lap)
+        np.add(lap, g_l, lap)
+        np.multiply(lap, ws.dt_dx2, lap)
+        np.add(out, lap, out)
     nxt[0], nxt[-1] = nxt[-2], nxt[1]       # one ghost cell per side
 
 
@@ -296,18 +331,20 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     ``binding`` names the larger of the two (None when both are 0 and the
     step is the horizon). ``pieces`` is the most merged kernel pieces that
     one member's data range touches; at 1, every member steps without the
-    piece lookup.
+    piece lookup. ``flat_g`` is true when every member steps without the
+    diffusion terms, as ``g`` is flat on its data range (``_flat_g``).
     """
-    n = u0s[0].grid.n_cells
+    n, dx = u0s[0].grid.n_cells, u0s[0].grid.dx
     terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
                  for u in u0s), key=sum)
-    search = _kernel_table(phi, g)[0].searchsorted
-    spans = [_piece_span(search, u.values) for u in u0s]
+    inner, coeffs = _kernel_table(phi, g)
+    spans = [_piece_span(inner.searchsorted, u.values) for u in u0s]
     return {
         "dt": dt, "steps": steps, "cell_updates": steps * n,
         "Lphi/dx": terms[0], "2Lg/dx^2": terms[1],
         "binding": None if not any(terms) else "Lphi/dx" if terms[0] >= terms[1] else "2Lg/dx^2",
         "pieces": max(hi - lo + 1 for lo, hi in spans),
+        "flat_g": all(_flat_g(coeffs, lo, hi, dt / (dx * dx)) for lo, hi in spans),
     }
 
 

@@ -58,3 +58,18 @@ def random_field(rng, grid, lo=-0.9, hi=0.9):
     for k in range(1, 4):
         vals += rng.uniform(-0.25, 0.25) * np.sin(2 * np.pi * k * x + rng.uniform(0, 2 * np.pi))
     return Field(grid, np.clip(vals, lo, hi))
+
+
+def random_flat_diffusion(rng, lo=-2.0, hi=2.0):
+    """A nondecreasing model that holds one constant on ``[lo, top]``, and
+    ``top``: one to four flat pieces, some stored with +0.0 coefficients of
+    higher degree, and in half the draws a rising last piece above
+    ``top < hi``, so the model's own table has degree 1."""
+    top = hi if rng.random() < 0.5 else float(rng.uniform(lo + 1.5, hi - 0.5))
+    bps = random_breakpoints(rng, lo, top)
+    pieces = [[0.0] * int(rng.integers(1, 4)) for _ in bps[1:]]
+    pieces[0][0] = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
+    if top < hi:
+        bps.append(hi)
+        pieces.append([0.0, float(rng.uniform(0.01, 0.5))])
+    return from_breakpoints(bps, pieces, monotone=True), top

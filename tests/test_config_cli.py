@@ -799,7 +799,8 @@ class TestCli:
     def test_analyze_predicts_the_steps_of_shipped_runs(self, path, tmp_path, capsys,
                                                         monkeypatch):
         """``cost`` holds the steps and the ``run`` calls of each shipped scenario,
-        and no check steps: no run starts while a diagnostics function runs."""
+        and whether they step without the diffusion terms; no check steps: no
+        run starts while a diagnostics function runs."""
         known = {"mixed_band": (57600, "2Lg/dx^2"), "burgers_decay": (12000, "Lphi/dx")}
         trajectories = {"burgers_decay": 1, "transport_wave": 1, "transport_pair": 2,
                         "heat_decay": 1, "mixed_band": 3, "det_burgers": 4, "det_mixed": 1,
@@ -838,6 +839,9 @@ class TestCli:
             # pieces 1: every member steps without the piece lookup
             assert cost["pieces"] == (2 if cfg.name in ("mixed_band", "det_mixed") else 1)
             assert [ws.piece is not None for ws in made] == [cost["pieces"] == 1] * len(own)
+            # flat_g: every member steps without the diffusion terms
+            assert cost["flat_g"] == (cfg.name not in ("heat_decay", "mixed_band", "det_mixed"))
+            assert [ws.diffusion is None for ws in made] == [cost["flat_g"]] * len(own)
             assert [(r.dt, r.step_count) for r in own] == [(cost["dt"], cost["steps"])] * len(own)
             assert cost["cell_updates"] == cost["steps"] * cfg.initial.grid.n_cells
             denom = cost["Lphi/dx"] + cost["2Lg/dx^2"]

@@ -1,6 +1,7 @@
 """Byte identity of the row-blocked entropy and weak-form residuals against full-matrix loops."""
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randmodels as rm
-from degenwave import DegenwaveError, Grid, PiecewiseFunction, SchemeParams, TestBump, diagnostics
+from degenwave import (DegenwaveError, Field, Grid, PiecewiseFunction, SchemeParams, TestBump,
+                       burgers, diagnostics, parse_config, run)
 from degenwave.solver import RunResult
 from entropy_reference import entropy_residual as entropy_residual_reference
 from entropy_reference import snapshot_matrix
@@ -135,3 +137,91 @@ def test_blocks_outside_every_bump_are_not_evaluated():
     # each evaluated once for phi and once for g
     assert shapes == [(2, 16)] * 8
     assert repr(got) == repr(weak_form_residual_reference(res, phi, g, bump))
+
+
+def pair_hexes(report):
+    """``float.hex`` of every (k, bump) residual of an entropy report."""
+    return [float.hex(p["residual"]) for p in report.extra["pairs"]]
+
+
+def entropy_matches_reference(res, k_values=None):
+    """The entropy residuals of ``res`` equal the full-matrix loop's to the bit;
+    returns the report."""
+    got = diagnostics.entropy_residual(res, k_values=k_values)
+    want = entropy_residual_reference(res, res.phi, res.g, k_values=k_values)
+    assert pair_hexes(got) == pair_hexes(want)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 37, 1000]),
+       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
+       k_kind=st.sampled_from(["default", "random"]))
+def test_flat_g_runs_match_reference_hex(seed, n, block_cells, k_kind):
+    # g holds one constant on the data range, so G drops for every k where g
+    # takes that constant; the default constants reach 10% past the data,
+    # where a rising last piece of g does not
+    rng = np.random.default_rng(seed)
+    phi = rm.random_flux(rng)
+    g, top = rm.random_flat_diffusion(rng)
+    grid = Grid(n)
+    u0 = rm.random_field(rng, grid, -1.9, top - 0.05)
+    res = run(phi, g, u0, SchemeParams(t_end=0.05, snapshot_times=tuple(np.linspace(0, 0.05, 9))))
+    k_values = None if k_kind == "default" else \
+        list(rng.uniform(-1.9, 1.9, size=3)) + list(rng.choice(res.values.ravel(), 3))
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
+        entropy_matches_reference(res, k_values)
+
+
+def test_constant_data_take_the_zero_sum_fallback():
+    # u = k = 0.3 makes |u-k| and sign(u-k)(phi(u)-phi(k)) zero in every cell,
+    # so every row sum of the k = 0.3 pairs is 0 and is recomputed with G
+    grid = Grid(64)
+    res = run(burgers(), PiecewiseFunction((-2.0, 0.0, 2.0), ((0.0,), (0.0,)), True),
+              Field(grid, np.full(64, 0.3)),
+              SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
+    rep = entropy_matches_reference(res, k_values=[-0.5, 0.3, 0.3, 1.25])
+    assert {p["residual"] for p in rep.extra["pairs"] if p["k"] == 0.3} == {0.0}
+
+
+def test_flat_g_keeps_g_where_f_xx_is_not_finite():
+    # sigma_x = 1e-160 overflows f_xx to -inf at the cell the bump is centred
+    # on; the full formula's +0.0 * -inf is NaN there, which skipping G would hide
+    grid = Grid(64)
+    u0 = Field(grid, 0.3 + 0.2 * np.sin(2 * np.pi * grid.cell_centers()))
+    res = run(burgers(), PiecewiseFunction((-2.0, 0.0, 2.0), ((0.0,), (0.0,)), True), u0,
+              SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
+    bump = TestBump(0.05, float(grid.cell_centers()[7]), 0.04, 1e-160)
+    with np.errstate(all="ignore"):
+        got = diagnostics.entropy_residual(res, k_values=[0.3], test_fns=[bump])
+        want = entropy_residual_reference(res, res.phi, res.g, k_values=[0.3], test_fns=[bump])
+    assert pair_hexes(got) == pair_hexes(want) == ["nan"]
+
+
+def test_g_that_overflows_everywhere_keeps_the_g_term():
+    # g(u) = 1e308 (1 + u) is inf on [1, 1.5] and so is g(k): one value equal
+    # to g(k), but inf - inf is NaN, which skipping G would hide
+    g = PiecewiseFunction((0.0, 2.0), ((1e308, 1e308),), True)
+    grid = Grid(16)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rng = np.random.default_rng(3)
+    table = np.column_stack([times, rng.uniform(1.0, 1.5, size=(len(times), 16))])
+    res = RunResult(table, grid, PiecewiseFunction((0.0, 2.0), ((0.0, 1.0),)), g,
+                    step_count=4, dt=0.25, params=SchemeParams(t_end=1.0, snapshot_times=times))
+    with np.errstate(all="ignore"):
+        got = diagnostics.entropy_residual(res, k_values=[1.25])
+        want = entropy_residual_reference(res, res.phi, res.g, k_values=[1.25])
+    assert pair_hexes(got) == pair_hexes(want) == ["nan"] * 6
+
+
+def test_mixed_band_keeps_the_g_term():
+    # data across g's kink at 0.8: g(U) is not one value, so no k drops G
+    bundle = Path(__file__).resolve().parent.parent / "configs" / "acceptance_suite.json"
+    (spec,) = [s for s in json.loads(bundle.read_text()) if s["name"] == "mixed_band"]
+    spec.update(grid={"n_cells": 64}, scheme={"t_end": 0.1, "snapshot_times": [0.05]})
+    cfg = parse_config(json.dumps(spec))
+    res = run(cfg.phi, cfg.g, cfg.initial, cfg.scheme)
+    assert np.ptp(res.g.eval(res.values)) > 0.0
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", 64):
+        entropy_matches_reference(res)

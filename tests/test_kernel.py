@@ -31,7 +31,7 @@ from degenwave import (
 )
 from degenwave.piecewise import _RANGE_SLACK
 from degenwave import solver as solvermod
-from degenwave.solver import _apply_step, _kernel_table, _Workspace
+from degenwave.solver import _apply_step, _flat_g, _kernel_table, _Workspace
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -75,9 +75,9 @@ def test_fused_kernel_matches_reference_bit_for_bit(seed, n):
     assert np.array_equal(bits(out), bits(apply_step_reference(up, down, g, values, dx, dt)))
 
 
-def one_piece_values(rng, inner, n):
-    """A merged piece ``k`` and values inside it, some on its left end."""
-    ends = np.concatenate(([-2.0], inner, [2.0]))
+def one_piece_values(rng, inner, n, hi=2.0):
+    """A merged piece ``k`` below ``hi`` and values inside it, some on its left end."""
+    ends = np.concatenate(([-2.0], inner[inner < hi], [hi]))
     k = int(rng.integers(ends.size - 1))
     values = rng.uniform(ends[k], ends[k + 1], size=n)
     values[rng.random(size=n) < 0.2] = ends[k]
@@ -180,6 +180,93 @@ def test_degree_zero_one_piece_steps(phi):
     for cur, nxt in [ws.bufs, ws.bufs[::-1]] * 2:
         _apply_step(ws, cur, nxt)
     assert np.array_equal(ws.bufs[0][1:-1], values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([4, 64, 5000]), one_piece=st.booleans())
+def test_flat_g_kernel_matches_reference_bit_for_bit(seed, n, one_piece):
+    # g holds one constant on the data range, in one piece or in several, so
+    # the step skips the diffusion terms, with or without the piece lookup
+    rng = np.random.default_rng(seed)
+    phi = rm.random_flux(rng)
+    g, top = rm.random_flat_diffusion(rng)
+    inner, _ = _kernel_table(phi, g)
+    if one_piece:
+        k, values = one_piece_values(rng, inner, n, top)
+    else:
+        values = rng.uniform(-2.0, top, size=n)
+        cuts, hits = inner[inner < top], rng.random(size=n) < 0.2
+        if cuts.size:
+            values[hits] = rng.choice(cuts, size=int(hits.sum()))
+    dx = 1.0 / n
+    cap = max_stable_dt(phi, g, float(values.min()), float(values.max()), dx)
+    dt = float(rng.uniform(0.1, 1.0)) * min(cap, 1.0)
+    ws = steps_match_reference(phi, g, values, dt, 3)
+    assert ws.diffusion is None
+    if one_piece:
+        assert ws.piece == k
+
+
+@pytest.mark.parametrize("phi, lookup", [(constant(0.3), False), (burgers(), True)],
+                         ids=["one_piece", "lookup"])
+def test_flat_g_step_adds_the_plus_zero_diffusion_term(phi, lookup):
+    # a -0.0 cell between equal fluxes gives u - dt/dx (...) = -0.0; the full
+    # update adds a +0.0 Laplacian there, so the flat step must add +0.0 too
+    values = np.full(16, -0.0)
+    values[5:9] = 0.25
+    values[12] = -0.25 if lookup else 0.25   # burgers' split kinks at 0
+    ws = steps_match_reference(phi, constant(0.5), values, 1e-3, 1)
+    assert ws.diffusion is None and (ws.piece is None) == lookup
+    out = ws.bufs[1][1:-1]
+    zeros = out == 0.0
+    assert zeros[np.signbit(values)].any() and not np.signbit(out[zeros]).any()
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308])
+def test_flat_g_whose_doubling_overflows_keeps_the_full_path(c):
+    # c + c is not finite, so neither is the Laplacian: the step must keep it,
+    # and the run reports "field values must be finite"
+    values = 0.5 + 0.25 * np.sin(2 * np.pi * Grid(16).cell_centers())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = steps_match_reference(linear(1.0), constant(c), values, 1e-3, 1)
+    assert ws.diffusion is not None
+    assert not np.isfinite(ws.bufs[1][1:-1]).any()
+
+
+def test_near_flat_g_keeps_the_full_path():
+    # a slope of 1e-300 is not flat: with a flat flux, dt/dx^2 ~ 1/Lg scales
+    # the tiny Laplacian up to a visible change of the data
+    phi, g = constant(0.0), linear(1e-300)
+    values = 0.5 + 0.25 * np.sin(2 * np.pi * Grid(16).cell_centers())
+    dt = 0.5 * max_stable_dt(phi, g, float(values.min()), float(values.max()), 1.0 / 16)
+    ws = steps_match_reference(phi, g, values, dt, 2)
+    assert ws.diffusion is not None
+    assert not np.array_equal(ws.bufs[0][1:-1], values)
+
+
+def test_flat_g_predicate_reads_the_pieces_of_the_data():
+    # KINKED's g is 0 below 0.5 and rises above it; merged pieces split at 0 and 0.5
+    inner, coeffs = _kernel_table(*KINKED)
+    assert _flat_g(coeffs, 0, 1, 1.0) and not _flat_g(coeffs, 1, 2, 1.0)
+    assert not _flat_g(coeffs, 0, 1, math.inf)
+    # two flat pieces of different constants, a table no continuous g makes
+    other = coeffs.copy()
+    other[-1, 2, 1] = 0.25
+    assert not _flat_g(other, 0, 1, 1.0) and _flat_g(other, 1, 1, 1.0)
+
+
+def test_flat_g_with_infinite_dt_dx2_keeps_the_full_path():
+    # flat phi and g leave dt = t_end; 1e300 / dx^2 overflows, and the full
+    # update's +0.0 * inf makes every cell NaN, which the run reports
+    grid = Grid(16384)
+    u0 = Field(grid, 0.5 + 0.25 * np.sin(2 * np.pi * grid.cell_centers()))
+    phi, g = constant(0.3), constant(0.0)
+    with np.errstate(invalid="ignore"):
+        ws = steps_match_reference(phi, g, u0.values, 1e300, 1)
+    assert ws.diffusion is not None
+    assert np.isnan(ws.bufs[1][1:-1]).all()
+    with pytest.raises(ValueError, match="field values must be finite"):
+        run(phi, g, u0, SchemeParams(t_end=1e300))
 
 
 def linear_model(rng, g_degree):
@@ -325,9 +412,10 @@ def step_case(case):
         phi, g, values = cfg.phi, cfg.g, cfg.initial.values
         if case.endswith("plateau"):               # inside [0, 0.8], one piece
             values = 0.4 + 0.3 * np.sin(2 * np.pi * cfg.initial.grid.cell_centers())
-    else:
-        grid = Grid(int(case.split("_")[1]))
-        phi, g = burgers(), constant(0.0)
+    else:                                           # burgers_n: g = 0; viscous_n: g' = 0.05
+        model, n = case.split("_")
+        grid = Grid(int(n))
+        phi, g = burgers(), constant(0.0) if model == "burgers" else linear(0.05)
         values = 0.5 + 0.3 * np.sin(2 * np.pi * grid.cell_centers())
     n = values.size
     dt = 0.5 * max_stable_dt(phi, g, float(values.min()), float(values.max()), 1.0 / n)
@@ -340,9 +428,10 @@ def step_case(case):
 SLACK = 2048
 
 
-@pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384"])
+@pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384", "mixed_band_400_plateau"])
 def test_a_step_allocates_only_its_piece_indices(case):
     ws = step_case(case)
+    assert (ws.diffusion is None) == (case != "mixed_band_400")    # g flat on the data
     ws.piece = ws.lead = None            # Burgers lies in one piece; look it up anyway
     n, slack = ws.lap.size, SLACK
     idx = ws.search(ws.bufs[0], "right")
@@ -358,10 +447,12 @@ def test_a_step_allocates_only_its_piece_indices(case):
         np.setbufsize(old)
 
 
-@pytest.mark.parametrize("case", ["burgers_400", "burgers_16384", "mixed_band_400_plateau"])
+@pytest.mark.parametrize("case", ["burgers_400", "burgers_16384", "mixed_band_400_plateau",
+                                  "viscous_400"])
 def test_a_one_piece_step_allocates_nothing_that_grows_with_n(case):
     ws = step_case(case)
     assert ws.piece is not None
+    assert (ws.diffusion is None) == (case != "viscous_400")       # g flat on the data
     old = np.setbufsize(16)
     try:
         assert step_peak(ws) <= SLACK
