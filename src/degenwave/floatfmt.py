@@ -10,6 +10,12 @@ every value within ``_EPS`` of a rounding tie or of the half-ulp bound, and
 zero, subnormal, non-finite and out-of-range values and powers of two (whose
 rounding interval is asymmetric). Tables are built on first use, so importing
 this module does no numpy work.
+
+Values are formatted in blocks of ``_CHUNK``, each value in a fixed-width row
+of bytes. A row template zeroes the bytes a value drops, and one
+``bytes.translate`` deletes them: no kept byte is NUL. Only a block that holds
+a certified value of at least 1 moves digits right to make room for the
+decimal point.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from functools import cache
 
 import numpy as np
 
-_CHUNK = 4096  # values formatted per block
-_EPS = 1e-9    # margin, in units of the 17th digit, around ties and the half-ulp
-_WIDTH = 28    # bytes per value while it is built; a multiple of 4
+_CHUNK = 16384  # values formatted per block
+_EPS = 1e-9     # margin, in units of the 17th digit, around ties and the half-ulp
+_WIDTH = 28     # bytes per value while it is built; a multiple of 4
 
 
 @cache
@@ -98,22 +104,29 @@ def _chunk_bytes(x, sep, chars):
     chars[:, 25] = sep
     point, nd, certified = _digits(np.where(fast, a, 3.0), chars)
     fast &= certified
-    # each byte either stays, becomes the decimal point, or takes the byte before it
-    cur, prev = chars.ravel()[1:], chars.ravel()[:-1]
-    out = np.empty_like(chars)
-    out[0, 0] = 45  # the sign, the one byte with no byte before it
-    flat = out.ravel()[1:]
-    np.subtract(cur, prev, out=flat)
-    flat *= before.take(point + 3, axis=0).ravel()[1:]
-    flat += prev
-    flat += (46 - prev) * at.take(point + 3, axis=0).ravel()[1:]
     mask = rows.take((np.signbit(x) * 21 + point + 3) * 18 + nd, axis=0)
+    if np.any(fast & (point > 0)):
+        # each byte either stays, becomes the decimal point, or takes the byte before it
+        cur, prev = chars.ravel()[1:], chars.ravel()[:-1]
+        out = np.empty_like(chars)
+        out[0, 0] = 45  # the sign, the one byte with no byte before it
+        flat = out.ravel()[1:]
+        np.subtract(cur, prev, out=flat)
+        flat *= before.take(point + 3, axis=0).ravel()[1:]
+        flat += prev
+        flat += (46 - prev) * at.take(point + 3, axis=0).ravel()[1:]
+        out *= mask
+    else:
+        # no certified value reaches 1: the point would go to column 24, which
+        # their rows drop, so every kept byte stays; repr rewrites the others
+        out = chars * mask
     slow = np.flatnonzero(~fast)
     if len(slow):
-        text = np.array([repr(v) for v in x[slow].tolist()], "S24")
-        out[slow, :24] = text.view(np.uint8).reshape(len(slow), 24)
-        mask[slow, :25] = np.arange(25) < np.char.str_len(text)[:, None]
-    return out[mask].tobytes()
+        # repr's text, padded with NULs up to the separator
+        text = np.array([repr(v) for v in x[slow].tolist()], "S25")
+        out[slow, :25] = text.view(np.uint8).reshape(len(slow), 25)
+    # no kept byte is NUL, so deleting the NULs leaves exactly the kept bytes
+    return out.tobytes().translate(None, b"\0")
 
 
 def csv_bytes(matrix, head: bytes = b"") -> bytes:

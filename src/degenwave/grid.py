@@ -19,6 +19,7 @@ from .errors import GridMismatchError
 
 MIN_CELLS = 4
 MAX_CELLS = 1 << 24  # 128 MiB per float array
+_MEAN_SCALE = MAX_CELLS.bit_length()  # 2^-25 keeps a sum of MAX_CELLS finite floats finite
 _SPLIT_LIMIT = 2.0 ** 960  # rows reaching it are summed by fsum; keeps 2^(e+M) finite
 
 
@@ -85,7 +86,13 @@ def positive_part_distance(u: Field, v: Field) -> float:
 
 
 def mean(u: Field) -> float:
-    return math.fsum(u.values.tolist()) * u.grid.dx
+    try:
+        return math.fsum(u.values.tolist()) * u.grid.dx
+    except OverflowError:
+        # the cell sum left the float range, the mean cannot: sum the values
+        # scaled by an exact power of two, then scale back
+        scaled = np.ldexp(u.values, -_MEAN_SCALE)
+        return math.ldexp(math.fsum(scaled.tolist()) * u.grid.dx, _MEAN_SCALE)
 
 
 def l1_to_constant(u: Field, value: float) -> float:

@@ -221,7 +221,8 @@ class PiecewiseFunction:
         else:
             left, lead, *rest = self._cache["table"][:, piece]
             acc = np.full(arr.shape, lead)
-        t = arr - left
+        if rest:  # a constant needs no offset, which can overflow on a range past 1.8e308
+            t = arr - left
         for c in rest:
             acc *= t
             acc += c

@@ -31,10 +31,11 @@ from .solver import RunResult, SchemeParams, require_step_budget, run, shared_dt
 from .structure import analyze, require_coverage
 
 DEFAULT_SNAPSHOT_COUNT = 33
-# Files of fewer floats are written by repr. floatfmt is faster from a few
-# hundred floats and slower only on series files and its one-time tables
-# (about 2 ms), but using it for small files lowers perfbench's speed probe and
-# so raises the scaled wall_s of pair_batch by 25% (ROADMAP item 1).
+# Files of fewer floats are written by repr. floatfmt is faster from about 200
+# floats (9 x 24: 60 against 65 us, best of 200 on one AMD EPYC core) and
+# slower only on series files (9 x 2: 50 against 7 us) and its one-time tables
+# (about 1.3 ms), but using it for small files lowers perfbench's speed probe
+# and so raises the scaled wall_s of pair_batch by 25% (ROADMAP item 1).
 _VECTOR_CSV_MIN_VALUES = 2**14
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -29,6 +30,7 @@ from degenwave import (
     scenarios,
     solver,
 )
+from degenwave import cli as cli_module
 from degenwave.cli import cli
 from degenwave.grid import MAX_CELLS
 from degenwave.scenarios import (
@@ -849,16 +851,34 @@ class TestCli:
             if cfg.name in known:
                 assert (cost["steps"], cost["binding"]) == known[cfg.name]
 
-    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
-        # parsing accepts it; the fsum of the mean overflows
-        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
-        doc = minimal(phi=wide, g=wide, grid={"n_cells": 8},
-                      initial={"sine": {"mean": 1e308, "amplitude": 1e307}})
-        parse_config(json.dumps(doc))
-        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 2
+    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("intermediate overflow in fsum")
+
+        monkeypatch.setattr(cli_module, "analyze", overflow)
+        assert cli(["analyze", "--config", self.write(tmp_path, minimal())]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: OverflowError: intermediate overflow in fsum\n"
+
+    def test_a_mean_whose_cell_sum_overflows(self, tmp_path, capsys):
+        # the fsum of the 8 cells overflows; their mean 1e308 does not
+        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
+                      initial={"sine": {"mean": 1e308, "amplitude": 1e307}})
+        config = self.write(tmp_path, doc)
+        assert cli(["analyze", "--config", config]) == 0
+        mean = json.loads(capsys.readouterr().out)["I"]
+        assert math.isfinite(mean) and math.isclose(mean, 1e308, rel_tol=1e-15)
+        # the run writes every artifact; its checks pass or fail on their own
+        cli(["run", "--config", config, "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == ""  # a run error would print "big: error: ..."
+        files = sorted(p.name for p in (tmp_path / "out" / "big").iterdir())
+        assert files == ["checks.json", "snapshots.csv", "structure.json"]
+        checks = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
+        assert [c["name"] for c in checks] == ["conservation"]
+        structure = json.loads((tmp_path / "out" / "big" / "structure.json").read_text())
+        assert structure["I"] == mean
 
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})

@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,9 @@ EDGES = [
     1025 * 2.0**-20,      # exact 16th-digit tie: repr 0.0009775161743164062
     1234567890.00390625,  # exact 17th-digit tie: repr 1234567890.0039062
 ]
+# the EDGES of magnitude >= 1 that repr writes
+LARGE_FALLBACKS = [1.0, -1024.0, 2.0**53, 1e16, -1.7976931348623157e308, float("inf"),
+                   float("nan"), 1234567890.00390625]
 
 
 def repr_csv(matrix) -> bytes:
@@ -59,6 +64,67 @@ def test_header_and_chunks():
     rng = np.random.default_rng(3)
     matrix = rng.uniform(-1.0, 1.0, (3, 3 * floatfmt._CHUNK + 7))
     assert csv_bytes(matrix, b"x,value\n") == b"x,value\n" + repr_csv(matrix)
+
+
+BLOCK_SIZES = [floatfmt._CHUNK - 1, floatfmt._CHUNK, floatfmt._CHUNK + 1]
+EXPONENT_RANGES = pytest.mark.parametrize("lo, hi", [(-4, 0), (0, 16), (-4, 16)],
+                                          ids=["below_1", "at_least_1", "mixed"])
+
+
+def signed_decades(rng, n, lo, hi):
+    """``n`` values of either sign with exponents in [lo, hi), every other one cut to few digits."""
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    scale = 10.0 ** rng.integers(0, 4, len(values[::2]))
+    values[::2] = np.rint(values[::2] * scale) / scale
+    return np.where(values == 0.0, 10.0**lo, values)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@EXPONENT_RANGES
+def test_blocks_below_and_above_1(n, lo, hi):
+    # below 1 a block skips the decimal-point shift; one value >= 1 makes it shift
+    rng = np.random.default_rng(n + 29 * lo)
+    values = signed_decades(rng, n, lo, hi)
+    if hi <= 0:
+        values = np.clip(values, -np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0))
+    assert_matches_repr(values[None, :])
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_snapshot_table_whose_time_column_alone_reaches_1(n):
+    # only the time column reaches 1, so a block shifts only if it holds a time >= 1
+    rng = np.random.default_rng(n)
+    table = rng.uniform(-0.99, 0.99, (4, n))
+    table[:, 0] = [0.25, 1.0, 2.5, 12.125]
+    assert_matches_repr(table)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@EXPONENT_RANGES
+def test_fallbacks_among_fast_values_leave_no_nul(n, lo, hi):
+    # repr's texts are NUL-padded while built; below 1 the blocks skip the
+    # decimal-point shift, though they hold fallbacks >= 1 (powers of two,
+    # out-of-range, non-finite and tie values)
+    edges = [e for e in EDGES if abs(e) < 1] + LARGE_FALLBACKS if hi <= 0 else EDGES
+    values = signed_decades(np.random.default_rng(n - lo), n, lo, hi)
+    values[:len(edges)] = values[-len(edges):] = edges
+    assert b"\0" not in csv_bytes(values[None, :])
+    assert_matches_repr(values[None, :])
+
+
+def test_memory_stays_near_the_output():
+    # about 2 bytes per output byte (the blocks and their join), never the whole
+    # matrix as one block
+    rng = np.random.default_rng(19)
+    table = rng.uniform(-1.0, 1.0, (97, 16385))
+    floatfmt._tables()
+    tracemalloc.start()
+    try:
+        size = len(csv_bytes(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size + 8 * 2**20
 
 
 def test_many_bit_patterns_and_decimals():

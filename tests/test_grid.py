@@ -120,6 +120,19 @@ class TestShift:
         u = rm.random_field(rng, Grid(20))
         assert mean(shift(u, 13)) == mean(u)
 
+    def test_mean_of_a_cell_sum_past_the_float_range(self):
+        # the fsum of the cells overflows; the mean is the same exactly rounded value
+        g = Grid(12)
+        values = 1e308 + 5e307 * np.sin(2.0 * np.pi * g.cell_centers())
+        with pytest.raises(OverflowError):
+            math.fsum(values.tolist())
+        exact = math.fsum((values / 16).tolist()) * g.dx * 16
+        assert mean(Field(g, values)) == exact
+        assert mean(Field(g, -values)) == -exact
+        assert math.isclose(exact, 1e308, rel_tol=1e-15)
+        big = Field(Grid(8), np.full(8, 1.7976931348623157e308))  # dx exact: no rounding
+        assert mean(big) == 1.7976931348623157e308
+
     def test_distance_invariant_exact(self):
         rng = np.random.default_rng(6)
         g = Grid(28)

@@ -50,6 +50,12 @@ class TestEval:
         assert f.eval(0.0) == 0.0
         assert f.eval(np.nextafter(0.0, -1)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_constant_on_a_range_wider_than_the_floats(self):
+        # u - lo overflows; a constant never forms it (RuntimeWarnings are errors here)
+        f = constant(0.25, -1.5e308, 1.5e308)
+        assert f.eval(1.5e308) == 0.25
+        assert f.eval(np.array([-1.5e308, 1e308])).tolist() == [0.25, 0.25]
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             burgers(-1, 1).eval(1.5)
