@@ -261,13 +261,19 @@ def _row_integrals(run_result: RunResult, fn, first: int = 0) -> list[float]:
 
     With ``fn`` elementwise, each value equals the grid function that sums
     the same map over one field (``mean``, ``l1_distance``, ...) bitwise.
+    A block with a row whose sum leaves the float range is integrated row by
+    row, as ``mean`` integrates one field.
     """
     values, dx = run_result.values[first:], run_result.grid.dx
     s, n = values.shape
     block = max(1, _BLOCK_CELLS // n)
     out = []
     for r0 in range(0, s, block):
-        out.extend(v * dx for v in gridmod.exact_row_sums(fn(values[r0:r0 + block], r0)))
+        rows = fn(values[r0:r0 + block], r0)
+        try:
+            out.extend(v * dx for v in gridmod.exact_row_sums(rows))
+        except OverflowError:
+            out.extend(gridmod.integral(row, dx) for row in rows)
     return out
 
 

@@ -85,14 +85,19 @@ def positive_part_distance(u: Field, v: Field) -> float:
     return math.fsum(np.maximum(u.values - v.values, 0.0).tolist()) * u.grid.dx
 
 
-def mean(u: Field) -> float:
+def integral(values: np.ndarray, dx: float) -> float:
+    """``math.fsum(values) * dx``, also where the sum leaves the float range."""
     try:
-        return math.fsum(u.values.tolist()) * u.grid.dx
+        return math.fsum(values.tolist()) * dx
     except OverflowError:
         # the cell sum left the float range, the mean cannot: sum the values
         # scaled by an exact power of two, then scale back
-        scaled = np.ldexp(u.values, -_MEAN_SCALE)
-        return math.ldexp(math.fsum(scaled.tolist()) * u.grid.dx, _MEAN_SCALE)
+        scaled = np.ldexp(values, -_MEAN_SCALE)
+        return math.ldexp(math.fsum(scaled.tolist()) * dx, _MEAN_SCALE)
+
+
+def mean(u: Field) -> float:
+    return integral(u.values, u.grid.dx)
 
 
 def l1_to_constant(u: Field, value: float) -> float:

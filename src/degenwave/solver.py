@@ -173,12 +173,19 @@ class _Workspace:
     ``(cur[1:-1], nxt[1:-1])`` views of a step from either one. The step
     ratios are 0-d arrays, which a ufunc takes without converting a float.
 
-    When ``values`` lie in one merged piece, ``piece`` is its index: ``gath``
-    holds that piece's column in every cell, and ``lead`` keeps its leading
-    coefficient row, from which each step restarts Horner. By the max
-    principle every later state lies in ``[min values, max values]``, so the
-    piece lookup would return ``piece`` in every cell on every step. Otherwise
-    ``piece`` and ``lead`` are None.
+    ``gath`` holds the table columns of every cell's merged piece, gathered
+    once here from ``values``: its left ends, paired row by row with the rows
+    of ``t`` in ``lefts``, its leading coefficient row ``lead`` and the
+    other coefficient rows ``rest``. Horner writes into ``acc``, so
+    ``gath`` changes only by a gather. ``idx`` holds the piece indices that
+    ``gath`` was gathered for; a step gathers again only when its own
+    indices differ, which it finds through ``changed``.
+
+    When ``values`` lie in one merged piece, ``piece`` is its index and
+    ``idx`` is None: by the max principle every later state lies in
+    ``[min values, max values]``, so the piece lookup would return ``piece``
+    in every cell on every step, and the step never looks up. Otherwise
+    ``piece`` is None.
 
     ``diffusion`` holds the three ``G`` views of the Laplacian, or is None
     when ``g`` is flat on the data range (``_flat_g``). Then the tables,
@@ -198,30 +205,36 @@ class _Workspace:
         a, b = (buf[1:-1] for buf in self.bufs)
         self.interiors = {id(self.bufs[0]): (a, b), id(self.bufs[1]): (b, a)}
         self.gath = np.empty((*coeffs.shape[:2], n + 2))
-        self.left, self.acc, *self.rest = self.gath
-        self.t, self.lap = np.empty((coeffs.shape[1], n + 2)), np.empty(n)
+        left, self.lead, *self.rest = self.gath
+        self.t, self.acc = (np.empty((coeffs.shape[1], n + 2)) for _ in range(2))
+        self.lefts = tuple(zip(left, self.t))
+        self.lap, self.changed = np.empty(n), np.empty(n + 2, dtype=bool)
         flux, down, G = self.acc[0], self.acc[1], self.acc[-1]
         self.views = (flux[:-1], down[1:], flux[1:-1], flux[:-2])
         self.diffusion = None if flat else (G[2:], G[1:-1], G[:-2])
         self.dt_dx, self.dt_dx2 = np.array(dt / dx), np.array(dt / (dx * dx))
         self.zero = np.zeros(())
-        self.piece = self.lead = None
-        if lo == hi:
-            self.piece = lo
-            self.gath[...] = coeffs[:, :, lo, None]
-            self.lead = self.acc.copy()
+        idx = self.search(self.bufs[0], "right")
+        self.take(idx, 2, self.gath, "wrap")
+        self.piece, self.idx = (lo, None) if lo == hi else (None, idx)
+
+
+_add, _subtract, _multiply = np.add, np.subtract, np.multiply
+_not_equal, _count_nonzero, _copyto = np.not_equal, np.count_nonzero, np.copyto
 
 
 def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     """One explicit update from the padded state ``cur`` into ``nxt``.
 
     Both are ghost-padded ``(n+2,)`` buffers of ``ws``, so neighbours are
-    slices of one contiguous array. One gather fetches the piece data of all
-    three functions, and one stacked Horner scheme evaluates them, each in
-    its own piece-local variable. With one piece in range (``ws.lead``) the
-    gathered data are already in place, and Horner starts from ``ws.lead``:
-    its first multiply gives the same bits as the in-place one. The
-    arithmetic matches
+    slices of one contiguous array. Unless the data lie in one piece
+    (``ws.idx`` None), the step looks up every cell's merged piece, and
+    when any index differs from ``ws.idx`` one gather fetches the piece data
+    of all three functions; otherwise the gathered data are still those of
+    this step. ``t = u - left`` is formed one function row at a time, each
+    a same-shape operation, and one stacked Horner scheme from ``ws.lead``
+    into ``ws.acc`` evaluates the three functions, each in its own
+    piece-local variable. The arithmetic matches
     ``u - dt/dx (F_{j+1/2} - F_{j-1/2}) + dt/dx^2 (G_{j+1} - 2 G_j + G_{j-1})``
     operation for operation, so the output is the same to the bit: ``2 G_j``
     is ``G_j + G_j``, exact as a doubling is. With ``g`` flat on the data
@@ -230,33 +243,37 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     ``u - dt/dx (...)`` into +0.0 as the full sum does. Every operand goes
     by position, which spares numpy parsing keywords on each call.
     """
+    if ws.idx is not None:
+        idx = ws.search(cur, "right")
+        _not_equal(idx, ws.idx, ws.changed)
+        if _count_nonzero(ws.changed):
+            # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
+            ws.take(idx, 2, ws.gath, "wrap")
+            ws.idx = idx
     acc, t, lead = ws.acc, ws.t, ws.lead
-    if lead is None:
-        # indices lie in [0, m-1], so "wrap" never wraps; unlike "raise" it writes out unbuffered
-        ws.take(ws.search(cur, "right"), 2, ws.gath, "wrap")
-        lead = acc
-    elif not ws.rest:
-        np.copyto(acc, lead)                # degree 0: the flux sum below overwrote acc
-    np.subtract(cur, ws.left, t)
+    for left, row in ws.lefts:
+        _subtract(cur, left, row)
+    if not ws.rest:
+        _copyto(acc, lead)                  # degree 0: Horner leaves the leading row
     for c in ws.rest:
-        np.multiply(lead, t, acc)
-        np.add(acc, c, acc)
+        _multiply(lead, t, acc)
+        _add(acc, c, acc)
         lead = acc
     flux_l, down_r, flux_c, flux_p = ws.views
-    np.add(flux_l, down_r, flux_l)          # F_{j+1/2} = up_j + down_{j+1}
+    _add(flux_l, down_r, flux_l)            # F_{j+1/2} = up_j + down_{j+1}
     (u, out), lap = ws.interiors[id(cur)], ws.lap
-    np.subtract(flux_c, flux_p, out)
-    np.multiply(out, ws.dt_dx, out)
-    np.subtract(u, out, out)
+    _subtract(flux_c, flux_p, out)
+    _multiply(out, ws.dt_dx, out)
+    _subtract(u, out, out)
     if ws.diffusion is None:
-        np.add(out, ws.zero, out)
+        _add(out, ws.zero, out)
     else:
         g_r, g_c, g_l = ws.diffusion
-        np.add(g_c, g_c, lap)
-        np.subtract(g_r, lap, lap)
-        np.add(lap, g_l, lap)
-        np.multiply(lap, ws.dt_dx2, lap)
-        np.add(out, lap, out)
+        _add(g_c, g_c, lap)
+        _subtract(g_r, lap, lap)
+        _add(lap, g_l, lap)
+        _multiply(lap, ws.dt_dx2, lap)
+        _add(out, lap, out)
     nxt[0], nxt[-1] = nxt[-2], nxt[1]       # one ghost cell per side
 
 
@@ -348,6 +365,43 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     }
 
 
+def _first_step(x: float, dt: float) -> int:
+    """The first step ``k >= 1`` whose time ``k * dt`` reaches ``x``.
+
+    The scan starts two steps below ``ceil(x / dt)``: ``k * dt`` rounds by
+    less than ``k * dt * 2^-53``, under one step for every ``k`` a step
+    budget allows, so no earlier step can reach ``x``."""
+    k = max(1, math.ceil(x / dt) - 2)
+    while k * dt < x:
+        k += 1
+    return k
+
+
+def _snapshot_steps(dt: float, t_end: float, requested: list[float]) -> list[int]:
+    """The steps after which ``run`` records a row, in order; none for a
+    zero horizon.
+
+    The last is the first step at or within ``_STEP_SLACK`` steps of
+    ``t_end``. Before it, a row is due at the first step at or within the
+    slack of the earliest requested time not yet met; each row meets every
+    requested time up to the slack past it. This is the rule of a loop that
+    tests every step, evaluated in the same float expressions, so the rows
+    come out the same."""
+    if not t_end > 0.0:
+        return []
+    slack = _STEP_SLACK * dt
+    last = _first_step(t_end - slack, dt)
+    marks, ptr, k = [], 0, 0
+    while k < last:
+        k = last if ptr == len(requested) else \
+            min(last, max(k + 1, _first_step(requested[ptr] - slack, dt)))
+        marks.append(k)
+        t = k * dt
+        while ptr < len(requested) and requested[ptr] <= t + slack:
+            ptr += 1
+    return marks
+
+
 def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
         params: SchemeParams, _dt: float | None = None) -> RunResult:
     """Advance ``u0`` to ``t_end``, recording snapshots as the rows of a table.
@@ -370,38 +424,30 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     else:
         _step_limit(phi, g, u0, _dt)
         dt = _dt
-    steps = require_step_budget(dt, params.t_end, u0.grid.n_cells)
-    requested = [t for t in params.snapshot_times if t > 0.0]
-    # one row per due step (at most one per requested time), the initial and the final state
-    table = np.empty((min(len(requested), steps) + 2, u0.grid.n_cells + 1))
+    require_step_budget(dt, params.t_end, u0.grid.n_cells)
+    marks = _snapshot_steps(dt, params.t_end, [t for t in params.snapshot_times if t > 0.0])
+    table = np.empty((len(marks) + 1, u0.grid.n_cells + 1))
     table[0, 0], table[0, 1:] = 0.0, u0.values
-    s, ptr, k = 1, 0, 0
-    if params.t_end > 0.0:
+    k = 0
+    if marks:
         ws = _Workspace(_kernel_table(phi, g), u0.values, u0.grid.dx, dt)
         cur, nxt = ws.bufs
         # an overflow shows as non-finite values at the next snapshot, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                k += 1
+            for s, mark in enumerate(marks, 1):
+                for _ in range(mark - k):
+                    _apply_step(ws, cur, nxt)
+                    cur, nxt = nxt, cur
+                k = mark
                 t = k * dt
-                _apply_step(ws, cur, nxt)
-                cur, nxt = nxt, cur
-                final = t >= params.t_end - _STEP_SLACK * dt
-                due = ptr < len(requested) and t >= requested[ptr] - _STEP_SLACK * dt
-                if final or due:
-                    table[s, 0], table[s, 1:] = t, cur[1:-1]
-                    if not np.isfinite(table[s, 1:]).all():
-                        raise ValueError("field values must be finite")
-                    if ws.piece is not None and \
-                            _piece_span(ws.search, table[s, 1:]) != (ws.piece, ws.piece):
-                        raise RuntimeError(f"the state at t={t!r} left kernel piece {ws.piece}, "
-                                           "which holds the initial data range")
-                    s += 1
-                    while ptr < len(requested) and (final or requested[ptr] <= t + _STEP_SLACK * dt):
-                        ptr += 1
-                if final:
-                    break
-    return RunResult(table[:s], u0.grid, phi, g, k, dt, params)
+                table[s, 0], table[s, 1:] = t, cur[1:-1]
+                if not np.isfinite(table[s, 1:]).all():
+                    raise ValueError("field values must be finite")
+                if ws.piece is not None and \
+                        _piece_span(ws.search, table[s, 1:]) != (ws.piece, ws.piece):
+                    raise RuntimeError(f"the state at t={t!r} left kernel piece {ws.piece}, "
+                                       "which holds the initial data range")
+    return RunResult(table, u0.grid, phi, g, k, dt, params)
 
 
 def run_many(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,

@@ -870,15 +870,29 @@ class TestCli:
         assert cli(["analyze", "--config", config]) == 0
         mean = json.loads(capsys.readouterr().out)["I"]
         assert math.isfinite(mean) and math.isclose(mean, 1e308, rel_tol=1e-15)
-        # the run writes every artifact; its checks pass or fail on their own
+        # the run writes every artifact, the conservation series included
         cli(["run", "--config", config, "--out", str(tmp_path / "out")])
         assert capsys.readouterr().err == ""  # a run error would print "big: error: ..."
         files = sorted(p.name for p in (tmp_path / "out" / "big").iterdir())
-        assert files == ["checks.json", "snapshots.csv", "structure.json"]
+        assert files == ["checks.json", "series_conservation.csv", "snapshots.csv",
+                         "structure.json"]
         checks = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
         assert [c["name"] for c in checks] == ["conservation"]
         structure = json.loads((tmp_path / "out" / "big" / "structure.json").read_text())
         assert structure["I"] == mean
+
+    def test_conservation_of_a_mean_whose_cell_sum_overflows(self, tmp_path, capsys):
+        # each snapshot's cell sum overflows; the check integrates it scaled
+        # and sees the conserved mean
+        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
+                      initial={"sine": {"mean": 1e308, "amplitude": 1e300}})
+        assert cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        (check,) = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
+        assert check["name"] == "conservation" and check["passed"]
+        assert math.isfinite(check["observed"]) and "extra" not in check
 
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})

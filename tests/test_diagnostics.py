@@ -201,6 +201,22 @@ class TestMonitors:
         assert rep.passed
         assert rep.observed <= 1e-12
 
+    def test_conservation_of_rows_whose_cell_sums_overflow(self):
+        # 8 cells near 1e308 sum past the float range, their mean does not;
+        # a block mixing such rows with ordinary ones integrates each row as
+        # mean does, bit for bit
+        grid = Grid(8)
+        wide = constant(0.0, -1.5e308, 1.5e308)
+        u0 = sine_field(grid, 1e308, 1e300)
+        res = run(wide, wide, u0, SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
+        rep = conservation_monitor(res)
+        assert rep.passed and rep.observed == 0.0
+        rows = np.vstack((res.values, 0.5 * res.values[:1] / 1e300, -res.values[1:]))
+        mixed = RunResult(np.column_stack((np.arange(len(rows)), rows)), grid, wide, wide,
+                          0, 0.05, res.params)
+        got = diagnostics._row_integrals(mixed, lambda U, r0: U)
+        assert [v.hex() for v in got] == [mean(Field(grid, r)).hex() for r in rows]
+
     def test_mismatched_schedules_rejected(self):
         phi, g, res1 = burgers_run(n=64, t_end=0.5)
         _, _, res2 = burgers_run(n=64, t_end=1.0)

@@ -17,7 +17,7 @@ from degenwave import (
     shift,
     total_variation,
 )
-from degenwave.grid import exact_row_sums
+from degenwave.grid import exact_row_sums, integral
 
 
 def test_grid_rejects_tiny():
@@ -132,6 +132,18 @@ class TestShift:
         assert math.isclose(exact, 1e308, rel_tol=1e-15)
         big = Field(Grid(8), np.full(8, 1.7976931348623157e308))  # dx exact: no rounding
         assert mean(big) == 1.7976931348623157e308
+
+    def test_integral_of_values_whose_sum_overflows(self):
+        # fsum times dx where the sum is finite, bit for bit; the scaled sum of
+        # mean where it is not, while the whole-run row sums raise as fsum does
+        g = Grid(8)
+        values = 1e308 + 1e300 * np.sin(2.0 * np.pi * g.cell_centers())
+        with pytest.raises(OverflowError):
+            exact_row_sums(values[None, :])
+        assert integral(values, g.dx) == mean(Field(g, values)) == 1e308
+        assert integral(-values, g.dx) == -1e308
+        small = values / 1e300
+        assert integral(small, g.dx) == math.fsum(small.tolist()) * g.dx
 
     def test_distance_invariant_exact(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,6 @@
 """Bit-identity of the stacked step kernel and the shared-dt rule of run_many."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -31,7 +32,7 @@ from degenwave import (
 )
 from degenwave.piecewise import _RANGE_SLACK
 from degenwave import solver as solvermod
-from degenwave.solver import _apply_step, _flat_g, _kernel_table, _Workspace
+from degenwave.solver import _STEP_SLACK, _apply_step, _flat_g, _kernel_table, _Workspace
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -138,7 +139,7 @@ def test_one_piece_selection_at_breakpoints(lo, hi, piece):
     dt = 0.5 * max_stable_dt(phi, g, lo, hi, grid.dx)
     ws = steps_match_reference(phi, g, values, dt, 4)
     assert ws.piece == piece
-    assert (ws.lead is None) == (piece is None)
+    assert (ws.idx is None) == (piece is not None)     # one piece: no lookup
 
 
 def test_run_raises_when_a_snapshot_leaves_the_kernel_piece(monkeypatch):
@@ -180,6 +181,85 @@ def test_degree_zero_one_piece_steps(phi):
     for cur, nxt in [ws.bufs, ws.bufs[::-1]] * 2:
         _apply_step(ws, cur, nxt)
     assert np.array_equal(ws.bufs[0][1:-1], values)
+
+
+def counted_gathers(ws):
+    """The list that every later gather of ``ws`` appends its indices to."""
+    take, gathers = ws.take, []
+    ws.take = lambda *args: gathers.append(args[0]) or take(*args)
+    return gathers
+
+
+def lookup_steps(phi, g, values, dt, count):
+    """``count`` lookup steps of one workspace against the reference steps,
+    bit for bit; returns the gathers the steps made and the count of steps
+    that read another piece map than the step before (the build's, first)."""
+    up, down = monotone_split(phi)
+    inner, coeffs = _kernel_table(phi, g)
+    dx = 1.0 / values.size
+    ws = _Workspace((inner, coeffs), values, dx, dt)
+    assert ws.piece is None and ws.idx is not None
+    gathers = counted_gathers(ws)
+    cur, nxt = ws.bufs
+    want, last, changes = values, inner.searchsorted(values, "right"), 0
+    for _ in range(count):
+        pieces = inner.searchsorted(want, "right")
+        changes += not np.array_equal(pieces, last)
+        last = pieces
+        _apply_step(ws, cur, nxt)
+        cur, nxt = nxt, cur
+        want = apply_step_reference(up, down, g, want, dx, dt)
+        assert np.array_equal(bits(cur[1:-1]), bits(want))
+    return len(gathers), changes
+
+
+def test_a_step_gathers_only_when_the_piece_map_changes():
+    # mixed_band's data straddle g's kink at 0.8, and the diffusion moves
+    # cells across it now and then: 31 of the first 300 steps read a new map
+    cfg = mixed_band()
+    values = cfg.initial.values
+    dt = 0.5 * max_stable_dt(cfg.phi, cfg.g, float(values.min()), float(values.max()),
+                             cfg.initial.grid.dx)
+    gathers, changes = lookup_steps(cfg.phi, cfg.g, values, dt, 300)
+    assert gathers == changes and 0 < changes < 300
+
+
+def test_a_map_that_changes_on_every_step_is_gathered_on_every_step():
+    # a linear flux with a breakpoint at 0.5, at Courant number 1: each step
+    # moves the cells of 0.25 and 0.75 one cell on, so every cell changes
+    # piece; the first step reads the map that the build gathered
+    phi = from_breakpoints((-2.0, 0.5, 2.0), [[0.0, 1.0], [0.0, 1.0]])
+    g = constant(0.0)
+    values = np.where(np.arange(16) % 2 == 0, 0.25, 0.75)
+    dt = max_stable_dt(phi, g, 0.25, 0.75, 1.0 / 16)
+    assert _kernel_table(phi, g)[0].tolist() == [0.5] and dt == 1.0 / 16
+    assert lookup_steps(phi, g, values, dt, 6) == (5, 5)
+
+
+def test_degree_zero_lookup_steps():
+    # constant pieces leave no Horner row, so each step copies the gathered
+    # leading row. In a table whose pieces hold different constants, a stale
+    # row would show: each state is rolled one cell on before its step, which
+    # gives it a new piece map, and a workspace built from that state alone
+    # is the oracle
+    phi = from_breakpoints((-2.0, 0.5, 2.0), [[0.3], [0.3]])
+    inner, coeffs = _kernel_table(phi, constant(0.25))
+    assert inner.tolist() == [0.5] and coeffs.shape[0] == 2
+    coeffs = coeffs.copy()
+    coeffs[1, 0], coeffs[1, 2] = (0.3, 0.7), (0.25, 0.5)     # phi_up and g jump at 0.5
+    table, dx, dt = (inner, coeffs), 1.0 / 32, 1e-3
+    state = 0.5 + 0.25 * np.sin(2 * np.pi * Grid(32).cell_centers())
+    ws = _Workspace(table, state, dx, dt)
+    assert ws.idx is not None and ws.diffusion is not None and not ws.rest
+    gathers = counted_gathers(ws)
+    cur, nxt = ws.bufs
+    for _ in range(6):
+        state = np.roll(state, 1)
+        cur[1:-1], cur[0], cur[-1] = state, state[-1], state[0]
+        _apply_step(ws, cur, nxt)
+        assert np.array_equal(bits(nxt[1:-1]), bits(one_step(table, state, dx, dt)))
+        state = nxt[1:-1].copy()
+    assert len(gathers) == 6
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,9 +474,12 @@ def test_zero_d_array_operand_is_bit_identical_to_float(ratio):
     assert np.array_equal(bits(got), bits(want))
 
 
-def step_peak(ws):
-    """Peak traced bytes of one ``_apply_step``, after an untraced one."""
+def step_peak(ws, before=None):
+    """Peak traced bytes of one ``_apply_step``, after an untraced one and
+    then ``before()``."""
     _apply_step(ws, *ws.bufs)              # first calls may fill caches of numpy's
+    if before is not None:
+        before()
     tracemalloc.start()
     try:
         _apply_step(ws, *ws.bufs)
@@ -405,44 +488,63 @@ def step_peak(ws):
         tracemalloc.stop()
 
 
-def step_case(case):
-    """The workspace of a step of ``case``, named by its model and cell count."""
+def step_case(case, lookup=False):
+    """The workspace of a step of ``case``, named by its model and cell count.
+    With ``lookup`` the data cross a flux kink, with ``g`` as flat on them as
+    without, so the step looks its pieces up."""
     if case.startswith("mixed_band"):
         cfg = mixed_band()
         phi, g, values = cfg.phi, cfg.g, cfg.initial.values
         if case.endswith("plateau"):               # inside [0, 0.8], one piece
-            values = 0.4 + 0.3 * np.sin(2 * np.pi * cfg.initial.grid.cell_centers())
+            mid = 0.2 if lookup else 0.4           # [-0.1, 0.5] crosses the kink at 0
+            values = mid + 0.3 * np.sin(2 * np.pi * cfg.initial.grid.cell_centers())
     else:                                           # burgers_n: g = 0; viscous_n: g' = 0.05
         model, n = case.split("_")
         grid = Grid(int(n))
         phi, g = burgers(), constant(0.0) if model == "burgers" else linear(0.05)
-        values = 0.5 + 0.3 * np.sin(2 * np.pi * grid.cell_centers())
+        mid = 0.1 if lookup else 0.5               # burgers' split kinks at 0
+        values = mid + 0.3 * np.sin(2 * np.pi * grid.cell_centers())
     n = values.size
     dt = 0.5 * max_stable_dt(phi, g, float(values.min()), float(values.max()), 1.0 / n)
     return _Workspace(_kernel_table(phi, g), values, 1.0 / n, dt)
 
 
-# numpy may run the one broadcast ufunc (cur minus the left ends) through
-# iteration buffers of up to getbufsize() elements; at the smallest buffer
-# size those take a few hundred bytes, and what is left is the step's own
-SLACK = 2048
+# besides its piece indices, a step allocates two numpy scalars for the ghost
+# cells and the header of the index array: 64 to 192 bytes with numpy 2.4,
+# measured; the rest leaves room for the Python-level wrappers of older numpy.
+# No operation of a step broadcasts, so numpy's iteration buffers take nothing
+SLACK = 512
 
 
 @pytest.mark.parametrize("case", ["mixed_band_400", "burgers_16384", "mixed_band_400_plateau"])
 def test_a_step_allocates_only_its_piece_indices(case):
-    ws = step_case(case)
+    ws = step_case(case, lookup=True)
     assert (ws.diffusion is None) == (case != "mixed_band_400")    # g flat on the data
-    ws.piece = ws.lead = None            # Burgers lies in one piece; look it up anyway
+    assert ws.piece is None and ws.idx is not None                 # the data cross a kink
     n, slack = ws.lap.size, SLACK
     idx = ws.search(ws.bufs[0], "right")
     assert idx.shape == (n + 2,)
     old = np.setbufsize(16)
     try:
+        # both steps start from bufs[0], whose piece map the build gathered
+        built = ws.idx
         assert step_peak(ws) <= idx.nbytes + slack
-        # both steps start from bufs[0]; handed its indices, a step allocates
-        # nothing that grows with n, so a temporary of n cells would show
-        ws.search = lambda *args: idx
-        assert step_peak(ws) <= slack
+        assert ws.idx is built
+
+        def roll():                         # other cells take each index: a new map
+            ws.bufs[0][:] = np.roll(ws.bufs[0], 7)
+
+        assert step_peak(ws, roll) <= idx.nbytes + slack
+        here = ws.idx
+        assert here is not built and np.array_equal(here, ws.search(ws.bufs[0], "right"))
+        assert not np.array_equal(here, idx)
+        # handed its indices, a step allocates nothing that grows with n,
+        # whether its map is unchanged or changed: a temporary of n cells would show
+        ws.search = lambda *args: here
+        assert step_peak(ws) <= slack and ws.idx is here
+        turns = itertools.cycle((idx, here))
+        ws.search = lambda *args: next(turns)
+        assert step_peak(ws) <= slack and ws.idx is here
     finally:
         np.setbufsize(old)
 
@@ -535,9 +637,98 @@ def test_run_snapshots_match_reference_loop(seed, n, data):
                    for a in (u0.values, *ws.bufs, ws.gath, ws.t, ws.lap))
 
 
+def loop_snapshots(dt, t_end, requested):
+    """The (step, time) of every row that a loop testing each step in turn
+    records: the rule ``run`` evaluates before it steps."""
+    ptr, k = 0, 0
+    while True:
+        k += 1
+        t = k * dt
+        final = t >= t_end - _STEP_SLACK * dt
+        due = ptr < len(requested) and t >= requested[ptr] - _STEP_SLACK * dt
+        if final or due:
+            yield k, t
+            while ptr < len(requested) and (final or requested[ptr] <= t + _STEP_SLACK * dt):
+                ptr += 1
+        if final:
+            return
+
+
+@st.composite
+def schedules(draw, dt):
+    """``(t_end, times)`` for steps of ``dt``: up to 400 steps, a horizon on,
+    near or between step times, and times of every kind ``run`` must tell
+    apart: repeated, on a step, within the slack of one either side, at
+    ``t_end * (1 + 1e-12)``, and many on a few steps."""
+    steps = draw(st.integers(1, 400))
+    near = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    t_end = draw(st.one_of(
+        st.just(steps * dt),
+        st.builds(lambda c: steps * dt + c * _STEP_SLACK * dt, near),
+        st.floats(0.01, 1.0).map(lambda f: (steps - 1 + f) * dt)))
+    on = st.integers(0, steps).map(lambda i: i * dt)
+    picks = st.one_of(
+        st.floats(0.0, t_end), on,
+        st.builds(lambda t, c: t + c * _STEP_SLACK * dt, on, near),
+        st.sampled_from([0.0, t_end, t_end * (1.0 + 1e-12)]))
+    times = draw(st.lists(picks, max_size=12))
+    crowd = draw(st.integers(0, steps))                 # many times on a few steps
+    times += draw(st.lists(st.floats(crowd * dt, (crowd + 2) * dt), max_size=30))
+    times += times[:draw(st.integers(0, 3))]            # repeated times
+    return t_end, sorted(min(max(t, 0.0), t_end * (1.0 + 1e-12)) for t in times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dt=st.floats(1e-300, 1e300), data=st.data())
+def test_snapshot_steps_match_a_loop_over_every_step(dt, data):
+    t_end, times = data.draw(schedules(dt))
+    requested = [t for t in times if t > 0.0]
+    want = [k for k, _ in loop_snapshots(dt, t_end, requested)]
+    assert solvermod._snapshot_steps(dt, t_end, requested) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.floats(1e-300, 1e300), i=st.integers(1, 10 ** 8), ulps=st.integers(-2, 2))
+def test_first_step_is_the_first_to_reach(dt, i, ulps):
+    # a threshold on or next to a step time: x / dt may round past i, so the
+    # scan must start below ceil(x / dt)
+    x = i * dt
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    k = solvermod._first_step(x, dt)
+    assert k * dt >= x and (k == 1 or (k - 1) * dt < x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.floats(1e-3, 1.0), data=st.data())
+def test_run_rows_match_a_loop_over_every_step(scale, data):
+    # transport at speed 1 on 8 cells: dx = 1/8 is the step limit; run at
+    # a step of ``scale`` times it records the rows of the loop, bit for bit
+    grid = Grid(8)
+    u0 = Field(grid, 0.5 + 0.25 * np.sin(2 * np.pi * grid.cell_centers()))
+    phi, g, dt = linear(1.0, 0.0, -1, 1), constant(0.0, -1, 1), scale / 8
+    t_end, times = data.draw(schedules(dt))
+    params = SchemeParams(t_end=t_end, snapshot_times=tuple(times))
+    res = run(phi, g, u0, params, _dt=dt)
+    ws = _Workspace(_kernel_table(phi, g), u0.values, grid.dx, dt)
+    cur, nxt = ws.bufs
+    want_times, want_rows, done = [0.0], [u0.values], 0
+    for k, t in loop_snapshots(dt, t_end, [t for t in times if t > 0.0]):
+        for _ in range(k - done):
+            _apply_step(ws, cur, nxt)
+            cur, nxt = nxt, cur
+        done = k
+        want_times.append(t)
+        want_rows.append(cur[1:-1].copy())
+    assert res.step_count == done
+    assert res.times.tolist() == want_times
+    assert np.array_equal(bits(res.values), bits(np.array(want_rows)))
+
+
 def test_run_table_rows_are_bounded_by_steps():
     # thousands of requested times on a run of a few steps: one row per step
-    # taken, plus the initial state, and the allocation is no larger
+    # taken, plus the initial state, and the allocation is no larger: run
+    # counts the rows before it steps
     grid = Grid(8)
     u0 = Field(grid, 0.5 + 0.25 * np.sin(2 * np.pi * grid.cell_centers()))
     phi, g = linear(1.0, 0.0, -1, 1), constant(0.0, -1, 1)
@@ -546,7 +737,7 @@ def test_run_table_rows_are_bounded_by_steps():
     res = run(phi, g, u0, params)
     assert res.step_count == 7
     assert res.table.shape == (res.step_count + 1, grid.n_cells + 1)
-    assert res.table.base.shape[0] <= res.step_count + 2
+    assert res.table.base is None                    # allocated with exactly these rows
     assert np.array_equal(res.times, res.dt * np.arange(res.step_count + 1))
 
 
