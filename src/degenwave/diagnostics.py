@@ -28,6 +28,7 @@ DISTANCE_MONOTONE_TOL = 1e-10
 CONSERVATION_TOL = 1e-10
 DOMINATION_TOL = 1e-10
 ENTROPY_COMPARISON_CONSTANT = 10.0
+ENTROPY_K_COUNT = 9  # entropy constants of default_k_values
 _BLOCK_CELLS = 1 << 16  # snapshot cells per stacked row block
 
 
@@ -153,12 +154,12 @@ def default_bumps(t_end: float) -> list[TestBump]:
     ]
 
 
-def default_k_values(u0: Field, count: int = 9) -> np.ndarray:
-    """Equispaced entropy constants spanning the data range plus 10% margin."""
+def default_k_values(u0: Field) -> np.ndarray:
+    """``ENTROPY_K_COUNT`` equispaced entropy constants over the data range plus 10% margin."""
     lo = float(u0.values.min())
     hi = float(u0.values.max())
     margin = 0.1 * max(hi - lo, 1.0 if hi == lo else 0.0)
-    return np.linspace(lo - margin, hi + margin, count)
+    return np.linspace(lo - margin, hi + margin, ENTROPY_K_COUNT)
 
 
 def _time_weights(times: np.ndarray) -> np.ndarray:

@@ -114,6 +114,15 @@ def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
     return math.inf if denom == 0.0 else 1.0 / denom
 
 
+def _binding_terms(phi: PiecewiseFunction, g: PiecewiseFunction, u0s) -> tuple[float, float]:
+    """``_cfl_terms`` of the first member of ``u0s`` with the largest sum, the
+    smallest step limit. Raises ValueError unless ``g`` is flagged monotone_nondecreasing."""
+    if not g.monotone_nondecreasing:
+        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
+    return max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
+                for u in u0s), key=sum)
+
+
 @lru_cache(maxsize=64)
 def _kernel_table(phi: PiecewiseFunction, g: PiecewiseFunction):
     """One stacked breakpoint table for ``phi_up``, ``phi_down`` and ``g``.
@@ -277,31 +286,18 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
     nxt[0], nxt[-1] = nxt[-2], nxt[1]       # one ghost cell per side
 
 
-def _step_limit(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field,
-                dt: float | None = None) -> float:
-    """``max_stable_dt`` for the data range of ``u``.
-
-    Raises ValueError unless ``g`` is flagged monotone_nondecreasing, and
-    CflViolationError when ``dt`` is given and lies outside ``[0, limit]``.
-    """
-    if not g.monotone_nondecreasing:
-        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
-    u_min = float(u.values.min())
-    u_max = float(u.values.max())
-    dt_max = max_stable_dt(phi, g, u_min, u_max, u.grid.dx)
+def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
+    """One explicit update, the guarded entry for a ``dt`` the caller chose. Raises
+    CflViolationError when dt breaks monotonicity (lies outside ``[0, max_stable_dt]``
+    up to ``_STEP_SLACK``), and ValueError unless ``g`` is flagged monotone_nondecreasing."""
+    denom = sum(_binding_terms(phi, g, [u]))
+    dt_max = math.inf if denom == 0.0 else 1.0 / denom
     # a negative step runs the update backward, which is not monotone; NaN fails too
-    if dt is not None and not 0.0 <= dt <= dt_max * (1.0 + _STEP_SLACK):
+    if not 0.0 <= dt <= dt_max * (1.0 + _STEP_SLACK):
         raise CflViolationError(
             f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone range for data in "
-            f"[{u_min!r}, {u_max!r}]"
+            f"[{float(u.values.min())!r}, {float(u.values.max())!r}]"
         )
-    return dt_max
-
-
-def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
-    """One explicit update. Raises CflViolationError when dt breaks monotonicity,
-    and ValueError unless ``g`` is flagged monotone_nondecreasing."""
-    _step_limit(phi, g, u, dt)
     ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # Field reports non-finite values
         _apply_step(ws, *ws.bufs)
@@ -310,13 +306,13 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
 
 def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
               params: SchemeParams) -> float:
-    """One time step admissible for every field of ``u0s``.
-
-    The smallest ``cfl_safety * max_stable_dt`` over the members' data
-    ranges; only when every member's limit is infinite, ``t_end`` (or 1 for
-    a zero horizon).
+    """One time step admissible for every field of ``u0s``: ``cfl_safety * (1 /
+    (Lphi/dx + 2Lg/dx^2))`` of the binding member (``_binding_terms``), bit for bit
+    the smallest ``cfl_safety * max_stable_dt`` of a member, as ``x -> 1/x`` does
+    not increase in floats; when that is infinite, ``t_end`` (or 1 for a zero horizon).
     """
-    dt = params.cfl_safety * min(_step_limit(phi, g, u) for u in u0s)
+    denom = sum(_binding_terms(phi, g, u0s))
+    dt = params.cfl_safety * (1.0 / denom) if denom else math.inf
     if math.isinf(dt):
         return params.t_end if params.t_end > 0.0 else 1.0
     return dt
@@ -344,7 +340,7 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     """What ``steps`` steps of ``dt`` from every field of ``u0s`` take, without stepping.
 
     ``cell_updates`` is steps times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are
-    the step-limit terms of the member with the smallest limit, and
+    the step-limit terms of the binding member (``_binding_terms``), and
     ``binding`` names the larger of the two (None when both are 0 and the
     step is the horizon). ``pieces`` is the most merged kernel pieces that
     one member's data range touches; at 1, every member steps without the
@@ -352,8 +348,7 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     diffusion terms, as ``g`` is flat on its data range (``_flat_g``).
     """
     n, dx = u0s[0].grid.n_cells, u0s[0].grid.dx
-    terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
-                 for u in u0s), key=sum)
+    terms = _binding_terms(phi, g, u0s)
     inner, coeffs = _kernel_table(phi, g)
     spans = [_piece_span(inner.searchsorted, u.values) for u in u0s]
     return {
@@ -410,20 +405,16 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     which stays valid because the range never grows (max principle). When
     that range lies in one merged kernel piece, every step uses that piece's
     coefficients, and each recorded snapshot is checked to lie in it still
-    (RuntimeError otherwise). The
-    step count is deterministic for a given configuration. ``_dt`` forces a
-    specific (still admissible) step, the one a group of trajectories
-    shares. While ``t_end > 0``, a step that is not positive or needs more
-    than ``MAX_STEPS`` steps or ``MAX_CELL_STEPS`` cell updates raises
-    CflViolationError before any allocation.
-    ``g`` must be flagged monotone_nondecreasing (ValueError otherwise) and
-    the model must cover the data range only (OutOfRangeError otherwise).
+    (RuntimeError otherwise). The step count is deterministic for a given
+    configuration. ``_dt`` is the planned step of a group of trajectories, no
+    larger than a ``shared_dt`` of a group that holds ``u0``; it is taken as
+    given, its limit not derived again. While ``t_end > 0``, a step that is
+    not positive or needs more than ``MAX_STEPS`` steps or ``MAX_CELL_STEPS``
+    cell updates raises CflViolationError before any allocation. Without
+    ``_dt``, ``g`` must be flagged monotone_nondecreasing (ValueError
+    otherwise) and the model must cover the data range (OutOfRangeError).
     """
-    if _dt is None:
-        dt = shared_dt(phi, g, [u0], params)
-    else:
-        _step_limit(phi, g, u0, _dt)
-        dt = _dt
+    dt = shared_dt(phi, g, [u0], params) if _dt is None else _dt
     require_step_budget(dt, params.t_end, u0.grid.n_cells)
     marks = _snapshot_steps(dt, params.t_end, [t for t in params.snapshot_times if t > 0.0])
     table = np.empty((len(marks) + 1, u0.grid.n_cells + 1))

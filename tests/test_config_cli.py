@@ -802,12 +802,23 @@ class TestCli:
                                                         monkeypatch):
         """``cost`` holds the steps and the ``run`` calls of each shipped scenario,
         and whether they step without the diffusion terms; no check steps: no
-        run starts while a diagnostics function runs."""
+        run starts while a diagnostics function runs. Each step is computed
+        once: one shared_dt per group of trajectories that share a step (the
+        scenario's data, and the squeeze_bounds companions), and one step-limit
+        derivation per member of a group."""
         known = {"mixed_band": (57600, "2Lg/dx^2"), "burgers_decay": (12000, "Lphi/dx")}
         trajectories = {"burgers_decay": 1, "transport_wave": 1, "transport_pair": 2,
                         "heat_decay": 1, "mixed_band": 3, "det_burgers": 4, "det_mixed": 1,
                         "det_pair": 2}
-        made, runs, inside = [], [], []
+        # bundle -> (shared_dt calls, step-limit derivations) over parse_config + run_scenario
+        totals = {"acceptance_suite.json": (6, 8), "quick_suite.json": (4, 6),
+                  "burgers_decay.json": (1, 1)}
+        made, runs, inside, shared, limits = [], [], [], [], []
+        counted, shared_dt, cfl_terms = {}, solver.shared_dt, solver._cfl_terms
+        patch_everywhere(monkeypatch, shared_dt,
+                         lambda *args: shared.append(args) or shared_dt(*args))
+        monkeypatch.setattr(solver, "_cfl_terms",
+                            lambda *args: limits.append(args) or cfl_terms(*args))
         monkeypatch.setattr(solver, "_Workspace",
                             lambda *args: made.append(_Workspace(*args)) or made[-1])
 
@@ -829,10 +840,15 @@ class TestCli:
         for doc in docs if isinstance(docs, list) else [docs]:
             assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
             cost = json.loads(capsys.readouterr().out)["cost"]
+            shared.clear()
+            limits.clear()
             cfg = parse_config(json.dumps(doc))
             made.clear()
             runs.clear()
             assert run_scenario(cfg, tmp_path).passed
+            squeezed = any(c.name == "squeeze_bounds" for c in cfg.checks)
+            counted[cfg.name] = (len(shared), len(limits))
+            assert counted[cfg.name] == (1 + squeezed, len(cfg.fields) + 2 * squeezed)
             assert cost["trajectories"] == len(runs) == trajectories[cfg.name]
             assert [called_in for called_in, _ in runs] == [()] * len(runs)
             # the scenario's own data come first; the squeeze check's runs follow
@@ -850,6 +866,7 @@ class TestCli:
             assert cost["dt"] == cfg.scheme.cfl_safety * (1.0 / denom)
             if cfg.name in known:
                 assert (cost["steps"], cost["binding"]) == known[cfg.name]
+        assert tuple(map(sum, zip(*counted.values()))) == totals[path.name]
 
     def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
         def overflow(*args, **kwargs):

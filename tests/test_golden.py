@@ -7,6 +7,9 @@ differ by one ulp between builds, so elsewhere the test skips. After a
 change that is meant to alter artifacts, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every artifact whose digest differs from the committed file,
+as ``<bundle>/<path> changed`` (or ``new``, or ``gone``).
 """
 
 import hashlib
@@ -65,6 +68,11 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests = bundle_digests(bundle, Path(tmp))
         path = GOLDEN_DIR / f"{bundle}.sha256"
+        old = read_golden(bundle)[1] if path.exists() else {}
+        for name in sorted(old.keys() | digests.keys()):
+            if old.get(name) != digests.get(name):
+                how = "new" if name not in old else "gone" if name not in digests else "changed"
+                print(f"{bundle}/{name} {how}")
         path.write_text("\n".join(lines + [f"{d}  {name}" for name, d in digests.items()])
                         + "\n")
         print(f"wrote {len(digests)} digests to {path}", file=sys.stderr)

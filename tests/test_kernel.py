@@ -33,6 +33,7 @@ from degenwave import (
 from degenwave.piecewise import _RANGE_SLACK
 from degenwave import solver as solvermod
 from degenwave.solver import _STEP_SLACK, _apply_step, _flat_g, _kernel_table, _Workspace
+from exact_reference import exact_step
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -776,6 +777,30 @@ class TestSharedDtRule:
         assert all(r.dt == 0.6 * min(limits) for r in runs)
         assert len({r.step_count for r in runs}) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.sampled_from([4, 64]), cfl=st.floats(0.01, 1.0),
+           t_end=st.sampled_from([0.0, 0.3]))
+    def test_binding_member_gives_the_smallest_member_limit(self, seed, n, cfl, t_end):
+        # cfl_safety * 1/(largest sum of the terms) is, bit for bit, the
+        # smallest cfl_safety * max_stable_dt: x -> 1/x does not increase in floats
+        rng, phi, g = random_model(seed)
+        grid = Grid(n)
+        members = [Field(grid, random_values(rng, phi, g, n)) for _ in range(3)]
+        want = cfl * min(max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()),
+                                       grid.dx) for u in members)
+        if math.isinf(want):
+            want = t_end if t_end > 0.0 else 1.0
+        params = SchemeParams(t_end=t_end, cfl_safety=cfl)
+        assert solvermod.shared_dt(phi, g, members, params) == want
+
+    def test_a_limit_whose_reciprocal_overflows_falls_back_to_t_end(self):
+        # Lphi/dx is subnormal, so its reciprocal, the step limit, is inf
+        grid = Grid(16)
+        phi, g = linear(1e-310, 0.0, -1, 1), constant(0.0, -1, 1)
+        u = self.sine(grid, 0.5, 0.2)
+        assert math.isinf(max_stable_dt(phi, g, 0.3, 0.7, grid.dx))
+        assert solvermod.shared_dt(phi, g, [u], SchemeParams(t_end=0.3)) == 0.3
+
     def test_infinite_member_limit_is_ignored(self):
         # phi is flat below 0, so data there has no step limit; the shared
         # step comes from the other member, not from t_end
@@ -802,3 +827,36 @@ class TestSharedDtRule:
         with pytest.raises(GridMismatchError):
             run_many(phi, g, [self.sine(Grid(16), 0.1, 0.2), self.sine(Grid(32), 0.1, 0.2)],
                      SchemeParams(t_end=0.1))
+
+
+def exact_pair(seed, scale, n=16):
+    """Rough data ``u <= v`` on ``n`` cells of a random model, stepped exactly
+    at ``scale`` times ``max_stable_dt`` of their joint range (1 where that is
+    infinite): ``u, v, H(u), H(v)``."""
+    rng, phi, g = random_model(seed)
+    u = random_values(rng, phi, g, n)
+    v = np.maximum(u, np.minimum(u + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.5), 1.9))
+    limit = max_stable_dt(phi, g, float(u.min()), float(v.max()), 1.0 / n)
+    dt = 1.0 if math.isinf(limit) else scale * limit
+    return u, v, exact_step(phi, g, u, 1.0 / n, dt), exact_step(phi, g, v, 1.0 / n, dt)
+
+
+def exact_violations(u, v, hu, hv):
+    """Whether the exact step breaks comparison, and whether it breaks the max principle."""
+    return (any(a > b for a, b in zip(hu, hv)),
+            any(not x.min() <= h <= x.max() for x, hx in ((u, hu), (v, hv)) for h in hx))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_exact_step_is_monotone_just_below_the_step_limit(seed):
+    # in exact arithmetic, u <= v gives H(u) <= H(v), and H(u) stays within
+    # [min u, max u], for the stored model at (1 - 1e-12) x the float limit
+    assert exact_violations(*exact_pair(seed, 1.0 - 1e-12)) == (False, False)
+
+
+def test_exact_step_breaks_order_above_the_step_limit():
+    # negative control: at 1.1 x the limit, rough data break exact comparison
+    # (5 of these 40 models) and the max principle (3 of them)
+    found = [exact_violations(*exact_pair(seed, 1.1)) for seed in range(40)]
+    assert all(map(any, zip(*found)))

@@ -203,13 +203,6 @@ class TestRun:
             want = (2.0 / math.pi) * 0.1 * math.exp(-4.0 * math.pi ** 2 * t)
             assert l1_to_constant(Field(grid, row), 0.5) == pytest.approx(want, rel=0.02)
 
-    def test_forced_dt_must_be_admissible(self):
-        grid = Grid(16)
-        u0 = sine_field(grid, 0.0, 0.5)
-        phi = linear(2.0, 0.0, -1, 1)
-        with pytest.raises(CflViolationError):
-            run(phi, constant(0.0, -1, 1), u0, SchemeParams(t_end=0.1), _dt=grid.dx)
-
     def test_step_that_is_not_positive_is_rejected(self):
         # Lphi/dx overflows to inf, so the admissible step underflows to 0.0
         # and the loop would never reach t_end
