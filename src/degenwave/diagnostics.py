@@ -184,8 +184,8 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
 
     With ``phi, g`` the run's model, an entry k integrates A, S, G = |u-k|,
     sign(u-k)(phi(u)-phi(k)), |g(u)-g(k)|; the entry None integrates
-    A, S, G = u, phi(u), g(u). The quadrature is the trapezoid rule in time
-    of midpoint sums in space.
+    A, S, G = u, phi(u), g(u). The quadrature is the trapezoid rule in time,
+    summed by ``grid.integral``, of midpoint (numpy pairwise) sums in space.
 
     Rows go in blocks of ``_BLOCK_CELLS`` cells; A, S and G are built
     once per block and entry, and a bump skips the rows outside its time
@@ -252,29 +252,23 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
                         sums[zero] = (rows[zero] + 0.0 * fxx[zero]).sum(axis=1)
                 spatial[bi][ki][rows_at] = sums * dx
     w = _time_weights(times)
-    return [[float(np.dot(w, s)) for s in row] for row in spatial]
+    return [[gridmod.integral(w * s, 1.0) for s in row] for row in spatial]
 
 
 def _row_integrals(run_result: RunResult, fn, first: int = 0) -> list[float]:
-    """``math.fsum`` of ``fn(U, r0)`` over each row, times dx, for the rows
+    """``grid.integral`` of ``fn(U, r0)`` over each row, for the rows
     ``first, first+1, ...`` of the run's values taken ``_BLOCK_CELLS`` cells
     at a time (``U`` holds rows r0, r0+1, ... of that tail).
 
     With ``fn`` elementwise, each value equals the grid function that sums
     the same map over one field (``mean``, ``l1_distance``, ...) bitwise.
-    A block with a row whose sum leaves the float range is integrated row by
-    row, as ``mean`` integrates one field.
     """
     values, dx = run_result.values[first:], run_result.grid.dx
     s, n = values.shape
     block = max(1, _BLOCK_CELLS // n)
     out = []
     for r0 in range(0, s, block):
-        rows = fn(values[r0:r0 + block], r0)
-        try:
-            out.extend(v * dx for v in gridmod.exact_row_sums(rows))
-        except OverflowError:
-            out.extend(gridmod.integral(row, dx) for row in rows)
+        out.extend(gridmod.integral(fn(values[r0:r0 + block], r0), dx))
     return out
 
 

@@ -1,10 +1,10 @@
 """Uniform periodic grid on the unit circle and cell-average fields.
 
-Distances and means use ``math.fsum``, which is exactly rounded and therefore
-independent of summation order. That makes circular shifts preserve L1
-distances and means bit for bit, which several invariants rely on.
-``exact_row_sums`` returns ``math.fsum`` of every row of a matrix, bit for
-bit, for checks that reduce whole runs at once.
+``integral`` is the one summation rule of every reported number: it is
+``math.fsum``, exactly rounded and therefore independent of summation order
+and of the CPU. That makes circular shifts preserve L1 distances and means
+bit for bit, which several invariants rely on. A block of rows reaches the
+same values through ``exact_row_sums``, for checks that reduce whole runs.
 """
 
 from __future__ import annotations
@@ -76,17 +76,23 @@ def _require_same_grid(u: Field, v: Field) -> None:
 
 def l1_distance(u: Field, v: Field) -> float:
     _require_same_grid(u, v)
-    return math.fsum(np.abs(u.values - v.values).tolist()) * u.grid.dx
+    return integral(np.abs(u.values - v.values), u.grid.dx)
 
 
 def positive_part_distance(u: Field, v: Field) -> float:
     """Integral over the circle of (u - v)^+."""
     _require_same_grid(u, v)
-    return math.fsum(np.maximum(u.values - v.values, 0.0).tolist()) * u.grid.dx
+    return integral(np.maximum(u.values - v.values, 0.0), u.grid.dx)
 
 
-def integral(values: np.ndarray, dx: float) -> float:
-    """``math.fsum(values) * dx``, also where the sum leaves the float range."""
+def integral(values: np.ndarray, dx: float):
+    """``math.fsum(values) * dx``, also where the sum leaves the float range;
+    for a 2-D block, the list of that value for each row."""
+    if values.ndim == 2:
+        try:
+            return [s * dx for s in exact_row_sums(values)]
+        except OverflowError:
+            return [integral(row, dx) for row in values]
     try:
         return math.fsum(values.tolist()) * dx
     except OverflowError:
@@ -101,12 +107,12 @@ def mean(u: Field) -> float:
 
 
 def l1_to_constant(u: Field, value: float) -> float:
-    return math.fsum(np.abs(u.values - value).tolist()) * u.grid.dx
+    return integral(np.abs(u.values - value), u.grid.dx)
 
 
 def total_variation(u: Field) -> float:
     """Circular total variation of the cell values."""
-    return math.fsum(np.abs(np.roll(u.values, -1) - u.values).tolist())
+    return integral(np.abs(np.roll(u.values, -1) - u.values), 1.0)
 
 
 def shift(u: Field, cells: int) -> Field:

@@ -33,7 +33,7 @@ def _quadrature(run_result: RunResult, rows: np.ndarray) -> float:
     dx = run_result.initial.grid.dx
     spatial = rows.sum(axis=1) * dx
     w = _time_weights(run_result.times)
-    return float(np.dot(w, spatial))
+    return math.fsum((w * spatial).tolist())
 
 
 def weak_form_residual(run_result: RunResult, phi: PiecewiseFunction,

@@ -140,6 +140,12 @@ class TestParsing:
         want = 0.5 + 0.2 * np.sin(2 * np.pi * x) - 0.1 * np.cos(4 * np.pi * x)
         assert cfg.initial.values == pytest.approx(want, abs=1e-15)
 
+    def test_step_initial_data(self):
+        doc = minimal(initial={"step": {"left": 0.3, "right": 0.7, "split": 0.4}})
+        x = Grid(64).cell_centers()
+        want = np.where(x < 0.4, 0.3, 0.7)
+        assert parse_config(json.dumps(doc)).initial.values.tolist() == want.tolist()
+
     def test_expression_rejects_garbage(self):
         with pytest.raises(SchemaError) as err:
             parse_config(json.dumps(minimal(initial={"expression": "exp(3*x)"})))
@@ -234,6 +240,17 @@ class TestParsing:
         ({"scheme": {"t_end": 5e307}}, "/scheme/t_end"),
         ({"phi": {"kind": "constant", "value": 0.2, "lo": -1, "hi": 1},
           "scheme": {"t_end": 1e308}}, "/scheme/t_end"),
+        ({"scheme": {"t_end": -0.5}}, "/scheme/t_end"),
+        ({"initial": {"expression": ""}}, "/initial/expression"),
+        ({"initial": {"expression": "   "}}, "/initial/expression"),
+        # initial data name exactly one kind
+        ({"initial": {}}, "/initial"),
+        ({"initial": {"sine": {"mean": 0.5}, "step": {"left": 0.4, "right": 0.6, "split": 0.5}}},
+         "/initial"),
+        ({"phi": {"kind": "cubic", "lo": -1, "hi": 1}}, "/phi/kind"),
+        ({"phi": {"kind": "linear", "slope": 1.0, "lo": 1, "hi": -1}}, "/phi"),
+        # one piece per breakpoint interval
+        ({"phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0, 1.0]]}}, "/phi/breakpoints"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -911,6 +928,37 @@ class TestCli:
         assert check["name"] == "conservation" and check["passed"]
         assert math.isfinite(check["observed"]) and "extra" not in check
 
+    def test_pair_distances_whose_cell_sums_overflow(self, tmp_path, capsys):
+        # |u - v| = 1e308 in all 8 cells: its cell sum leaves the float range,
+        # its integral does not
+        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
+                      initial={"cells": [1e308] * 8}, initial_b={"cells": [0.0] * 8},
+                      checks=["conservation", "contraction", "t_nonexpansive", "profile"])
+        assert cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        checks = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
+        assert all(c["passed"] and "error" not in c.get("extra", {}) for c in checks)
+        (t_nonexpansive,) = (c for c in checks if c["name"] == "t_nonexpansive")
+        assert t_nonexpansive["observed"] == 1e308
+
+    def test_artifacts_do_not_depend_on_the_blas_kernel(self, tmp_path, capsys):
+        # numpy's OpenBLAS, when built DYNAMIC_ARCH, picks its kernels by CPU;
+        # Prescott's runs on any x86-64 CPU and rounds differently from newer ones
+        bundle = json.loads((ROOT / "configs" / "quick_suite.json").read_text())
+        config = self.write(tmp_path, next(d for d in bundle if d["name"] == "det_burgers"))
+        assert cli(["run", "--config", config, "--out", str(tmp_path / "here")]) == 0
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_CORETYPE="Prescott")
+        subprocess.run([sys.executable, "-m", "degenwave", "run", "--config", config,
+                        "--out", str(tmp_path / "prescott")], check=True, env=env,
+                       capture_output=True)
+        here, prescott = ({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).digest()
+                           for p in out.rglob("*") if p.is_file()}
+                          for out in (tmp_path / "here", tmp_path / "prescott"))
+        assert len(here) == 8 and here == prescott
+
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})
         code = cli(["run", "--config", self.write(tmp_path, ok),
@@ -921,6 +969,11 @@ class TestCli:
         code = cli(["run", "--config", self.write(tmp_path, bad, "bad.json"),
                     "--out", str(tmp_path / "out2")])
         assert code == 1
+        # t_end 0 without snapshot_times: the run is its initial data
+        still = minimal(scheme={"t_end": 0}, grid={"n_cells": 32})
+        code = cli(["run", "--config", self.write(tmp_path, still, "still.json"),
+                    "--out", str(tmp_path / "out3")])
+        assert code == 0
         capsys.readouterr()
 
     def test_config_error_exit_2(self, tmp_path, capsys):
@@ -929,6 +982,11 @@ class TestCli:
                     "--out", str(tmp_path / "out")])
         assert code == 2
         assert "/scheme/cfl_safety" in capsys.readouterr().err
+        # run takes one scenario; an array of them is for suite
+        code = cli(["run", "--config", self.write(tmp_path, [minimal()], "array.json"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error at /: ")
 
     @pytest.mark.parametrize("command", ["run", "suite"])
     @pytest.mark.parametrize("out", ["file", "file/sub"])

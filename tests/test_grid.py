@@ -17,7 +17,7 @@ from degenwave import (
     shift,
     total_variation,
 )
-from degenwave.grid import exact_row_sums, integral
+from degenwave.grid import exact_row_sums, integral, l1_to_constant
 
 
 def test_grid_rejects_tiny():
@@ -85,6 +85,14 @@ class TestDistances:
             u, v, w = (rm.random_field(rng, g) for _ in range(3))
             assert l1_distance(u, w) <= l1_distance(u, v) + l1_distance(v, w) + 1e-12
 
+    def test_distances_whose_cell_sum_overflows(self):
+        # 8 cells of 1e308 sum past the float range; their integrals do not
+        g = Grid(8)
+        u, zero = constant_field(g, 1e308), constant_field(g, 0.0)
+        assert l1_to_constant(u, 0.0) == l1_distance(u, zero) == 1e308
+        assert positive_part_distance(u, zero) == 1e308
+        assert positive_part_distance(zero, u) == 0.0
+
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             l1_distance(constant_field(Grid(8), 0.0), constant_field(Grid(16), 0.0))
@@ -135,7 +143,8 @@ class TestShift:
 
     def test_integral_of_values_whose_sum_overflows(self):
         # fsum times dx where the sum is finite, bit for bit; the scaled sum of
-        # mean where it is not, while the whole-run row sums raise as fsum does
+        # mean where it is not. The row sums raise as fsum does, and a block of
+        # rows falls back to integrating each row alone
         g = Grid(8)
         values = 1e308 + 1e300 * np.sin(2.0 * np.pi * g.cell_centers())
         with pytest.raises(OverflowError):
@@ -144,6 +153,10 @@ class TestShift:
         assert integral(-values, g.dx) == -1e308
         small = values / 1e300
         assert integral(small, g.dx) == math.fsum(small.tolist()) * g.dx
+        assert integral(np.stack([small, values, -values]), g.dx) == [
+            integral(small, g.dx), 1e308, -1e308]
+        assert integral(np.stack([small, -small]), g.dx) == [
+            integral(small, g.dx), integral(-small, g.dx)]
 
     def test_distance_invariant_exact(self):
         rng = np.random.default_rng(6)

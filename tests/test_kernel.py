@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +34,7 @@ from degenwave import (
 from degenwave.piecewise import _RANGE_SLACK
 from degenwave import solver as solvermod
 from degenwave.solver import _STEP_SLACK, _apply_step, _flat_g, _kernel_table, _Workspace
-from exact_reference import exact_step
+from exact_reference import exact_step, step_error_bound
 from kernel_reference import apply_step_reference, eval_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -860,3 +861,20 @@ def test_exact_step_breaks_order_above_the_step_limit():
     # (5 of these 40 models) and the max principle (3 of them)
     found = [exact_violations(*exact_pair(seed, 1.1)) for seed in range(40)]
     assert all(map(any, zip(*found)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, smooth=st.booleans())
+def test_float_step_lies_within_its_forward_error_bound(seed, smooth):
+    # every cell of the float kernel within gamma_{3D+6} S_j of the exact
+    # step, the bound derived from the kernel's roundings; smooth or rough data
+    # at (1 - 1e-12) x the float limit, as the exact monotonicity test steps
+    rng, phi, g = random_model(seed)
+    n = 16
+    u = rm.random_field(rng, Grid(n)).values if smooth else random_values(rng, phi, g, n)
+    limit = max_stable_dt(phi, g, float(u.min()), float(u.max()), 1.0 / n)
+    dt = 1.0 if math.isinf(limit) else (1.0 - 1e-12) * limit
+    got = one_step(_kernel_table(phi, g), u, 1.0 / n, dt).tolist()
+    want = exact_step(phi, g, u, 1.0 / n, dt)
+    bound = step_error_bound(phi, g, u, 1.0 / n, dt)
+    assert all(abs(Fraction(h) - e) <= b for h, e, b in zip(got, want, bound))
