@@ -102,25 +102,19 @@ class RunResult:
 def _cfl_terms(phi: PiecewiseFunction, g: PiecewiseFunction,
                u_min: float, u_max: float, dx: float) -> tuple[float, float]:
     """``(Lphi/dx, 2 Lg/dx^2)`` for data in [u_min, u_max], the convective and
-    the diffusive term of the step limit."""
+    the diffusive term of the step limit. Raises ValueError unless ``g`` is
+    flagged monotone_nondecreasing: no step keeps the update monotone otherwise."""
+    if not g.monotone_nondecreasing:
+        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
     return lipschitz_on(phi, u_min, u_max) / dx, 2.0 * lipschitz_on(g, u_min, u_max) / (dx * dx)
 
 
 def max_stable_dt(phi: PiecewiseFunction, g: PiecewiseFunction,
                   u_min: float, u_max: float, dx: float) -> float:
-    """Largest dt keeping the update monotone for data in [u_min, u_max]."""
-    convective, diffusive = _cfl_terms(phi, g, u_min, u_max, dx)
-    denom = convective + diffusive
+    """Largest dt keeping the update monotone for data in [u_min, u_max], the one
+    place a step limit is computed. Raises ValueError as ``_cfl_terms`` does."""
+    denom = sum(_cfl_terms(phi, g, u_min, u_max, dx))
     return math.inf if denom == 0.0 else 1.0 / denom
-
-
-def _binding_terms(phi: PiecewiseFunction, g: PiecewiseFunction, u0s) -> tuple[float, float]:
-    """``_cfl_terms`` of the first member of ``u0s`` with the largest sum, the
-    smallest step limit. Raises ValueError unless ``g`` is flagged monotone_nondecreasing."""
-    if not g.monotone_nondecreasing:
-        raise ValueError("diffusion function must be flagged monotone_nondecreasing")
-    return max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
-                for u in u0s), key=sum)
 
 
 @lru_cache(maxsize=64)
@@ -289,15 +283,14 @@ def _apply_step(ws: _Workspace, cur: np.ndarray, nxt: np.ndarray) -> None:
 def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> Field:
     """One explicit update, the guarded entry for a ``dt`` the caller chose. Raises
     CflViolationError when dt breaks monotonicity (lies outside ``[0, max_stable_dt]``
-    up to ``_STEP_SLACK``), and ValueError unless ``g`` is flagged monotone_nondecreasing."""
-    denom = sum(_binding_terms(phi, g, [u]))
-    dt_max = math.inf if denom == 0.0 else 1.0 / denom
+    of the data of ``u``, exactly), and ValueError unless ``g`` is flagged
+    monotone_nondecreasing."""
+    u_min, u_max = float(u.values.min()), float(u.values.max())
+    dt_max = max_stable_dt(phi, g, u_min, u_max, u.grid.dx)
     # a negative step runs the update backward, which is not monotone; NaN fails too
-    if not 0.0 <= dt <= dt_max * (1.0 + _STEP_SLACK):
-        raise CflViolationError(
-            f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone range for data in "
-            f"[{float(u.values.min())!r}, {float(u.values.max())!r}]"
-        )
+    if not 0.0 <= dt <= dt_max:
+        raise CflViolationError(f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone "
+                                f"range for data in [{u_min!r}, {u_max!r}]")
     ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # Field reports non-finite values
         _apply_step(ws, *ws.bufs)
@@ -306,13 +299,12 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
 
 def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
               params: SchemeParams) -> float:
-    """One time step admissible for every field of ``u0s``: ``cfl_safety * (1 /
-    (Lphi/dx + 2Lg/dx^2))`` of the binding member (``_binding_terms``), bit for bit
-    the smallest ``cfl_safety * max_stable_dt`` of a member, as ``x -> 1/x`` does
-    not increase in floats; when that is infinite, ``t_end`` (or 1 for a zero horizon).
-    """
-    denom = sum(_binding_terms(phi, g, u0s))
-    dt = params.cfl_safety * (1.0 / denom) if denom else math.inf
+    """One time step admissible for every field of ``u0s``: the smallest
+    ``cfl_safety * max_stable_dt`` of a member; when that is infinite, ``t_end``
+    (or 1 for a zero horizon)."""
+    dt = params.cfl_safety * min(
+        max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
+        for u in u0s)
     if math.isinf(dt):
         return params.t_end if params.t_end > 0.0 else 1.0
     return dt
@@ -340,15 +332,16 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     """What ``steps`` steps of ``dt`` from every field of ``u0s`` take, without stepping.
 
     ``cell_updates`` is steps times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are
-    the step-limit terms of the binding member (``_binding_terms``), and
-    ``binding`` names the larger of the two (None when both are 0 and the
-    step is the horizon). ``pieces`` is the most merged kernel pieces that
+    the step-limit terms of the binding member, whose terms have the largest
+    sum, and ``binding`` names the larger of the two (None when both are 0 and
+    the step is the horizon). ``pieces`` is the most merged kernel pieces that
     one member's data range touches; at 1, every member steps without the
     piece lookup. ``flat_g`` is true when every member steps without the
     diffusion terms, as ``g`` is flat on its data range (``_flat_g``).
     """
     n, dx = u0s[0].grid.n_cells, u0s[0].grid.dx
-    terms = _binding_terms(phi, g, u0s)
+    terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), dx)
+                 for u in u0s), key=sum)
     inner, coeffs = _kernel_table(phi, g)
     spans = [_piece_span(inner.searchsorted, u.values) for u in u0s]
     return {

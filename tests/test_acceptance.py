@@ -279,6 +279,77 @@ def test_criterion_5_cutoff_convergence_and_squeeze():
     assert sq.observed <= 1e-10
 
 
+def stefan_lambda(a, b, h):
+    """The root of ``(a - b) lam = h exp(-lam^2) / (sqrt(pi) (1 + erf lam))``, by bisection:
+    the left side rises from 0 and the right side falls, so the root is unique."""
+    lo, hi = 0.0, 10.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (a - b) * mid * math.sqrt(math.pi) * (1.0 + math.erf(mid)) < h * math.exp(-mid * mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def stefan_cell_averages(grid, a, b, h, kt, left, right):
+    """Cell averages of Neumann's one-phase Stefan solution for ``u_t = (k (u - a)^+)_xx``
+    from ``a + h`` on ``(left, right)`` and ``b < a`` elsewhere, at ``k t = kt``.
+
+    Each front moves into the frozen data ``b`` from its end of the block and
+    lies at distance ``2 lam sqrt(kt)`` from it; behind it, at distance ``y``
+    from that end (negative inside the block), ``u = a + h + beta (1 + erf(y /
+    (2 sqrt(kt))))`` with ``beta = -h / (1 + erf lam)`` (Carslaw & Jaeger
+    §11.2). The two fronts do not interact while ``sqrt(kt)`` is small
+    against the block and the gap. Cells left of the block's centre see the
+    left front, the others the right front."""
+    lam, width = stefan_lambda(a, b, h), 2.0 * math.sqrt(kt)
+    beta = -h / (1.0 + math.erf(lam))
+
+    def antiderivative(xi):  # of a + h + beta (1 + erf xi) in xi
+        return (a + h) * xi + beta * (xi * math.erfc(-xi)
+                                      + math.exp(-xi * xi) / math.sqrt(math.pi))
+
+    def integral(y0, y1):  # of u over y in [y0, y1]
+        liquid = min(max(width * lam, y0), y1)
+        return b * (y1 - liquid) + width * (antiderivative(liquid / width)
+                                            - antiderivative(y0 / width))
+
+    edges = np.arange(grid.n_cells + 1) * grid.dx
+    return Field(grid, np.array([
+        (integral(left - x1, left - x0) if x1 <= 0.5 * (left + right)
+         else integral(x0 - right, x1 - right)) / (x1 - x0)
+        for x0, x1 in zip(edges[:-1], edges[1:])]))
+
+
+def test_criterion_5_exact_stefan_oracle():
+    """The degenerate regime without convection: phi = 0 and g = k (u - a)^+, a
+    block above a in frozen data below it, against Neumann's Stefan solution."""
+    a, b, h, k, t = 0.8, 0.4, 0.2, 0.005, 0.1
+    lam = stefan_lambda(a, b, h)
+    phi, g = constant(0.0, 0.0, 2.0), from_breakpoints([0.0, a, 2.0], [[0.0], [0.0, k]],
+                                                       monotone=True)
+    errors = []
+    for n in (200, 400, 800, 1600):
+        grid = Grid(n)
+        centers = grid.cell_centers()
+        u0 = Field(grid, np.where((centers > 0.25) & (centers < 0.75), a + h, b))
+        res = run(phi, g, u0, SchemeParams(t_end=t))
+        exact = stefan_cell_averages(grid, a, b, h, k * res.times[-1], 0.25, 0.75)
+        errors.append(l1_distance(res.final, exact))
+    ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:])]
+    front = 2.0 * lam * math.sqrt(k * t)
+    pinned_ok = abs(lam - 0.2168789) <= 1e-7 and abs(front - 0.0096991) <= 1e-7
+    # at least criterion 4's O(sqrt(dx)) rate per doubling of n
+    rate_ok = all(r <= 1.0 / math.sqrt(2.0) for r in ratios)
+    report(5, "exact Stefan oracle", pinned_ok and rate_ok,
+           f"lambda={lam:.7f} front={front:.7f}; scheme L1 error n=200..1600: "
+           + ", ".join(f"{e:.3g}" for e in errors)
+           + " ratios " + ", ".join(f"{r:.3f}" for r in ratios))
+    assert pinned_ok
+    assert rate_ok
+
+
 def test_criterion_6_band_projection_suite():
     """500 random triples: mean kept, band kept, factor-two distance bound."""
     rng = np.random.default_rng(77)

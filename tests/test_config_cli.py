@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -943,21 +944,49 @@ class TestCli:
         (t_nonexpansive,) = (c for c in checks if c["name"] == "t_nonexpansive")
         assert t_nonexpansive["observed"] == 1e308
 
-    def test_artifacts_do_not_depend_on_the_blas_kernel(self, tmp_path, capsys):
-        # numpy's OpenBLAS, when built DYNAMIC_ARCH, picks its kernels by CPU;
-        # Prescott's runs on any x86-64 CPU and rounds differently from newer ones
+    def test_entropy_constants_of_data_spanning_the_float_range(self, tmp_path, capsys):
+        # max - min = 2e308 leaves the float range; the constants are formed on its half
+        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
+                      initial={"cells": [1e308, -1e308] * 4}, checks=["entropy_residual"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli(["run", "--config", self.write(tmp_path, doc),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "out" / "big" / "checks.json").read_text()
+        (check,) = json.loads(text)
+        assert "NaN" not in text and check["passed"] and "error" not in check["extra"]
+        assert len({p["k"] for p in check["extra"]["pairs"]}) == 9
+
+    def digests_here_and_under(self, tmp_path, capsys, **env):
+        """sha256 of every file that ``run`` writes for the quick bundle's
+        det_burgers, in this process and in a subprocess whose environment adds ``env``."""
         bundle = json.loads((ROOT / "configs" / "quick_suite.json").read_text())
         config = self.write(tmp_path, next(d for d in bundle if d["name"] == "det_burgers"))
         assert cli(["run", "--config", config, "--out", str(tmp_path / "here")]) == 0
         capsys.readouterr()
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_CORETYPE="Prescott")
         subprocess.run([sys.executable, "-m", "degenwave", "run", "--config", config,
-                        "--out", str(tmp_path / "prescott")], check=True, env=env,
-                       capture_output=True)
-        here, prescott = ({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).digest()
-                           for p in out.rglob("*") if p.is_file()}
-                          for out in (tmp_path / "here", tmp_path / "prescott"))
+                        "--out", str(tmp_path / "there")], check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env))
+        return ({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).digest()
+                 for p in out.rglob("*") if p.is_file()}
+                for out in (tmp_path / "here", tmp_path / "there"))
+
+    def test_artifacts_do_not_depend_on_the_blas_kernel(self, tmp_path, capsys):
+        # numpy's OpenBLAS, when built DYNAMIC_ARCH, picks its kernels by CPU;
+        # Prescott's runs on any x86-64 CPU and rounds differently from newer ones
+        here, prescott = self.digests_here_and_under(tmp_path, capsys,
+                                                     OPENBLAS_CORETYPE="Prescott")
         assert len(here) == 8 and here == prescott
+
+    def test_artifacts_do_not_depend_on_numpy_simd_dispatch(self, tmp_path, capsys):
+        # numpy picks its SIMD kernels by CPU; on numpy 2.4 the AVX-512 exp rounds
+        # differently from the AVX2 and baseline ones. Masking a feature the CPU
+        # lacks, or one numpy does not know, only warns on import.
+        here, masked = self.digests_here_and_under(
+            tmp_path, capsys, NPY_DISABLE_CPU_FEATURES="AVX512_ICL X86_V4")
+        assert len(here) == 8 and here == masked
 
     def test_run_exit_codes(self, tmp_path, capsys):
         ok = minimal(scheme={"t_end": 0.2}, grid={"n_cells": 32})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,24 @@ class TestEntropyResidual:
             assert rep.passed
             budgets[n] = rep.extra["pairs"][0]["budget"]
         assert budgets[128] <= 0.5 * budgets[64] * (1.0 + 1e-9)
+
+    def test_default_constants_of_data_spanning_the_float_range(self):
+        # max - min = 2e308 leaves the float range; half of it does not
+        u0 = Field(Grid(8), np.array([1e308, -1e308] * 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ks = diagnostics.default_k_values(u0)
+        assert np.isfinite(ks).all() and (np.diff(ks) > 0).all()
+        assert (ks[0], ks[-1]) == (-1.2e308, 1.2e308)
+
+    def test_default_constants_are_the_unscaled_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        for a, b in [(0.3, 0.3), (-2.0, 5.0), *rng.uniform(-1e3, 1e3, (40, 2)).tolist()]:
+            u0 = Field(Grid(4), np.array([a, b, a, b]))
+            lo, hi = min(a, b), max(a, b)
+            margin = 0.1 * max(hi - lo, 1.0 if hi == lo else 0.0)
+            want = np.linspace(lo - margin, hi + margin, diagnostics.ENTROPY_K_COUNT)
+            assert diagnostics.default_k_values(u0).tobytes() == want.tobytes()
 
     def test_rejects_bump_touching_initial_time(self):
         phi, g, res = burgers_run(n=64, t_end=1.0)

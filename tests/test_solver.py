@@ -93,6 +93,21 @@ class TestStep:
         with pytest.raises(CflViolationError):
             step(phi, g, u, grid.dx)  # needs dt <= dx/2
 
+    def test_dt_one_ulp_above_the_limit_is_rejected(self):
+        # the guard is exact: past the float limit the exact update can break order
+        grid = Grid(16)
+        phi, g = burgers(-1, 1), rm.random_monotone_diffusion(np.random.default_rng(4), -1, 1)
+        u = sine_field(grid, 0.1, 0.5)
+        limit = max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), grid.dx)
+        assert np.isfinite(step(phi, g, u, limit).values).all()
+        with pytest.raises(CflViolationError, match="outside"):
+            step(phi, g, u, math.nextafter(limit, math.inf))
+
+    def test_max_stable_dt_rejects_unflagged_diffusion(self):
+        # no step keeps the update monotone under a backward diffusion
+        with pytest.raises(ValueError, match="monotone_nondecreasing"):
+            max_stable_dt(burgers(-1, 1), linear(-1.0, 0.0, -1, 1), -0.5, 0.5, 1.0 / 16)
+
     def test_unflagged_diffusion_is_rejected_before_any_build(self, monkeypatch):
         # unguarded, this step raises the max of the data from 0.19616 to 0.19692
         import degenwave.solver as solvermod
