@@ -190,8 +190,8 @@ def _read(spec, path: str, owner: str, numbers: dict, others=()) -> dict:
 def _parse_expression(text: str, path: str) -> list[tuple[float, str, float]]:
     """Sums of scaled sin/cos/constants, e.g. ``0.5 + 0.25*sin(1) - 0.1*cos(2)``.
 
-    Terms are joined by ``+`` or ``-`` surrounded by spaces; ``sin(k)`` means
-    sin(2 pi k x) at cell centers.
+    Terms are joined by ``+`` or ``-`` surrounded by spaces; ``sin(k)``, for an
+    integer k, means sin(2 pi k x) at cell centers.
     """
     tokens = re.split(r"\s+([+\-])\s+", text.strip())
     if not tokens or not tokens[0]:
@@ -215,7 +215,7 @@ def _parse_expression(text: str, path: str) -> list[tuple[float, str, float]]:
 
 
 def build_initial(spec: dict, grid: Grid, path: str) -> Field:
-    """Materialize an initial-data spec on a grid (read-only values at cell centers)."""
+    """Materialize initial data at cell centers (read-only); a ``sine`` is an expression."""
     _read(spec, path, "initial data", {}, _INITIAL_PARAMS)
     if len(spec) != 1:
         raise SchemaError(path, "expected exactly one of sine/step/cells/expression")
@@ -225,9 +225,7 @@ def build_initial(spec: dict, grid: Grid, path: str) -> Field:
         p = _read(body, f"{path}/{kind}", kind, _INITIAL_PARAMS[kind])
     # overflowing data is reported below as a config error, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "sine":
-            vals = p["mean"] + p["amplitude"] * np.sin(2.0 * np.pi * p["frequency"] * x)
-        elif kind == "step":
+        if kind == "step":
             vals = np.where(x < p["split"], p["left"], p["right"])
         elif kind == "cells":
             if not isinstance(body, list):
@@ -237,10 +235,15 @@ def build_initial(spec: dict, grid: Grid, path: str) -> Field:
                                   f"expected {grid.n_cells} values, got {len(body)}")
             vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
         else:
-            if not isinstance(body, str):
+            if kind == "expression" and not isinstance(body, str):
                 raise SchemaError(f"{path}/expression", "expected a string")
-            vals = np.zeros_like(x)
-            for coef, fn, freq in _parse_expression(body, f"{path}/expression"):
+            terms = ([(p["mean"], "const", 0.0), (p["amplitude"], "sin", p["frequency"])]
+                     if kind == "sine" else _parse_expression(body, f"{path}/expression"))
+            vals = np.zeros_like(x)  # so a -0.0 mean gives +0.0 where the sine term is 0
+            for coef, fn, freq in terms:
+                if not freq.is_integer():  # the data would not be periodic on the circle
+                    raise SchemaError(f"{path}/sine/frequency" if kind == "sine" else
+                                      f"{path}/expression", f"frequency {freq!r} is not an integer")
                 if fn == "const":
                     vals = vals + coef
                 elif fn == "sin":

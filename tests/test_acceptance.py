@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import randmodels as rm
 from degenwave import (
@@ -270,12 +271,18 @@ def test_criterion_5_cutoff_convergence_and_squeeze():
                            SchemeParams(t_end=4.0, snapshot_times=tuple(np.linspace(0, 4, 17))))
     cut = cutoff_convergence(res)
     sq = squeeze_bounds(res, (su, up), (sl, lo))
-    ok = structure_ok and cut.passed and sq.passed and sq.observed <= 1e-10
+    # E(t), the L1 distance to the states with range in the plateau, never rises:
+    # that set is invariant (max principle) and the clamp is its nearest point
+    # in L1, so one step cannot move E up (L1 contraction)
+    gap = [e for _, e in cut.series]
+    rise = max(e1 - e0 for e0, e1 in zip(gap, gap[1:]))
+    ok = structure_ok and cut.passed and sq.passed and sq.observed <= 1e-10 and rise <= 1e-10
     report(5, "cutoff convergence + squeeze", ok,
-           f"cut final={cut.observed:.2e} thr={cut.threshold:.2e} "
+           f"cut final={cut.observed:.2e} thr={cut.threshold:.2e} largest rise={rise:.2e} "
            f"domination={sq.observed:.2e}")
     assert structure_ok
     assert cut.passed
+    assert rise <= 1e-10
     assert sq.observed <= 1e-10
 
 
@@ -322,32 +329,101 @@ def stefan_cell_averages(grid, a, b, h, kt, left, right):
         for x0, x1 in zip(edges[:-1], edges[1:])]))
 
 
-def test_criterion_5_exact_stefan_oracle():
-    """The degenerate regime without convection: phi = 0 and g = k (u - a)^+, a
-    block above a in frozen data below it, against Neumann's Stefan solution."""
+@pytest.mark.parametrize("c", [0.0, 2.0])
+def test_criterion_5_exact_stefan_oracle(c):
+    """The degenerate regime: phi = c u and g = k (u - a)^+, a block above a in
+    frozen data below it, against Neumann's Stefan solution moved by c t."""
     a, b, h, k, t = 0.8, 0.4, 0.2, 0.005, 0.1
     lam = stefan_lambda(a, b, h)
-    phi, g = constant(0.0, 0.0, 2.0), from_breakpoints([0.0, a, 2.0], [[0.0], [0.0, k]],
-                                                       monotone=True)
+    phi = constant(0.0, 0.0, 2.0) if c == 0.0 else linear(c, 0.0, 0.0, 2.0)
+    g = from_breakpoints([0.0, a, 2.0], [[0.0], [0.0, k]], monotone=True)
     errors = []
     for n in (200, 400, 800, 1600):
         grid = Grid(n)
         centers = grid.cell_centers()
         u0 = Field(grid, np.where((centers > 0.25) & (centers < 0.75), a + h, b))
         res = run(phi, g, u0, SchemeParams(t_end=t))
-        exact = stefan_cell_averages(grid, a, b, h, k * res.times[-1], 0.25, 0.75)
+        ct = c * res.times[-1]
+        exact = stefan_cell_averages(grid, a, b, h, k * res.times[-1], 0.25 + ct, 0.75 + ct)
         errors.append(l1_distance(res.final, exact))
     ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:])]
     front = 2.0 * lam * math.sqrt(k * t)
     pinned_ok = abs(lam - 0.2168789) <= 1e-7 and abs(front - 0.0096991) <= 1e-7
     # at least criterion 4's O(sqrt(dx)) rate per doubling of n
     rate_ok = all(r <= 1.0 / math.sqrt(2.0) for r in ratios)
-    report(5, "exact Stefan oracle", pinned_ok and rate_ok,
+    report(5, f"exact Stefan oracle, c={c:g}", pinned_ok and rate_ok,
            f"lambda={lam:.7f} front={front:.7f}; scheme L1 error n=200..1600: "
            + ", ".join(f"{e:.3g}" for e in errors)
            + " ratios " + ", ".join(f"{r:.3f}" for r in ratios))
     assert pinned_ok
     assert rate_ok
+
+
+def barenblatt_cell_averages(grid, m, C, tau, center):
+    """Cell averages of the Barenblatt solution of ``u_t = (u^m)_xx`` for m = 2 or 3
+    at time ``tau`` after a point mass at ``center``, with its support edge and its
+    maximum: ``u = tau^-al (C - q y^2)_+^(1/(m-1))``, where ``al = 1/(m+1)``,
+    ``q = (m-1)/(2m(m+1)) tau^-2al`` and y is the distance from ``center``
+    (Barenblatt 1952; Vazquez, The Porous Medium Equation, 2007). The support
+    edge is ``r = sqrt(C/q)``, ``sqrt(12 C) tau^(1/3)`` for m = 2. Each average
+    comes from an exact antiderivative: a cubic for m = 2, a circle's segment
+    area for m = 3."""
+    al = 1.0 / (m + 1)
+    q = (m - 1) / (2.0 * m * (m + 1)) * tau ** (-2.0 * al)
+    amp, r = tau ** -al, math.sqrt(C / q)
+
+    def antiderivative(y):
+        y = min(max(y, -r), r)
+        if m == 2:
+            return amp * (C * y - q * y ** 3 / 3.0)
+        return amp * math.sqrt(q) * 0.5 * (y * math.sqrt(r * r - y * y) + r * r * math.asin(y / r))
+
+    edges = np.arange(grid.n_cells + 1) * grid.dx
+    averages = [(antiderivative(x1 - center) - antiderivative(x0 - center)) / (x1 - x0)
+                for x0, x1 in zip(edges[:-1], edges[1:])]
+    return Field(grid, np.array(averages)), r, amp * C ** (1.0 / (m - 1))
+
+
+def test_criterion_10_exact_barenblatt_oracle():
+    """Nonlinear degenerate diffusion: g = u^2 (g' vanishes at 0) and phi = c u,
+    from the Barenblatt profile at tau = 1e-3, against the profile at the run's
+    final tau, moved by c t; the profile of m = 3 is a negative control."""
+    C, tau0, t_end = 0.05, 1e-3, 0.019
+    g = from_breakpoints([-2.0, 0.0, 2.0], [[0.0], [0.0, 0.0, 1.0]], monotone=True)
+    r_end, top_end = barenblatt_cell_averages(Grid(4), 2, C, tau0 + t_end, 0.5)[1:]
+    pinned_ok = abs(r_end - 0.2102579) <= 1e-7 and abs(top_end - 0.1842016) <= 1e-7
+    assert pinned_ok
+    for c, bound in ((0.0, 0.35), (0.5, 1.0 / math.sqrt(2.0))):
+        phi = constant(0.0, -2.0, 2.0) if c == 0.0 else linear(c, 0.0, -2.0, 2.0)
+        errors, wrong, spill = [], [], []
+        for n in (100, 200, 400):
+            grid = Grid(n)
+            res = run(phi, g, barenblatt_cell_averages(grid, 2, C, tau0, 0.5)[0],
+                      SchemeParams(t_end=t_end))
+            t, center = res.times[-1], 0.5 + c * res.times[-1]
+            exact, edge, _ = barenblatt_cell_averages(grid, 2, C, tau0 + t, center)
+            errors.append(l1_distance(res.final, exact))
+            wrong.append(l1_distance(res.final,
+                                     barenblatt_cell_averages(grid, 3, C, tau0 + t, center)[0]))
+            # finite speed of propagation: nothing beyond r + 3 dx from the centre.
+            # Downstream of a convected front, upwind transport spreads values over
+            # O(sqrt(c t dx)), so there only the upstream side is held to it.
+            y = grid.cell_centers() - center
+            beyond = (np.abs(y) if c == 0.0 else -y) > edge + 3.0 * grid.dx
+            spill.append(float(res.final.values[beyond].max()))
+        ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:])]
+        wrong_ratios = [e1 / e0 for e0, e1 in zip(wrong, wrong[1:])]
+        rate_ok = all(r <= bound for r in ratios)
+        report(10, f"exact Barenblatt oracle, c={c:g}", pinned_ok and rate_ok,
+               f"r={r_end:.7f} max={top_end:.7f}; scheme L1 error n=100..400: "
+               + ", ".join(f"{e:.3g}" for e in errors)
+               + " ratios " + ", ".join(f"{r:.3f}" for r in ratios)
+               + " (m=3 profile: " + ", ".join(f"{r:.3f}" for r in wrong_ratios) + ")"
+               + f" largest value past r + 3 dx: {max(spill):.2e}")
+        assert rate_ok
+        assert max(spill) <= 1e-12
+        # the wrong exponent does not converge, so it fails the same rate bound
+        assert not all(r <= bound for r in wrong_ratios)
 
 
 def test_criterion_6_band_projection_suite():

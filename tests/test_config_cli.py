@@ -40,6 +40,7 @@ from degenwave.scenarios import (
     _write_profile_csv,
     _write_series_csv,
     _write_snapshots_csv,
+    build_initial,
 )
 from degenwave.solver import RunResult, _Workspace, run
 from degenwave.structure import analyze
@@ -140,6 +141,43 @@ class TestParsing:
         x = Grid(64).cell_centers()
         want = 0.5 + 0.2 * np.sin(2 * np.pi * x) - 0.1 * np.cos(4 * np.pi * x)
         assert cfg.initial.values == pytest.approx(want, abs=1e-15)
+
+    def test_sine_is_its_expression_byte_for_byte(self):
+        # a sine datum is the expression mean + amplitude*sin(frequency), summed by
+        # the same loop; both give the bytes of mean + amplitude*sin(2 pi f x) but
+        # where the mean is -0.0: the loop starts from +0.0 zeros, so its zero
+        # cells are +0.0, as in the expression -0.0 + 0.0*sin(1)
+        rng = np.random.default_rng(31)
+        special = [0.0, -0.0, 1e3, -1e3]
+
+        def number():
+            return float(rng.choice(special)) if rng.random() < 0.3 else float(rng.uniform(-2, 2))
+
+        data = [(int(2.0 ** rng.uniform(2, 14)),
+                 {"mean": number(), "amplitude": number(), "frequency": int(rng.integers(1, 9))})
+                for _ in range(1000)]
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            docs = json.loads(path.read_text())
+            for doc in docs if isinstance(docs, list) else [docs]:
+                data += [(doc["grid"]["n_cells"], doc[key]["sine"])
+                         for key in ("initial", "initial_b") if "sine" in doc.get(key, {})]
+        assert len(data) == 1007
+        data += [(8, {"mean": -0.0, "amplitude": -0.0}), (16, {"mean": -0.0, "amplitude": 0.5})]
+        signed_zeros = 0
+        for n, sine in data:
+            grid = Grid(n)
+            m, a, f = ({"mean": 0.0, "amplitude": 0.0, "frequency": 1, **sine}[k]
+                       for k in ("mean", "amplitude", "frequency"))
+            got = build_initial({"sine": sine}, grid, "/initial").values
+            spelt = build_initial({"expression": f"{m!r} + {a!r}*sin({f!r})"}, grid, "/initial")
+            closed = m + a * np.sin(2.0 * np.pi * f * grid.cell_centers())
+            assert got.tobytes() == spelt.values.tobytes()
+            if m != 0.0 or math.copysign(1.0, m) > 0.0:
+                assert got.tobytes() == closed.tobytes()
+            else:  # a -0.0 mean
+                assert np.array_equal(got, closed) and not np.signbit(got[got == 0.0]).any()
+                signed_zeros += closed.tobytes() != got.tobytes()
+        assert signed_zeros > 0  # the -0.0 rule is seen, not vacuous
 
     def test_step_initial_data(self):
         doc = minimal(initial={"step": {"left": 0.3, "right": 0.7, "split": 0.4}})
@@ -252,6 +290,11 @@ class TestParsing:
         ({"phi": {"kind": "linear", "slope": 1.0, "lo": 1, "hi": -1}}, "/phi"),
         # one piece per breakpoint interval
         ({"phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0, 1.0]]}}, "/phi/breakpoints"),
+        # a frequency that is not an integer gives data that are not periodic
+        ({"initial": {"sine": {"mean": 0.5, "amplitude": 0.2, "frequency": 1.5}}},
+         "/initial/sine/frequency"),
+        ({"initial": {"expression": "0.5 + 0.2*sin(1.5)"}}, "/initial/expression"),
+        ({"initial": {"expression": "0.5 - 0.1*cos(2) + 0.1*cos(0.25)"}}, "/initial/expression"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -1004,6 +1047,22 @@ class TestCli:
                     "--out", str(tmp_path / "out3")])
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("initial, path", [
+        ({"sine": {"mean": 0.5, "amplitude": 0.2, "frequency": 1.5}}, "/initial/sine/frequency"),
+        ({"expression": "0.5 + 0.2*sin(1.5)"}, "/initial/expression"),
+        ({"expression": "0.5 + 0.1*cos(-2.5)"}, "/initial/expression"),
+    ])
+    def test_non_integer_frequency_is_exit_2(self, initial, path, tmp_path, capsys):
+        # sin(2 pi 1.5 x) jumps between the last cell and the first
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(minimal(initial=initial)))
+        assert err.value.path == path
+        code = cli(["run", "--config", self.write(tmp_path, minimal(initial=initial)),
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error at {path}: frequency " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         doc = minimal(scheme={"t_end": 0.2, "cfl_safety": 1.5})

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +15,7 @@ from degenwave import (
     SchemeParams,
     TestBump,
     UnsupportedTestFnError,
+    analyze,
     burgers,
     conservation_monitor,
     constant,
@@ -27,6 +31,7 @@ from degenwave import (
     l1_distance,
     l1_to_constant,
     linear,
+    max_stable_dt,
     mean,
     positive_part_distance,
     run,
@@ -295,6 +300,57 @@ class TestCutoffConvergence:
         rep = cutoff_convergence(res)
         assert rep.extra["band_lo"] == 0.0 and rep.extra["band_hi"] == 0.8
         assert rep.passed
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1)
+    def plateau_cases():
+        """``(rough, phi, g, u0, step limit)`` on n = 64 for 100 seeded random
+        models, each with smooth and with rough data, kept where ``analyze`` gives
+        a plateau that is a segment the data reach out of, and the limit is finite."""
+        rng, grid, cases = np.random.default_rng(7), Grid(64), []
+        for _ in range(100):
+            phi, g = rm.random_flux(rng), rm.random_monotone_diffusion(rng)
+            for rough in (False, True):
+                u0 = Field(grid, rng.uniform(-1.9, 1.9, grid.n_cells) if rough
+                           else rm.random_field(rng, grid, -1.9, 1.9).values)
+                st = analyze(phi, g, u0)
+                lo, hi = float(u0.values.min()), float(u0.values.max())
+                limit = max_stable_dt(phi, g, lo, hi, grid.dx)
+                if st.plateau_lo < st.plateau_hi and (lo < st.plateau_lo or hi > st.plateau_hi) \
+                        and math.isfinite(limit):
+                    cases.append((rough, phi, g, u0, limit))
+        return cases
+
+    @staticmethod
+    def largest_rise(phi, g, u0, dt, steps=200):
+        """The largest rise of the series E of ``cutoff_convergence`` from one step
+        to the next, over ``steps`` steps of ``dt``."""
+        res = run(phi, g, u0, SchemeParams(t_end=steps * dt, snapshot_times=tuple(
+            k * dt for k in range(steps + 1))), _dt=dt)
+        assert res.step_count == steps and len(res.times) == steps + 1
+        gap = [e for _, e in cutoff_convergence(res).series]
+        return max(e1 - e0 for e0, e1 in zip(gap, gap[1:]))
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0 - 1e-12])
+    def test_gap_never_rises_at_a_stable_step(self, factor):
+        # E(t) = ||u - clamp(u, a', b')||_1 is nonincreasing: the states with range
+        # in the plateau are invariant (max principle), the clamp is their nearest
+        # point in L1, and one step contracts L1
+        cases = self.plateau_cases()
+        assert len(cases) >= 20 and {rough for rough, *_ in cases} == {False, True}
+        rises = [self.largest_rise(phi, g, u0, factor * limit)
+                 for _, phi, g, u0, limit in cases]
+        assert max(rises) <= 1e-10
+
+    def test_gap_rises_above_the_step_limit(self):
+        # negative control: at 1.1 x the limit the scheme is not monotone, and on
+        # rough data E rises; a run whose data leave the model is left out
+        rises = []
+        for rough, phi, g, u0, limit in self.plateau_cases():
+            if rough:
+                with contextlib.suppress(ValueError, RuntimeError):
+                    rises.append(self.largest_rise(phi, g, u0, 1.1 * limit))
+        assert max(rises) > 1e-10
 
     def test_degenerate_band_reduces_to_decay(self):
         phi, g, res = burgers_run(n=64, t_end=0.5)
