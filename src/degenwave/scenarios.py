@@ -392,11 +392,13 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
 
 
 def parse_config(text):
-    """Parse a UTF-8 JSON document into one config or a list of configs."""
+    """Parse a UTF-8 JSON document into one config or a nonempty list of configs."""
     try:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as e:  # bad JSON or UTF-8, or an integer literal past 4300 digits
         raise SchemaError("/", f"invalid JSON: {e}") from e
+    if doc == []:  # a suite of no scenarios would pass while checking nothing
+        raise SchemaError("/", "a list of scenarios must not be empty")
     if isinstance(doc, list):
         cfgs = [_parse_scenario(entry, f"/{i}") for i, entry in enumerate(doc)]
         for i, cfg in enumerate(cfgs):

@@ -311,7 +311,8 @@ def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
 
 
 def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
-    """The steps ``dt`` takes to reach ``t_end`` (none for a zero horizon).
+    """The step a run of ``dt`` ends on, the one place it is computed: the
+    first at or within ``_STEP_SLACK`` steps of ``t_end`` (0 for a zero horizon).
 
     Raises CflViolationError unless ``t_end > 0`` is reached within
     ``MAX_STEPS`` steps and ``MAX_CELL_STEPS`` updates of ``n_cells`` cells."""
@@ -319,7 +320,7 @@ def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
         why = "is not positive, so t_end is never reached" if not dt > 0.0 else \
             f"needs {t_end / dt:.3g} steps to reach t_end, more than MAX_STEPS = {MAX_STEPS}"
         raise CflViolationError(f"time step {dt!r} {why}")
-    steps = math.ceil(t_end / dt) if t_end > 0.0 else 0
+    steps = _first_step(t_end - _STEP_SLACK * dt, dt) if t_end > 0.0 else 0
     if steps * n_cells > MAX_CELL_STEPS:
         raise CflViolationError(
             f"time step {dt!r} needs {steps} steps of {n_cells} cells to reach t_end, "
@@ -365,20 +366,16 @@ def _first_step(x: float, dt: float) -> int:
     return k
 
 
-def _snapshot_steps(dt: float, t_end: float, requested: list[float]) -> list[int]:
-    """The steps after which ``run`` records a row, in order; none for a
-    zero horizon.
+def _snapshot_steps(dt: float, last: int, requested: list[float]) -> list[int]:
+    """The steps after which ``run`` records a row, in order, up to ``last``,
+    the step the run ends on (``require_step_budget``); none for ``last`` 0.
 
-    The last is the first step at or within ``_STEP_SLACK`` steps of
-    ``t_end``. Before it, a row is due at the first step at or within the
-    slack of the earliest requested time not yet met; each row meets every
-    requested time up to the slack past it. This is the rule of a loop that
-    tests every step, evaluated in the same float expressions, so the rows
-    come out the same."""
-    if not t_end > 0.0:
-        return []
+    Before ``last``, a row is due at the first step at or within
+    ``_STEP_SLACK`` steps of the earliest requested time not yet met; each
+    row meets every requested time up to the slack past it. This is the rule
+    of a loop that tests every step, evaluated in the same float expressions,
+    so the rows come out the same."""
     slack = _STEP_SLACK * dt
-    last = _first_step(t_end - slack, dt)
     marks, ptr, k = [], 0, 0
     while k < last:
         k = last if ptr == len(requested) else \
@@ -408,8 +405,8 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     otherwise) and the model must cover the data range (OutOfRangeError).
     """
     dt = shared_dt(phi, g, [u0], params) if _dt is None else _dt
-    require_step_budget(dt, params.t_end, u0.grid.n_cells)
-    marks = _snapshot_steps(dt, params.t_end, [t for t in params.snapshot_times if t > 0.0])
+    last = require_step_budget(dt, params.t_end, u0.grid.n_cells)
+    marks = _snapshot_steps(dt, last, [t for t in params.snapshot_times if t > 0.0])
     table = np.empty((len(marks) + 1, u0.grid.n_cells + 1))
     table[0, 0], table[0, 1:] = 0.0, u0.values
     k = 0

@@ -29,6 +29,13 @@ def gamma(k: int) -> Fraction:
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
+def _horner(coeffs, t: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * t + c
+    return out
+
+
 def exact_eval(f, u: Fraction, absolute: bool = False) -> Fraction:
     """``f`` at ``u`` from its stored piece: Horner in ``u - left`` without
     rounding. With ``absolute``, the sum of ``|c_i| |u - left|^i`` instead."""
@@ -37,10 +44,17 @@ def exact_eval(f, u: Fraction, absolute: bool = False) -> Fraction:
     coeffs = [Fraction(c) for c in f.pieces[i]]
     if absolute:
         t, coeffs = abs(t), [abs(c) for c in coeffs]
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * t + c
-    return out
+    return _horner(coeffs, t)
+
+
+def jumps(f) -> list[Fraction]:
+    """The exact jump of the stored ``f`` at each inner breakpoint: the piece's
+    value at its left end minus the value of the piece before at that point.
+    All are 0 when the stored pieces join exactly."""
+    b = [Fraction(x) for x in f.breakpoints]
+    return [Fraction(f.pieces[i][0]) - _horner([Fraction(c) for c in f.pieces[i - 1]],
+                                                 b[i] - b[i - 1])
+            for i in range(1, len(b) - 1)]
 
 
 def exact_step(phi, g, values, dx: float, dt: float) -> list[Fraction]:

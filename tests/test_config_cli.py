@@ -707,11 +707,16 @@ class TestRunScenario:
 @pytest.mark.parametrize("name, count", [("acceptance_suite", 6), ("quick_suite", 4)])
 def test_each_step_is_computed_once(name, count, tmp_path, monkeypatch):
     """One shared_dt per group of trajectories that share a step: each scenario's
-    data, and the squeeze_bounds companions."""
+    data, and the squeeze_bounds companions. The acceptance bundle's mixed_band
+    gap E(t) to the plateau, as written, never rises."""
     calls, original = [], solver.shared_dt
     patch_everywhere(monkeypatch, original, lambda *args: calls.append(args) or original(*args))
     run_suite(parse_config((ROOT / "configs" / f"{name}.json").read_bytes()), tmp_path)
     assert len(calls) == count
+    if name == "acceptance_suite":
+        rows = np.loadtxt(tmp_path / "mixed_band" / "series_cutoff_convergence.csv",
+                          delimiter=",", skiprows=1)
+        assert rows.shape == (17, 2) and np.diff(rows[:, 1]).max() <= 1e-10
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 1 / 3]
@@ -856,6 +861,20 @@ class TestCli:
         assert ra.step_count == rb.step_count == cost["steps"] == cost["cell_updates"] / 64
         assert solver.shared_dt(cfg.phi, cfg.g, [cfg.initial], cfg.scheme) > cost["dt"]
         assert cost["trajectories"] == 2
+
+    def test_analyze_predicts_the_steps_of_a_run_ending_off_a_step(self, tmp_path, capsys):
+        # t_end / dt rounds to 112.00000000000001 here: ceil counts 113 steps,
+        # but step 112 lies within the slack of t_end, and the run ends there
+        doc = minimal(phi={"kind": "linear", "slope": 3, "lo": -1, "hi": 1},
+                      g={"kind": "linear", "slope": 0.5, "lo": -1, "hi": 1},
+                      grid={"n_cells": 32}, scheme={"t_end": 0.05})
+        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
+        cost = json.loads(capsys.readouterr().out)["cost"]
+        cfg = parse_config(json.dumps(doc))
+        res = run(cfg.phi, cfg.g, cfg.initial, cfg.scheme)
+        assert (cost["steps"], cost["cell_updates"]) == (res.step_count, 32 * res.step_count) \
+            == (112, 3584)
+        assert res.times[-1] == 0.049999999999999996
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.name)
@@ -1090,6 +1109,17 @@ class TestCli:
     def test_unknown_subcommand_exit_2(self, capsys):
         assert cli(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["analyze", "suite"])
+    def test_empty_bundle_is_exit_2(self, command, tmp_path, capsys):
+        # a suite of no scenarios checks nothing, so it must not read as a pass
+        out = ["--out", str(tmp_path / "out")] if command == "suite" else []
+        assert cli([command, "--config", self.write(tmp_path, []), *out]) == 2
+        assert capsys.readouterr().err.startswith("config error at /: ")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SchemaError) as err:
+            parse_config("[]")
+        assert err.value.path == "/"
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert cli(["analyze", "--config", str(tmp_path / "nope.json")]) == 2

@@ -686,7 +686,19 @@ def test_snapshot_steps_match_a_loop_over_every_step(dt, data):
     t_end, times = data.draw(schedules(dt))
     requested = [t for t in times if t > 0.0]
     want = [k for k, _ in loop_snapshots(dt, t_end, requested)]
-    assert solvermod._snapshot_steps(dt, t_end, requested) == want
+    last = solvermod.require_step_budget(dt, t_end, 1)
+    assert solvermod._snapshot_steps(dt, last, requested) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.floats(1e-300, 1e300), data=st.data())
+def test_step_budget_is_the_last_step_of_a_loop_over_every_step(dt, data):
+    # the budget's count is the step a loop testing every step ends on, also
+    # for a horizon within the slack past a step time: dt = 0.5 * (1/1120)
+    # with t_end 0.05 ends on step 112, where ceil(t_end/dt) is 113
+    t_end, _ = data.draw(schedules(dt))
+    *_, (last, _) = loop_snapshots(dt, t_end, [])
+    assert solvermod.require_step_budget(dt, t_end, 1) == last
 
 
 @settings(max_examples=300, deadline=None)
