@@ -163,6 +163,11 @@ def default_k_values(u0: Field) -> np.ndarray:
     return 2.0 * np.linspace(lo - margin, hi + margin, ENTROPY_K_COUNT)
 
 
+def _nan_fails(x: float) -> float:
+    """``x``, or inf where ``x`` is NaN: a term that overflowed never passes."""
+    return math.inf if math.isnan(x) else x
+
+
 def _time_weights(times: np.ndarray) -> np.ndarray:
     w = np.zeros_like(times)
     dt = np.diff(times)
@@ -298,7 +303,8 @@ def entropy_residual(run_result: RunResult, k_values=None, test_fns=None) -> Che
     if test_fns is None:
         test_fns = default_bumps(run_result.params.t_end)
     ks = [float(k) for k in k_values]
-    values = _bump_integrals(run_result, test_fns, ks)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual reads NaN below
+        values = _bump_integrals(run_result, test_fns, ks)
     budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.grid.dx
                                                   + snapshot_spacing(run_result))
     rows_extra = []
@@ -307,7 +313,7 @@ def entropy_residual(run_result: RunResult, k_values=None, test_fns=None) -> Che
         c2 = b.c2_norm()
         for k, value in zip(ks, values[bi]):
             budget = budget_scale * c2 * (1.0 + abs(k))
-            worst = max(worst, -value / budget)
+            worst = max(worst, _nan_fails(-value / budget))
             rows_extra.append({"k": k, "bump": bi, "residual": value, "budget": budget})
     return CheckReport("entropy_residual", observed=max(worst, 0.0), threshold=1.0,
                        extra={"pairs": rows_extra})
@@ -326,13 +332,14 @@ def contraction_monitor(run_a: RunResult, run_b: RunResult) -> CheckReport:
     """Ordered and absolute L1 distances must never increase along the run."""
     times = _matched_times(run_a, run_b)
     B = run_b.values
-    pp_ab = _row_integrals(run_a, lambda U, r0: np.maximum(U - B[r0:r0 + len(U)], 0.0))
-    pp_ba = _row_integrals(run_a, lambda U, r0: np.maximum(B[r0:r0 + len(U)] - U, 0.0))
-    l1 = _row_integrals(run_a, lambda U, r0: np.abs(U - B[r0:r0 + len(U)]))
+    with np.errstate(over="ignore"):  # an overflowed distance reads inf, its increments NaN
+        pp_ab = _row_integrals(run_a, lambda U, r0: np.maximum(U - B[r0:r0 + len(U)], 0.0))
+        pp_ba = _row_integrals(run_a, lambda U, r0: np.maximum(B[r0:r0 + len(U)] - U, 0.0))
+        l1 = _row_integrals(run_a, lambda U, r0: np.abs(U - B[r0:r0 + len(U)]))
     worst = 0.0
     for series in (pp_ab, pp_ba, l1):
         for prev, nxt in zip(series, series[1:]):
-            worst = max(worst, nxt - prev)
+            worst = max(worst, _nan_fails(nxt - prev))
     return CheckReport(
         "contraction", observed=worst, threshold=DISTANCE_MONOTONE_TOL,
         series=tuple(zip(times.tolist(), l1)),
@@ -500,9 +507,13 @@ def t_nonexpansive_from_runs(run_a: RunResult, run_b: RunResult) -> CheckReport:
         # different speeds: the profile ranges cannot overlap, so the gap
         # between the (conserved) means is the exact profile distance
         observed, branch = abs(sa.mean - sb.mean), "mean_gap"
-    initial_distance = l1_distance(run_a.initial, run_b.initial)
+    with np.errstate(over="ignore"):
+        initial_distance = l1_distance(run_a.initial, run_b.initial)
     tolerance = 0.05 * initial_distance + 4.0 * run_a.initial.grid.dx
+    threshold = initial_distance + tolerance
+    if not math.isfinite(initial_distance):  # an overflowed d0 bounds nothing
+        observed, threshold = math.inf, math.nan
     return CheckReport(
-        "t_nonexpansive", observed=observed, threshold=initial_distance + tolerance,
+        "t_nonexpansive", observed=observed, threshold=threshold,
         extra={"initial_distance": initial_distance, "branch": branch},
     )

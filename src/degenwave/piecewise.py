@@ -4,8 +4,8 @@ A :class:`PiecewiseFunction` is a continuous function on a closed interval,
 given by polynomial pieces of degree at most three. Coefficients are stored
 in the local variable ``t = u - left_breakpoint`` of each piece, lowest
 degree first, which keeps evaluation well conditioned and makes continuity
-a simple anchoring rule (the constant term of a piece equals the previous
-piece's right-end value).
+one anchoring rule (the constructor stores the constant term of a piece as
+the previous piece's right-end value; builders hand it shapes).
 
 Keeping the model polynomial makes every structural query exact:
 
@@ -50,6 +50,16 @@ def _poly_val(coeffs, t):
     for c in reversed(coeffs):
         out = out * t + c
     return out
+
+
+def _anchored(bp, pieces) -> tuple[tuple[float, ...], ...]:
+    """``pieces`` with the constant of each piece after the first replaced by
+    the previous anchored piece's value at its right end: the one rule that
+    sets every stored constant."""
+    out = list(pieces[:1])
+    for i in range(1, len(pieces)):
+        out.append((_poly_val(out[-1], bp[i] - bp[i - 1]),) + pieces[i][1:])
+    return tuple(out)
 
 
 def _deriv_coeffs(coeffs) -> tuple[float, float, float]:
@@ -105,7 +115,8 @@ class PiecewiseFunction:
     ``pieces[i]`` are the coefficients of the polynomial on
     ``[breakpoints[i], breakpoints[i+1]]`` in the variable
     ``t = u - breakpoints[i]``, lowest degree first, degree <= 3; a -0.0
-    coefficient is stored as +0.0.
+    coefficient is stored as +0.0, and each constant after the first as the
+    previous piece's right-end value (``_anchored``).
 
     Instances are immutable (and therefore safe to share between threads).
     Construction validates strict breakpoint ordering, continuity of
@@ -135,20 +146,17 @@ class PiecewiseFunction:
                 raise ValueError("piece degree must be between 0 and 3")
             if any(not math.isfinite(c) for c in p):
                 raise ValueError("piece coefficients must be finite")
-        anchored = [raw[0]]
+        anchored = _anchored(bp, raw)
         for i in range(1, len(raw)):
-            width = bp[i] - bp[i - 1]
-            left_val = _poly_val(anchored[i - 1], width)
+            left_val, given = anchored[i][0], raw[i][0]
             if not math.isfinite(left_val):  # inf would pass the continuity test below
                 raise ValueError(f"piece {i - 1} overflows at its right end: {left_val!r}")
-            given = raw[i][0]
             scale = max(1.0, abs(left_val), abs(given))
             if abs(given - left_val) > CONTINUITY_RTOL * scale:
                 raise ValueError(
                     f"pieces {i - 1} and {i} disagree at u={bp[i]!r}: "
                     f"{left_val!r} vs {given!r}"
                 )
-            anchored.append((left_val,) + raw[i][1:])
         # x + 0.0 turns -0.0 into +0.0 and keeps every other x; the +0.0
         # rows that trim or pad the Horner tables below rely on it
         anchored = [tuple(c + 0.0 for c in p) for p in anchored]
@@ -252,22 +260,16 @@ class PiecewiseFunction:
 
 
 def from_breakpoints(breakpoints, pieces, monotone: bool = False) -> PiecewiseFunction:
-    """Build from per-piece shape coefficients, anchoring constants for continuity.
+    """Build from per-piece shape coefficients, continuous by construction.
 
-    The constant term of every piece after the first is ignored and replaced
-    by the previous piece's right-end value, so the result is continuous by
-    construction.
+    The constant term of every piece after the first is ignored: ``_anchored``
+    sets it to the previous piece's right-end value, as the constructor does.
     """
     bp = tuple(float(x) for x in breakpoints)
     shapes = [tuple(float(c) for c in p) for p in pieces]
     if len(shapes) != len(bp) - 1:
         raise ValueError("need exactly one piece per breakpoint interval")
-    anchored = [shapes[0]]
-    for i in range(1, len(shapes)):
-        width = bp[i] - bp[i - 1]
-        left_val = _poly_val(anchored[i - 1], width)
-        anchored.append((left_val,) + shapes[i][1:])
-    return PiecewiseFunction(bp, tuple(anchored), monotone)
+    return PiecewiseFunction(bp, _anchored(bp, shapes), monotone)
 
 
 def from_global_coeffs(breakpoints, global_pieces, monotone: bool = False) -> PiecewiseFunction:
@@ -436,25 +438,11 @@ def monotone_split(f: PiecewiseFunction) -> tuple[PiecewiseFunction, PiecewiseFu
     """
     refined = refine_at_derivative_roots(f)
     bps = [refined[0][0]] + [seg[1] for seg in refined]
-    up_pieces = []
-    down_pieces = []
-    up_val = f.value_at_left_end
-    down_val = 0.0
+    up, down = [], []
     for (a, b, loc) in refined:
-        width = b - a
-        mid_slope = _deriv_val(loc, 0.5 * width)
-        increment = _poly_val(loc, width) - loc[0]
-        if mid_slope > 0.0:
-            up_pieces.append((up_val,) + tuple(loc[1:]))
-            up_val += increment
-            down_pieces.append((down_val,))
-        elif mid_slope < 0.0:
-            down_pieces.append((down_val,) + tuple(loc[1:]))
-            down_val += increment
-            up_pieces.append((up_val,))
-        else:
-            up_pieces.append((up_val,))
-            down_pieces.append((down_val,))
-    f_up = PiecewiseFunction(tuple(bps), tuple(up_pieces))
-    f_down = PiecewiseFunction(tuple(bps), tuple(down_pieces))
-    return f_up, f_down
+        mid_slope = _deriv_val(loc, 0.5 * (b - a))
+        up.append(loc if mid_slope > 0.0 else (0.0,))
+        down.append(loc if mid_slope < 0.0 else (0.0,))
+    up[0] = (f.value_at_left_end,) + up[0][1:]
+    down[0] = (0.0,) + down[0][1:]
+    return from_breakpoints(bps, up), from_breakpoints(bps, down)

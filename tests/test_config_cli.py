@@ -1021,6 +1021,43 @@ class TestCli:
         assert "NaN" not in text and check["passed"] and "error" not in check["extra"]
         assert len({p["k"] for p in check["extra"]["pairs"]}) == 9
 
+    WIDE_SINE = {"phi": {"kind": "linear", "slope": 1.0, "lo": -1.5e308, "hi": 1.5e308},
+                 "g": {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308},
+                 "initial": {"sine": {"mean": 0.0, "amplitude": 1e308}}}
+
+    def run_without_warnings(self, tmp_path, capsys, doc):
+        """Exit code, stdout and checks.json of a run in which any RuntimeWarning is an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli(["run", "--config", self.write(tmp_path, doc),
+                        "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out, json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
+
+    def test_entropy_residuals_that_are_nan_fail(self, tmp_path, capsys):
+        # every residual's quadrature overflows to NaN; a NaN never passes
+        doc = minimal(name="big", **self.WIDE_SINE, checks=["entropy_residual"])
+        code, out, (check,) = self.run_without_warnings(tmp_path, capsys, doc)
+        assert code == 1
+        assert out == "big/entropy_residual: FAIL (observed=inf, threshold=1)\n"
+        assert "error" not in check["extra"]
+        assert all(math.isnan(p["residual"]) for p in check["extra"]["pairs"])
+
+    def test_pair_distances_that_overflow_fail(self, tmp_path, capsys):
+        # |u - v| reaches 2e308 and overflows: the distances are inf, their
+        # increments NaN, and the initial distance bounds nothing
+        doc = minimal(name="big", **self.WIDE_SINE,
+                      initial_b={"sine": {"mean": 0.0, "amplitude": -1e308}},
+                      checks=["contraction", "t_nonexpansive"])
+        code, out, checks = self.run_without_warnings(tmp_path, capsys, doc)
+        assert code == 1
+        assert out == ("big/contraction: FAIL (observed=inf, threshold=1e-10)\n"
+                       "big/t_nonexpansive: FAIL (observed=inf, threshold=nan)\n")
+        contraction, t_nonexpansive = checks
+        assert contraction["extra"]["l1_final"] == math.inf
+        assert t_nonexpansive["extra"]["initial_distance"] == math.inf
+
     def digests_here_and_under(self, tmp_path, capsys, **env):
         """sha256 of every file that ``run`` writes for the quick bundle's
         det_burgers, in this process and in a subprocess whose environment adds ``env``."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from degenwave import (
     maximal_constant_interval,
     monotone_split,
 )
+from degenwave.piecewise import _poly_val, _shift_poly
 from kernel_reference import total_variation_between
 
 
@@ -211,3 +214,67 @@ class TestMonotoneSplit:
     def test_total_variation_symmetric(self):
         f = kink_flux()
         assert total_variation_between(f, -0.7, 0.9) == total_variation_between(f, 0.9, -0.7)
+
+
+def _stored_models():
+    """Every builder over seeded random models, -0.0 and integer coefficients.
+
+    Each random model also goes through the constructor with its constants
+    nudged inside ``CONTINUITY_RTOL`` (so the stored anchor replaces them),
+    through ``from_global_coeffs`` (the same pieces in u itself), and, for
+    the flux and the nondecreasing diffusion, through both parts of
+    ``monotone_split``.
+    """
+    rng = np.random.default_rng(33)
+    for _ in range(400):
+        flux = rm.random_flux(rng)
+        diffusion = rm.random_monotone_diffusion(rng)
+        flat, _ = rm.random_flat_diffusion(rng)
+        for f in (flux, diffusion, flat):
+            yield f
+            nudged = [(p[0] * (1.0 + 1e-13),) + p[1:] for p in f.pieces]
+            yield PiecewiseFunction(f.breakpoints, nudged, f.monotone_nondecreasing)
+            yield from_global_coeffs(f.breakpoints, [_shift_poly(p, -a)[:len(p)]
+                                                     for a, p in zip(f.breakpoints, f.pieces)])
+        yield from monotone_split(flux)
+        yield from monotone_split(diffusion)
+    for neg in (
+        PiecewiseFunction((0.0, 1.0), ((-0.0,),)),
+        PiecewiseFunction((-1.0, 0.0, 1.0), ((-0.0, -0.0), (0.0, -0.0, 1.0))),
+        from_breakpoints([-1.0, 0.0, 1.0], [[-0.0, -0.0], [5.0, -0.0, 1.0]]),
+        from_breakpoints([-1.0, 0.5, 1.0], [[1.0, -0.0, -0.0], [-0.0, -1.0, -0.0, 2.0]]),
+        from_global_coeffs([-1.0, 0.0, 1.0], [[-0.0, -0.0], [-0.0, -0.0, -0.0]]),
+    ):
+        yield neg
+        yield from monotone_split(neg)
+    for whole in (
+        PiecewiseFunction((0, 1, 3), ((1, 2), (3, -1, 1))),
+        from_breakpoints([-2, 0, 1, 2], [[4, -2], [7, 0, 3], [0, 6, -3, 1]]),
+        from_global_coeffs([-1, 0, 2], [[0, 0, 1], [0, 0, 1]]),
+        burgers(-2, 2),
+        linear(3, 1, -1, 1),
+        constant(0, -1, 1),
+    ):
+        yield whole
+        yield from monotone_split(whole)
+
+
+# sha256 of repr((breakpoints, pieces, table)) over every model of
+# _stored_models(): moves only with a change meant to move stored pieces
+STORED_MODELS_SHA256 = "0a9d8ef67c981d22f9fc4374866f0c0dacd7c5c34031c1ef78ecdbfd50ce6286"
+
+
+class TestStoredBytes:
+    def test_stored_models_are_pinned(self):
+        digest = hashlib.sha256()
+        for f in _stored_models():
+            stored = (f.breakpoints, f.pieces, f._cache["table"].tolist())
+            digest.update(repr(stored).encode())
+        assert digest.hexdigest() == STORED_MODELS_SHA256
+
+    def test_each_constant_is_the_right_end_of_the_piece_before(self):
+        for f in _stored_models():
+            bp, pieces = f.breakpoints, f.pieces
+            for i in range(1, len(pieces)):
+                anchor = _poly_val(pieces[i - 1], bp[i] - bp[i - 1]) + 0.0
+                assert repr(pieces[i][0]) == repr(anchor)
