@@ -69,7 +69,7 @@ def _cmd_analyze(args) -> int:
     try:
         report = analyze(cfg.phi, cfg.g, cfg.initial)
         cost = predict_cost(cfg.phi, cfg.g, cfg.fields, *cfg.step)
-    except (ValueError, OverflowError) as e:  # as a run reports its analysis errors
+    except ValueError as e:  # as a run reports its analysis errors
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     cost["trajectories"] = cfg.trajectories

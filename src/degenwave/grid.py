@@ -19,8 +19,8 @@ from .errors import GridMismatchError
 
 MIN_CELLS = 4
 MAX_CELLS = 1 << 24  # 128 MiB per float array
+MAX_ABS = 2.0 ** 64  # every datum, breakpoint and time lies in [-MAX_ABS, MAX_ABS]
 _MEAN_SCALE = MAX_CELLS.bit_length()  # 2^-25 keeps a sum of MAX_CELLS finite floats finite
-_SPLIT_LIMIT = 2.0 ** 960  # rows reaching it are summed by fsum; keeps 2^(e+M) finite
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class Grid:
 
 
 class Field:
-    """Cell averages of a periodic function, attached to one grid."""
+    """Cell averages of a periodic function, attached to one grid; each lies
+    in [-MAX_ABS, MAX_ABS] (ValueError otherwise)."""
 
     __slots__ = ("grid", "values")
 
@@ -51,8 +52,8 @@ class Field:
         arr = np.asarray(values, dtype=float).copy()
         if arr.shape != (grid.n_cells,):
             raise ValueError(f"expected {grid.n_cells} values, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
+        if not -MAX_ABS <= arr.min() <= arr.max() <= MAX_ABS:  # NaN fails too
+            raise ValueError("field values must lie in [-2^64, 2^64]")
         self.grid = grid
         self.values = arr
 
@@ -86,17 +87,15 @@ def positive_part_distance(u: Field, v: Field) -> float:
 
 
 def integral(values: np.ndarray, dx: float):
-    """``math.fsum(values) * dx``, also where the sum leaves the float range;
-    for a 2-D block, the list of that value for each row."""
+    """``math.fsum(values) * dx``; for a 2-D block of rows mapped from data in
+    range (``exact_row_sums``), the list of that value for each row."""
     if values.ndim == 2:
-        try:
-            return [s * dx for s in exact_row_sums(values)]
-        except OverflowError:
-            return [integral(row, dx) for row in values]
+        return [s * dx for s in exact_row_sums(values)]
     try:
         return math.fsum(values.tolist()) * dx
     except OverflowError:
-        # the cell sum left the float range, the mean cannot: sum the values
+        # terms that model coefficients drive (the entropy quadrature's) can
+        # leave the float range where their integral does not: sum the values
         # scaled by an exact power of two, then scale back
         scaled = np.ldexp(values, -_MEAN_SCALE)
         return math.ldexp(math.fsum(scaled.tolist()) * dx, _MEAN_SCALE)
@@ -129,13 +128,14 @@ def exact_row_sums(rows) -> list[float]:
     2^-53 s whose partial sums stay below s, so numpy sums them exactly in
     any order; each pass takes at least 52 - M bits off the remainder. The
     few exact partial sums of a row then go to ``math.fsum``. Rows that are
-    all zeros, hold a non-finite value or reach ``_SPLIT_LIMIT`` are summed
-    by ``math.fsum`` directly.
+    all zeros are summed by ``math.fsum`` directly. Every value must lie
+    below ``2^(1023-M)`` in magnitude, so that ``s`` is finite; maps of data
+    in range lie far below.
     """
     rows = np.asarray(rows, dtype=float)
     m = (rows.shape[1] + 1).bit_length()
     amax = np.abs(rows).max(axis=1, initial=0.0)
-    live = np.flatnonzero(np.isfinite(amax) & (amax > 0.0) & (amax < _SPLIT_LIMIT))
+    live = np.flatnonzero(amax > 0.0)
     parts = {i: [] for i in live.tolist()}
     r, amax = rows[live], amax[live]
     while live.size:

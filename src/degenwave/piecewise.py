@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRangeError
+from .grid import MAX_ABS
 
 MAX_DEGREE = 3
 CONTINUITY_RTOL = 1e-12
@@ -119,10 +120,11 @@ class PiecewiseFunction:
     previous piece's right-end value (``_anchored``).
 
     Instances are immutable (and therefore safe to share between threads).
-    Construction validates strict breakpoint ordering, continuity of
-    adjacent pieces to ``1e-12`` relative, and, when
+    Construction validates strictly increasing breakpoints in [-MAX_ABS,
+    MAX_ABS], continuity of adjacent pieces to ``1e-12`` relative, and, when
     ``monotone_nondecreasing`` is set, nonnegativity of the derivative on
-    every piece via closed-form critical points.
+    every piece via closed-form critical points. Coefficients need only be
+    finite, so a piece may still overflow at its right end (ValueError).
     """
 
     breakpoints: tuple[float, ...]
@@ -134,8 +136,8 @@ class PiecewiseFunction:
         bp = tuple(float(x) for x in self.breakpoints)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
-        if any(not math.isfinite(x) for x in bp):
-            raise ValueError("breakpoints must be finite")
+        if not all(abs(x) <= MAX_ABS for x in bp):
+            raise ValueError("breakpoints must lie in [-2^64, 2^64]")
         if any(b - a <= 0.0 for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         raw = tuple(tuple(float(c) for c in p) for p in self.pieces)
@@ -229,7 +231,7 @@ class PiecewiseFunction:
         else:
             left, lead, *rest = self._cache["table"][:, piece]
             acc = np.full(arr.shape, lead)
-        if rest:  # a constant needs no offset, which can overflow on a range past 1.8e308
+        if rest:  # a constant needs no offset
             t = arr - left
         for c in rest:
             acc *= t

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .errors import CflViolationError, CoverageError, OutOfRangeError, SchemaError
-from .grid import MAX_CELLS, MIN_CELLS, Field, Grid
+from .grid import MAX_ABS, MAX_CELLS, MIN_CELLS, Field, Grid
 from .piecewise import PiecewiseFunction, burgers, constant, identity, linear
 from .solver import RunResult, SchemeParams, require_step_budget, run, shared_dt
 from .structure import analyze, require_coverage
@@ -75,7 +74,7 @@ _INITIAL_PARAMS = {  # the initial-data kinds; sine and step are objects of numb
     "cells": None,
     "expression": None,
 }
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_NAME_RE = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")  # fullmatch; . and .. are not names
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _TERM_RE = re.compile(
     rf"^(?:(?P<coef>{_NUM})\*)?(?P<fn>sin|cos)\((?P<freq>{_NUM})\)$|^(?P<const>{_NUM})$"
@@ -131,7 +130,7 @@ class ScenarioConfig:
         """The ``run`` calls of ``run_scenario``, a repeated base run included."""
         try:
             squeeze = self.squeeze
-        except (OutOfRangeError, ValueError, OverflowError):  # the check fails before it steps
+        except (OutOfRangeError, ValueError):  # the check fails before it steps
             return len(self.fields)
         return len(self.fields) + (0 if squeeze is None else 2 + (squeeze[0] != self.step[0]))
 
@@ -155,11 +154,12 @@ class SuiteSummary:
 
 
 def _number(value, path: str) -> float:
-    """``value`` as a float, or a SchemaError at ``path`` unless it is a finite JSON number."""
-    # bool is an int subclass; the bound also rejects nan, inf and ints beyond float range
+    """``value`` as a float, or a SchemaError at ``path`` unless it is a JSON number
+    in [-MAX_ABS, MAX_ABS], the one range of every config number."""
+    # bool is an int subclass; the bound also rejects nan and inf
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise SchemaError(path, f"expected a finite number, got {value!r}")
+            or not abs(value) <= MAX_ABS:
+        raise SchemaError(path, f"expected a number in [-2^64, 2^64], got {value!r}")
     return float(value)
 
 
@@ -206,10 +206,10 @@ def _parse_expression(text: str, path: str) -> list[tuple[float, str, float]]:
         if not m:
             raise SchemaError(path, f"cannot parse term {tok!r}")
         if m.group("const") is not None:
-            terms.append((sign * float(m.group("const")), "const", 0.0))
+            terms.append((sign * _number(float(m.group("const")), path), "const", 0.0))
         else:
-            coef = float(m.group("coef")) if m.group("coef") else 1.0
-            terms.append((sign * coef, m.group("fn"), float(m.group("freq"))))
+            coef = _number(float(m.group("coef")), path) if m.group("coef") else 1.0
+            terms.append((sign * coef, m.group("fn"), _number(float(m.group("freq")), path)))
         sign = 1.0
     return terms
 
@@ -223,36 +223,35 @@ def build_initial(spec: dict, grid: Grid, path: str) -> Field:
     x = grid.cell_centers()
     if _INITIAL_PARAMS[kind] is not None:
         p = _read(body, f"{path}/{kind}", kind, _INITIAL_PARAMS[kind])
-    # overflowing data is reported below as a config error, without numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "step":
-            vals = np.where(x < p["split"], p["left"], p["right"])
-        elif kind == "cells":
-            if not isinstance(body, list):
-                raise SchemaError(f"{path}/cells", "expected a list of numbers")
-            if len(body) != grid.n_cells:
-                raise SchemaError(f"{path}/cells",
-                                  f"expected {grid.n_cells} values, got {len(body)}")
-            vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
-        else:
-            if kind == "expression" and not isinstance(body, str):
-                raise SchemaError(f"{path}/expression", "expected a string")
-            terms = ([(p["mean"], "const", 0.0), (p["amplitude"], "sin", p["frequency"])]
-                     if kind == "sine" else _parse_expression(body, f"{path}/expression"))
-            vals = np.zeros_like(x)  # so a -0.0 mean gives +0.0 where the sine term is 0
-            for coef, fn, freq in terms:
-                if not freq.is_integer():  # the data would not be periodic on the circle
-                    raise SchemaError(f"{path}/sine/frequency" if kind == "sine" else
-                                      f"{path}/expression", f"frequency {freq!r} is not an integer")
-                if fn == "const":
-                    vals = vals + coef
-                elif fn == "sin":
-                    vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
-                else:
-                    vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
-    if not np.isfinite(vals).all():
-        raise SchemaError(f"{path}/{kind}", "initial values must be finite")
-    u0 = Field(grid, vals)
+    if kind == "step":
+        vals = np.where(x < p["split"], p["left"], p["right"])
+    elif kind == "cells":
+        if not isinstance(body, list):
+            raise SchemaError(f"{path}/cells", "expected a list of numbers")
+        if len(body) != grid.n_cells:
+            raise SchemaError(f"{path}/cells",
+                              f"expected {grid.n_cells} values, got {len(body)}")
+        vals = np.array([_number(v, f"{path}/cells/{i}") for i, v in enumerate(body)])
+    else:
+        if kind == "expression" and not isinstance(body, str):
+            raise SchemaError(f"{path}/expression", "expected a string")
+        terms = ([(p["mean"], "const", 0.0), (p["amplitude"], "sin", p["frequency"])]
+                 if kind == "sine" else _parse_expression(body, f"{path}/expression"))
+        vals = np.zeros_like(x)  # so a -0.0 mean gives +0.0 where the sine term is 0
+        for coef, fn, freq in terms:
+            if not freq.is_integer():  # the data would not be periodic on the circle
+                raise SchemaError(f"{path}/sine/frequency" if kind == "sine" else
+                                  f"{path}/expression", f"frequency {freq!r} is not an integer")
+            if fn == "const":
+                vals = vals + coef
+            elif fn == "sin":
+                vals = vals + coef * np.sin(2.0 * np.pi * freq * x)
+            else:
+                vals = vals + coef * np.cos(2.0 * np.pi * freq * x)
+    try:  # terms in range can sum past it
+        u0 = Field(grid, vals)
+    except ValueError as e:
+        raise SchemaError(f"{path}/{kind}", "initial values must lie in [-2^64, 2^64]") from e
     u0.values.flags.writeable = False  # a parsed config is immutable, its data included
     return u0
 
@@ -300,9 +299,9 @@ def _build_function(spec, path: str) -> PiecewiseFunction:
 def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
     _read(doc, path, "a scenario", {}, SCENARIO_FIELDS)
     name = doc.get("name")
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise SchemaError(f"{path}/name",
-                          "name must match [A-Za-z0-9._-]+ (used as a directory)")
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise SchemaError(f"{path}/name", "name must match [A-Za-z0-9._-]+ and not be "
+                                          "'.' or '..' (used as a directory)")
     phi = _build_function(doc.get("phi"), f"{path}/phi")
     g = _build_function(doc.get("g"), f"{path}/g")
     if not g.monotone_nondecreasing:
@@ -322,10 +321,6 @@ def _parse_scenario(doc: dict, path: str) -> ScenarioConfig:
         if t_end > 0.0:
             times = [i * t_end / (DEFAULT_SNAPSHOT_COUNT - 1)
                      for i in range(DEFAULT_SNAPSHOT_COUNT)]
-            if math.isinf(times[-1]):  # i * t_end overflowed, so the largest did
-                raise SchemaError(f"{path}/scheme/t_end",
-                                  f"t_end {t_end!r} overflows the default snapshot schedule "
-                                  f"i * t_end / {DEFAULT_SNAPSHOT_COUNT - 1}; list snapshot_times")
         else:
             times = [0.0]
     if not isinstance(times, list):

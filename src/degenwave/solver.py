@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CflViolationError, GridMismatchError
-from .grid import Field, Grid
+from .grid import MAX_ABS, Field, Grid
 from .piecewise import PiecewiseFunction, lipschitz_on, monotone_split
 from .structure import StructureReport, analyze
 
@@ -36,7 +36,8 @@ MAX_CELL_STEPS = 400 * MAX_STEPS  # the most cell updates (steps x cells) one ru
 class SchemeParams:
     """Run controls: CFL safety factor, horizon, and snapshot schedule.
 
-    ``snapshot_times`` must be finite, nondecreasing and lie in [0, t_end].
+    ``t_end`` must lie in [0, MAX_ABS], and ``snapshot_times`` must be
+    nondecreasing and lie in [0, t_end].
     The run records the state at the first step time at or past each
     requested time (plus the initial state and the final state, always).
     """
@@ -48,11 +49,11 @@ class SchemeParams:
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
-        if self.t_end < 0.0 or not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite and nonnegative")
+        if not 0.0 <= self.t_end <= MAX_ABS:
+            raise ValueError("t_end must be finite and lie in [0, 2^64]")
         times = tuple(float(t) for t in self.snapshot_times)
-        if not all(map(math.isfinite, times)):
-            raise ValueError("snapshot_times must be finite")
+        if not all(abs(t) <= MAX_ABS for t in times):
+            raise ValueError("snapshot_times must be finite and lie in [-2^64, 2^64]")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("snapshot_times must be nondecreasing")
         if times and (times[0] < 0.0 or times[-1] > self.t_end * (1.0 + 1e-12)):
@@ -292,7 +293,7 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
         raise CflViolationError(f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone "
                                 f"range for data in [{u_min!r}, {u_max!r}]")
     ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # Field reports non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):  # Field rejects non-finite values
         _apply_step(ws, *ws.bufs)
     return Field(u.grid, ws.bufs[1][1:-1])
 

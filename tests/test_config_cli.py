@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -22,8 +23,10 @@ from degenwave import (
     CheckReport,
     Field,
     Grid,
+    PiecewiseFunction,
     SchemaError,
     SchemeParams,
+    constant,
     diagnostics,
     parse_config,
     run_scenario,
@@ -31,9 +34,8 @@ from degenwave import (
     scenarios,
     solver,
 )
-from degenwave import cli as cli_module
 from degenwave.cli import cli
-from degenwave.grid import MAX_CELLS
+from degenwave.grid import MAX_ABS, MAX_CELLS
 from degenwave.scenarios import (
     CHECKS,
     _build_function,
@@ -46,6 +48,8 @@ from degenwave.solver import RunResult, _Workspace, run
 from degenwave.structure import analyze
 
 ROOT = Path(__file__).resolve().parents[1]
+BEYOND = math.nextafter(MAX_ABS, math.inf)
+EDGE_RANGE = {"lo": -MAX_ABS, "hi": MAX_ABS}
 
 MINIMAL = {
     "name": "burgers_min",
@@ -81,14 +85,17 @@ class TestParsing:
         assert len(cfg.scheme.snapshot_times) == 33
         assert [c.name for c in cfg.checks] == ["conservation"]
 
-    def test_huge_t_end_keeps_the_default_schedule_or_needs_listed_times(self):
+    def test_t_end_at_the_range_edge_keeps_the_default_schedule(self):
+        # a flat flux takes one step of t_end; i * t_end / 32 stays finite
         flat = {"phi": {"kind": "constant", "value": 0.2, "lo": -1, "hi": 1}}
-        cfg = parse_config(json.dumps(minimal(**flat, scheme={"t_end": 5e306})))
-        assert cfg.scheme.snapshot_times == tuple(i * 5e306 / 32 for i in range(33))
-        assert cfg.scheme.snapshot_times[-1] == 5e306
-        cfg = parse_config(json.dumps(minimal(
-            **flat, scheme={"t_end": 1e308, "snapshot_times": [0.0, 1e308]})))
-        assert cfg.scheme.snapshot_times == (0.0, 1e308)
+        cfg = parse_config(json.dumps(minimal(**flat, scheme={"t_end": MAX_ABS})))
+        assert cfg.scheme.snapshot_times == tuple(i * MAX_ABS / 32 for i in range(33))
+        assert cfg.scheme.snapshot_times[-1] == MAX_ABS and cfg.step == (MAX_ABS, 1)
+        # past the edge, listing the times does not help
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(minimal(
+                **flat, scheme={"t_end": 1e308, "snapshot_times": [0.0, 1e308]})))
+        assert err.value.path == "/scheme/t_end"
 
     def test_array_of_scenarios(self):
         cfgs = parse_config(json.dumps([MINIMAL, minimal(name="b2")]))
@@ -207,7 +214,8 @@ class TestParsing:
         ({"initial": {"expression": "1e999"}}, "/initial/expression"),
         ({"initial": {"step": {"left": 1e999, "right": 0, "split": 0.5}}},
          "/initial/step/left"),
-        pytest.param({"initial": {"sine": {"mean": 1e308, "amplitude": 1e308}}},
+        # numbers in range whose data are not
+        pytest.param({"initial": {"sine": {"mean": MAX_ABS, "amplitude": MAX_ABS}}},
                      "/initial/sine", marks=pytest.mark.filterwarnings("error")),
         ({"initial_b": {"cells": [0.0] * 63 + [-1e999]}, "checks": ["contraction"]},
          "/initial_b/cells/63"),
@@ -233,8 +241,8 @@ class TestParsing:
         ({"initial": {"step": {"left": 0.1, "right": 0.2, "split": 0.5, "width": 0.1}}},
          "/initial/step/width"),
         ({"checks": [{"name": ["decay"]}]}, "/checks/0/name"),
-        pytest.param({"initial": {"expression": "1e308 + 1e308"}}, "/initial/expression",
-                     marks=pytest.mark.filterwarnings("error")),
+        pytest.param({"initial": {"expression": "18446744073709551616 + 18446744073709551616"}},
+                     "/initial/expression", marks=pytest.mark.filterwarnings("error")),
         # explicit cells and model coefficients are JSON numbers too, and the
         # monotone flag is a JSON boolean
         ({"initial": {"cells": [True, "0.5"] + [0.1] * 62}}, "/initial/cells/0"),
@@ -255,8 +263,8 @@ class TestParsing:
         ({"grid": {"n_cells": 10 ** 400}}, "/grid/n_cells"),
         ({"grid": {"n_cells": 2 ** 62}}, "/grid/n_cells"),
         ({"grid": {"n_cells": MAX_CELLS + 1}}, "/grid/n_cells"),
-        # the first piece's right end overflows to inf, which no continuity test can match
-        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1e308], [0.0, 2.0]]}},
+        # the first piece ends at 4, the second starts at 0
+        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1.0], [0.0, 2.0]]}},
          "/phi/pieces"),
         # data in [0.25, 0.75] need g on [-0.75, 0.75]
         ({"g": {"kind": "constant", "value": 0.0, "lo": -0.5, "hi": 0.5}}, "/g"),
@@ -273,8 +281,7 @@ class TestParsing:
         ({"initial": {"expression": 0.25}}, "/initial/expression"),
         ({"initial": {"expression": ["0.25"]}}, "/initial/expression"),
         ({"initial": {"expression": None}}, "/initial/expression"),
-        # the default schedule i * t_end / 32 overflows though t_end is finite; a
-        # flat flux takes one step of t_end, so only the schedule is at fault
+        # t_end past 2^64, with a flux that steps and with a flat one
         ({"scheme": {"t_end": 1e308}}, "/scheme/t_end"),
         ({"scheme": {"t_end": 5e307}}, "/scheme/t_end"),
         ({"phi": {"kind": "constant", "value": 0.2, "lo": -1, "hi": 1},
@@ -295,6 +302,14 @@ class TestParsing:
          "/initial/sine/frequency"),
         ({"initial": {"expression": "0.5 + 0.2*sin(1.5)"}}, "/initial/expression"),
         ({"initial": {"expression": "0.5 - 0.1*cos(2) + 0.1*cos(0.25)"}}, "/initial/expression"),
+        # a coefficient past 2^64, whose piece would overflow at its right end
+        ({"phi": {"breakpoints": [-2, 0, 2], "pieces": [[2.0, 1e308], [0.0, 2.0]]}},
+         "/phi/pieces/0/1"),
+        # a name is a directory under --out: no separator, and neither . nor ..
+        ({"name": "a/b"}, "/name"),
+        ({"name": "."}, "/name"),
+        ({"name": ".."}, "/name"),
+        ({"name": "a\n"}, "/name"),
     ])
     def test_malformed_value_is_schema_error(self, overrides, path, tmp_path, capsys):
         doc = minimal(**overrides)
@@ -305,6 +320,79 @@ class TestParsing:
         cfg.write_text(json.dumps(doc))
         assert cli(["analyze", "--config", str(cfg)]) == 2
         assert f"config error at {path}:" in capsys.readouterr().err
+
+    def test_scenario_names(self, tmp_path):
+        assert parse_config(json.dumps(minimal(name="a.b"))).name == "a.b"
+        assert parse_config(json.dumps(minimal(name="..."))).name == "..."
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps([minimal(name="a.b"), minimal(name="..")]))
+        assert err.value.path == "/1/name"
+        # ".." would write into the parent of --out, "." into --out itself
+        for name in ("..", "."):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(minimal(name=name)))
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o" / "run")]) == 2
+            assert not (tmp_path / "o").exists()
+
+    # a config that holds one number out of range, at the pointer given
+    RANGE_SLOTS = {
+        "/initial/cells/0": lambda v: minimal(initial={"cells": [v] + [0.5] * 63}),
+        "/phi/breakpoints/1": lambda v: minimal(phi={"breakpoints": [-1, v],
+                                                     "pieces": [[0.0, 1.0]]}),
+        "/phi/pieces/0/1": lambda v: minimal(phi={"breakpoints": [-1, 1],
+                                                  "pieces": [[0.0, v]]}),
+        "/scheme/t_end": lambda v: minimal(scheme={"t_end": v}),
+        "/scheme/snapshot_times/1": lambda v: minimal(scheme={"t_end": 0.5,
+                                                              "snapshot_times": [0.0, v]}),
+        "/checks/0/threshold": lambda v: minimal(checks=[{"name": "decay", "threshold": v}]),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [BEYOND, -BEYOND, math.nan, math.inf, -math.inf],
+                             ids=["beyond", "minus_beyond", "nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("path", sorted(RANGE_SLOTS))
+    def test_number_out_of_range_is_exit_2_at_its_path(self, path, bad, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(self.RANGE_SLOTS[path](bad)))
+        assert cli(["analyze", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error at {path}: expected a number in [-2^64, 2^64], got {bad!r}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coef", ["18446744073709555712", "1e999", "-1e999"])
+    def test_expression_coefficient_out_of_range_is_exit_2(self, coef, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(minimal(initial={"expression": f"0.5 + {coef}*sin(1)"})))
+        assert cli(["analyze", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "config error at /initial/expression: expected a number in [-2^64, 2^64]")
+
+    @pytest.mark.filterwarnings("error")
+    def test_numbers_at_the_range_edge_are_accepted(self, tmp_path, capsys):
+        # every kind of number at +-2^64: data, breakpoints, coefficients,
+        # check parameters, times and expression coefficients
+        docs = [
+            minimal(phi={"breakpoints": [-MAX_ABS, 0, MAX_ABS], "pieces": [[-MAX_ABS, 1.0],
+                                                                            [0.0, 1.0]]},
+                    g={"kind": "constant", "value": MAX_ABS, **EDGE_RANGE},
+                    initial={"cells": [MAX_ABS, -MAX_ABS] * 32},
+                    checks=[{"name": "decay", "threshold": MAX_ABS},
+                            {"name": "squeeze_bounds", "shift_lower": -MAX_ABS}]),
+            minimal(phi={"kind": "constant", "value": -MAX_ABS, **EDGE_RANGE},
+                    g={"kind": "constant", **EDGE_RANGE},
+                    initial={"expression": "-18446744073709551616*sin(1)"},
+                    scheme={"t_end": MAX_ABS, "snapshot_times": [0.0, MAX_ABS]}),
+        ]
+        sups = []
+        for doc in docs:
+            cfg = tmp_path / "edge.json"
+            cfg.write_text(json.dumps(doc))
+            assert cli(["analyze", "--config", str(cfg)]) == 0
+            sups.append(json.loads(capsys.readouterr().out)["M"])
+        assert sups[0] == MAX_ABS and 0.99 * MAX_ABS < sups[1] < MAX_ABS
 
     @pytest.mark.parametrize("overrides, path, message", [
         ({"tol": 1e-10}, "/tol", "unknown field"),
@@ -364,16 +452,16 @@ class TestParsing:
         assert parse_config(path.read_bytes())
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("shifts", [{"shift_upper": 1e308},
-                                        {"shift_upper": 1e308, "shift_lower": 0.0}])
+    @pytest.mark.parametrize("shifts", [{"shift_upper": MAX_ABS},
+                                        {"shift_upper": MAX_ABS, "shift_lower": 0.0}])
     def test_squeeze_companions_that_overflow_are_left_to_the_run(self, shifts):
-        # the default lower shift needs analyze, whose fsum mean of these data
-        # overflows, and u0 + 1e308 is inf; the run reports both, as before
-        wide = {"lo": -1.5e308, "hi": 1.5e308}
-        doc = minimal(phi={"kind": "constant", **wide}, g={"kind": "constant", **wide},
-                      initial={"sine": {"mean": 1e308}}, grid={"n_cells": 8},
+        # u0 + 2^64 leaves the value range, Field's ValueError; the run reports it
+        doc = minimal(phi={"kind": "constant", **EDGE_RANGE}, g={"kind": "constant", **EDGE_RANGE},
+                      initial={"sine": {"mean": 0.5 * MAX_ABS}}, grid={"n_cells": 8},
                       checks=[{"name": "squeeze_bounds", **shifts}])
-        assert parse_config(json.dumps(doc)).checks[0].param_dict() == shifts
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.checks[0].param_dict() == shifts
+        assert cfg.trajectories == 1
 
     def test_seed_is_checked_not_stored(self):
         cfg = parse_config(json.dumps(minimal(seed=7)))
@@ -476,7 +564,7 @@ FUZZ_BASE = {
 }
 # no int in (64, MAX_CELLS], so no mutation asks for a large allocation
 FUZZ_POOL = [None, True, False, 0, 1, -1, 2.5, 1e308, -1e308, 1e-320, "x", [], {},
-             10 ** 400, 2 ** 62, -0.0]
+             10 ** 400, 2 ** 62, -0.0, MAX_ABS, -MAX_ABS, BEYOND]
 
 
 def _slots(doc, path=()):
@@ -601,7 +689,7 @@ class TestRunScenario:
         assert "error" in checks[0]["extra"]
         assert checks[1]["name"] == "conservation" and checks[1]["passed"] is True
 
-    WIDE = {"kind": "constant", "lo": -1.5e308, "hi": 1.5e308}
+    WIDE = {"kind": "constant", **EDGE_RANGE}
 
     @pytest.mark.parametrize("model, check, error, digests", [
         # the default lower shift moves the lower companion below phi's range
@@ -613,12 +701,12 @@ class TestRunScenario:
          "[-1.0, 1.5]",
          ("09d4b8ad40da4d97a3b306938e2f1974526ba8fbc6e92f2bcbea1a79a2675f4e",
           "fca9f50a74dd03561f609c39344866eb33d102122c09190664d07e08dfd4ac3d")),
-        # the base run and its analysis are finite; u0 + 1e308 is not
-        ({"phi": WIDE, "g": WIDE, "initial": {"cells": [1e308, -1e308] * 4}},
-         {"name": "squeeze_bounds", "shift_upper": 1e308},
-         "ValueError: field values must be finite",
-         ("1aa1fcfef59ca15bb9679038e669299349d40887dd7a9fa6544b0d6c9dec83d2",
-          "c73c16d4cba3d5a2535f36489b646a5421ffb8135b9c344653677d35b437c111")),
+        # the base run and its analysis are in range; u0 + 2^64 is not
+        ({"phi": WIDE, "g": WIDE, "initial": {"cells": [MAX_ABS, -MAX_ABS] * 4}},
+         {"name": "squeeze_bounds", "shift_upper": MAX_ABS},
+         "ValueError: field values must lie in [-2^64, 2^64]",
+         ("fb527bd585b34e81faa43b5d1c05c74018a55a429b70079d709d39733ea01477",
+          "fb2fe4bb501c4c459fe57f7ea482c48a27eafba272afe6c224aaa015dd3ec23a")),
     ], ids=["lower_out_of_range", "upper_overflows"])
     def test_companion_failure_fails_only_its_check(self, model, check, error, digests,
                                                     tmp_path):
@@ -719,8 +807,8 @@ def test_each_step_is_computed_once(name, count, tmp_path, monkeypatch):
         assert rows.shape == (17, 2) and np.diff(rows[:, 1]).max() <= 1e-10
 
 
-EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 1 / 3]
-EDGE_TEXT = ["-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "0.1",
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, MAX_ABS, 0.1, 1 / 3]
+EDGE_TEXT = ["-0.0", "5e-324", "1e-05", "1e+16", "1.8446744073709552e+19", "0.1",
              "0.3333333333333333"]
 
 
@@ -948,25 +1036,62 @@ class TestCli:
                 assert (cost["steps"], cost["binding"]) == known[cfg.name]
         assert tuple(map(sum, zip(*counted.values()))) == totals[path.name]
 
-    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
-        def overflow(*args, **kwargs):
-            raise OverflowError("intermediate overflow in fsum")
+    @staticmethod
+    def wide(flux, edge, amplitude, **overrides):
+        """A model of ``flux`` ("linear", slope 1, or "constant") and a flat g on
+        [-edge, edge], with sine data of mean 0 and ``amplitude``."""
+        rng = {"lo": -edge, "hi": edge}
+        phi = {"kind": flux, **rng, **({"slope": 1.0} if flux == "linear" else {})}
+        return minimal(name="big", phi=phi, g={"kind": "constant", "value": 0.0, **rng},
+                       initial={"sine": {"mean": 0.0, "amplitude": amplitude}}, **overrides)
 
-        monkeypatch.setattr(cli_module, "analyze", overflow)
-        assert cli(["analyze", "--config", self.write(tmp_path, minimal())]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: OverflowError: intermediate overflow in fsum\n"
+    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # a linear flux over [-1e104, 1e104] would overflow analyze's span ** 3,
+        # and a constant one over [-1.5e308, 1.5e308] would read as degenerate
+        # (0 * inf is NaN); both ranges stop at their first number past 2^64
+        for doc in (self.wide("linear", 1e104, 1e103), self.wide("constant", 1.5e308, 1e308)):
+            config = self.write(tmp_path, doc)
+            for command in (["analyze"], ["run", "--out", str(tmp_path / "out")]):
+                assert cli([*command, "--config", config]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err == ("config error at /phi/lo: expected a number in "
+                                             f"[-2^64, 2^64], got {-doc['phi']['hi']!r}\n")
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flux, speed", [("linear", 1.0), ("constant", 0.0)])
+    def test_models_at_the_range_edge_analyze_and_run(self, flux, speed, tmp_path, capsys):
+        # the flux is affine on the whole window [-M, M], so the speed is its slope
+        doc = self.wide(flux, MAX_ABS, 0.5 * MAX_ABS,
+                        checks=["conservation", "entropy_residual", "squeeze_bounds", "profile"])
+        config = self.write(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli(["analyze", "--config", config]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["a"], report["b"], report["c"]) == (-report["M"], report["M"], speed)
+            assert report["degenerate_speed"] is False
+            assert 0.99 * 0.5 * MAX_ABS < report["M"] <= 0.5 * MAX_ABS
+            cli(["run", "--config", config, "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == ""  # a run error would print "big: error: ..."
+        checks = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
+        assert [c["name"] for c in checks] == doc["checks"]
+        assert all("error" not in c.get("extra", {}) for c in checks)
 
     def test_a_mean_whose_cell_sum_overflows(self, tmp_path, capsys):
-        # the fsum of the 8 cells overflows; their mean 1e308 does not
-        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        # 8 cells near 1e308 would overflow their fsum: such data are out of range
+        wide = {"kind": "constant", "value": 0.0, **EDGE_RANGE}
         doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
                       initial={"sine": {"mean": 1e308, "amplitude": 1e307}})
+        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("config error at /initial/sine/mean:")
+        # at the edge, the mean is the exactly rounded one
+        doc["initial"]["sine"] = {"mean": 0.5 * MAX_ABS, "amplitude": 0.25 * MAX_ABS}
         config = self.write(tmp_path, doc)
         assert cli(["analyze", "--config", config]) == 0
         mean = json.loads(capsys.readouterr().out)["I"]
-        assert math.isfinite(mean) and math.isclose(mean, 1e308, rel_tol=1e-15)
+        x = Grid(8).cell_centers()
+        values = 0.5 * MAX_ABS + 0.25 * MAX_ABS * np.sin(2.0 * np.pi * x)
+        assert mean == math.fsum(values.tolist()) / 8
         # the run writes every artifact, the conservation series included
         cli(["run", "--config", config, "--out", str(tmp_path / "out")])
         assert capsys.readouterr().err == ""  # a run error would print "big: error: ..."
@@ -979,24 +1104,23 @@ class TestCli:
         assert structure["I"] == mean
 
     def test_conservation_of_a_mean_whose_cell_sum_overflows(self, tmp_path, capsys):
-        # each snapshot's cell sum overflows; the check integrates it scaled
-        # and sees the conserved mean
-        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        # at the range's edge the check sums each snapshot's cells exactly and
+        # sees the conserved mean
+        wide = {"kind": "constant", "value": 0.0, **EDGE_RANGE}
         doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
-                      initial={"sine": {"mean": 1e308, "amplitude": 1e300}})
+                      initial={"sine": {"mean": 0.75 * MAX_ABS, "amplitude": 0.25 * MAX_ABS}})
         assert cli(["run", "--config", self.write(tmp_path, doc),
                     "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
         (check,) = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
         assert check["name"] == "conservation" and check["passed"]
-        assert math.isfinite(check["observed"]) and "extra" not in check
+        assert check["observed"] == 0.0 and "extra" not in check
 
     def test_pair_distances_whose_cell_sums_overflow(self, tmp_path, capsys):
-        # |u - v| = 1e308 in all 8 cells: its cell sum leaves the float range,
-        # its integral does not
-        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        # |u - v| = 2^64 in all 8 cells: its cell sum and integral are exact
+        wide = {"kind": "constant", "value": 0.0, **EDGE_RANGE}
         doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
-                      initial={"cells": [1e308] * 8}, initial_b={"cells": [0.0] * 8},
+                      initial={"cells": [MAX_ABS] * 8}, initial_b={"cells": [0.0] * 8},
                       checks=["conservation", "contraction", "t_nonexpansive", "profile"])
         assert cli(["run", "--config", self.write(tmp_path, doc),
                     "--out", str(tmp_path / "out")]) == 0
@@ -1004,13 +1128,15 @@ class TestCli:
         checks = json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
         assert all(c["passed"] and "error" not in c.get("extra", {}) for c in checks)
         (t_nonexpansive,) = (c for c in checks if c["name"] == "t_nonexpansive")
-        assert t_nonexpansive["observed"] == 1e308
+        assert t_nonexpansive["observed"] == MAX_ABS
 
     def test_entropy_constants_of_data_spanning_the_float_range(self, tmp_path, capsys):
-        # max - min = 2e308 leaves the float range; the constants are formed on its half
-        wide = {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308}
+        # data across most of the value range, so that the constants with their
+        # 10% margin stay inside the model: max - min = 1.6 * 2^64
+        wide = {"kind": "constant", "value": 0.0, **EDGE_RANGE}
         doc = minimal(name="big", phi=wide, g=wide, grid={"n_cells": 8},
-                      initial={"cells": [1e308, -1e308] * 4}, checks=["entropy_residual"])
+                      initial={"cells": [0.8 * MAX_ABS, -0.8 * MAX_ABS] * 4},
+                      checks=["entropy_residual"])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli(["run", "--config", self.write(tmp_path, doc),
@@ -1020,10 +1146,6 @@ class TestCli:
         (check,) = json.loads(text)
         assert "NaN" not in text and check["passed"] and "error" not in check["extra"]
         assert len({p["k"] for p in check["extra"]["pairs"]}) == 9
-
-    WIDE_SINE = {"phi": {"kind": "linear", "slope": 1.0, "lo": -1.5e308, "hi": 1.5e308},
-                 "g": {"kind": "constant", "value": 0.0, "lo": -1.5e308, "hi": 1.5e308},
-                 "initial": {"sine": {"mean": 0.0, "amplitude": 1e308}}}
 
     def run_without_warnings(self, tmp_path, capsys, doc):
         """Exit code, stdout and checks.json of a run in which any RuntimeWarning is an error."""
@@ -1035,28 +1157,38 @@ class TestCli:
         assert err == ""
         return code, out, json.loads((tmp_path / "out" / "big" / "checks.json").read_text())
 
-    def test_entropy_residuals_that_are_nan_fail(self, tmp_path, capsys):
-        # every residual's quadrature overflows to NaN; a NaN never passes
-        doc = minimal(name="big", **self.WIDE_SINE, checks=["entropy_residual"])
-        code, out, (check,) = self.run_without_warnings(tmp_path, capsys, doc)
-        assert code == 1
-        assert out == "big/entropy_residual: FAIL (observed=inf, threshold=1)\n"
-        assert "error" not in check["extra"]
-        assert all(math.isnan(p["residual"]) for p in check["extra"]["pairs"])
+    def test_entropy_residuals_that_are_nan_fail(self):
+        # no config number reaches a NaN residual; a library g does, on data in
+        # range: g = 1e308 (1 + u) is inf on [1, 1.5], and a NaN never passes
+        g = PiecewiseFunction((0.0, 2.0), ((1e308, 1e308),), True)
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        values = np.random.default_rng(3).uniform(1.0, 1.5, size=(len(times), 16))
+        res = RunResult(np.column_stack([times, values]), Grid(16),
+                        PiecewiseFunction((0.0, 2.0), ((0.0, 1.0),)), g, step_count=4, dt=0.25,
+                        params=SchemeParams(t_end=1.0, snapshot_times=times))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = diagnostics.entropy_residual(res)
+        assert not rep.passed and (rep.observed, rep.threshold) == (math.inf, 1.0)
+        assert all(math.isnan(p["residual"]) for p in rep.extra["pairs"])
 
     def test_pair_distances_that_overflow_fail(self, tmp_path, capsys):
-        # |u - v| reaches 2e308 and overflows: the distances are inf, their
-        # increments NaN, and the initial distance bounds nothing
-        doc = minimal(name="big", **self.WIDE_SINE,
-                      initial_b={"sine": {"mean": 0.0, "amplitude": -1e308}},
-                      checks=["contraction", "t_nonexpansive"])
+        # |u - v| would reach 2e308 and overflow: such data are out of range. A
+        # pair at +-2^63 has finite distances, and both checks judge them
+        doc = self.wide("linear", 1.5e308, 1e308,
+                        initial_b={"sine": {"mean": 0.0, "amplitude": -1e308}},
+                        checks=["contraction", "t_nonexpansive"])
+        assert cli(["run", "--config", self.write(tmp_path, doc),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error at /phi/lo:")
+        doc = self.wide("linear", MAX_ABS, 0.5 * MAX_ABS,
+                        initial_b={"sine": {"mean": 0.0, "amplitude": -0.5 * MAX_ABS}},
+                        checks=["contraction", "t_nonexpansive"])
         code, out, checks = self.run_without_warnings(tmp_path, capsys, doc)
-        assert code == 1
-        assert out == ("big/contraction: FAIL (observed=inf, threshold=1e-10)\n"
-                       "big/t_nonexpansive: FAIL (observed=inf, threshold=nan)\n")
+        assert code == 0
         contraction, t_nonexpansive = checks
-        assert contraction["extra"]["l1_final"] == math.inf
-        assert t_nonexpansive["extra"]["initial_distance"] == math.inf
+        assert 0.5 * MAX_ABS < contraction["extra"]["l1_final"] <= MAX_ABS
+        assert 0.5 * MAX_ABS < t_nonexpansive["extra"]["initial_distance"] <= MAX_ABS
 
     def digests_here_and_under(self, tmp_path, capsys, **env):
         """sha256 of every file that ``run`` writes for the quick bundle's
@@ -1232,15 +1364,17 @@ class TestCli:
         assert [c["passed"] for c in checks["checks"]] == [False, False]
 
     @pytest.mark.parametrize("model, message", [
-        # Lphi/dx overflows, so the admissible step is 0.0 and t_end is never reached
-        ({"phi": {"kind": "linear", "slope": 1e308, "lo": -1, "hi": 1},
+        # the steepest slope a config can give: dt = 0.5 / (2^64 * 16)
+        ({"phi": {"kind": "linear", "slope": MAX_ABS, "lo": -1, "hi": 1},
           "scheme": {"t_end": 0.01}},
-         "time step 0.0 is not positive, so t_end is never reached"),
+         "time step 1.6940658945086007e-21 needs 5.9e+18 steps to reach t_end, "
+         "more than MAX_STEPS = 100000000"),
         # the same for the second data alone, whose step the pair shares
-        ({"phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0], [0.0, 1e308]]},
+        ({"phi": {"breakpoints": [-1, 0, 1], "pieces": [[0.0], [0.0, MAX_ABS]]},
           "initial": {"sine": {"mean": -0.5, "amplitude": 0.2}},
           "initial_b": {"sine": {"mean": 0.5, "amplitude": 0.2}}},
-         "time step 0.0 is not positive, so t_end is never reached"),
+         "time step 1.6940658945086007e-21 needs 5.9e+19 steps to reach t_end, "
+         "more than MAX_STEPS = 100000000"),
         # about 1.3e9 steps
         ({"g": {"kind": "linear", "slope": 1, "lo": -1, "hi": 1},
           "initial": {"cells": [0.25, 0.75] * 2048}, "grid": {"n_cells": 4096},
@@ -1251,7 +1385,7 @@ class TestCli:
         ({"grid": {"n_cells": 2 ** 20}, "scheme": {"t_end": 0.05}},
          "time step 6.357828776051177e-07 needs 78644 steps of 1048576 cells to reach "
          "t_end, 8.25e+10 cell updates, more than MAX_CELL_STEPS = 40000000000"),
-    ], ids=["underflow", "underflow_b", "too_many_steps", "too_much_work"])
+    ], ids=["steep", "steep_b", "too_many_steps", "too_much_work"])
     def test_step_budget_is_a_config_error(self, model, message, tmp_path, capsys):
         small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
         docs = [minimal(name="fine", **small), minimal(name="bad", **{**small, **model})]
@@ -1304,19 +1438,18 @@ class TestCli:
         assert budgeted[1] == rep.extra["shared_dt"] < budgeted[0]
 
     @pytest.mark.parametrize("model, message", [
-        ({"g": {"kind": "constant", "value": 1e308, "lo": -1, "hi": 1}},
-         "ValueError: field values must be finite"),
-        ({"g": {"kind": "constant", "value": -1e308, "lo": -1, "hi": 1}},
-         "ValueError: field values must be finite"),
+        # no config number overflows a run; a library g does, on data in range:
+        # c + c is not finite, so neither is the Laplacian
+        ({"g": constant(1e308, -1, 1)}, "ValueError: field values must be finite"),
+        ({"g": constant(-1e308, -1, 1)}, "ValueError: field values must be finite"),
     ])
     def test_run_exception_is_reported_and_suite_continues(self, model, message,
                                                            tmp_path, capsys):
         small = {"grid": {"n_cells": 16}, "scheme": {"t_end": 0.1}}
-        docs = [minimal(name="fine", **small), minimal(name="bad", **{**small, **model}),
-                minimal(name="after", **small)]
-        code = cli(["suite", "--config", self.write(tmp_path, docs),
-                    "--out", str(tmp_path / "out")])
-        assert code == 1
+        cfgs = parse_config(json.dumps([minimal(name=name, **small)
+                                        for name in ("fine", "bad", "after")]))
+        cfgs[1] = dataclasses.replace(cfgs[1], **model)
+        assert not run_suite(cfgs, tmp_path / "out").overall_pass
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert [sc["name"] for sc in summary["scenarios"]] == ["fine", "bad", "after"]
         bad = json.loads((tmp_path / "out" / "bad" / "checks.json").read_text())

@@ -41,6 +41,7 @@ from degenwave import (
     shift,
     squeeze_bounds,
     squeeze_companions,
+    step,
     t_nonexpansive_from_runs,
     total_variation,
     traveling_profile,
@@ -48,7 +49,8 @@ from degenwave import (
 )
 from degenwave import diagnostics
 from degenwave.diagnostics import snapshot_spacing
-from degenwave.solver import RunResult
+from degenwave.grid import MAX_ABS
+from degenwave.solver import RunResult, _apply_step, _kernel_table, _Workspace
 from entropy_reference import _quadrature
 from exact_reference import exact_step, jumps
 
@@ -174,13 +176,17 @@ class TestEntropyResidual:
         assert budgets[128] <= 0.5 * budgets[64] * (1.0 + 1e-9)
 
     def test_default_constants_of_data_spanning_the_float_range(self):
-        # max - min = 2e308 leaves the float range; half of it does not
-        u0 = Field(Grid(8), np.array([1e308, -1e308] * 4))
+        # data spanning the value range: max - min = 2^65 and its margin stay
+        # finite, and the constants equal the halved range's, doubled, bit for bit
+        with pytest.raises(ValueError):
+            Field(Grid(8), np.array([1e308, -1e308] * 4))
+        u0 = Field(Grid(8), np.array([MAX_ABS, -MAX_ABS] * 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ks = diagnostics.default_k_values(u0)
-        assert np.isfinite(ks).all() and (np.diff(ks) > 0).all()
-        assert (ks[0], ks[-1]) == (-1.2e308, 1.2e308)
+        assert (np.diff(ks) > 0).all() and (ks[0], ks[-1]) == (-1.2 * MAX_ABS, 1.2 * MAX_ABS)
+        half = 0.5 * MAX_ABS
+        assert ks.tobytes() == (2.0 * np.linspace(-1.2 * half, 1.2 * half, 9)).tobytes()
 
     def test_default_constants_are_the_unscaled_formula_bitwise(self):
         rng = np.random.default_rng(5)
@@ -230,16 +236,18 @@ class TestMonitors:
         assert rep.observed <= 1e-12
 
     def test_conservation_of_rows_whose_cell_sums_overflow(self):
-        # 8 cells near 1e308 sum past the float range, their mean does not;
-        # a block mixing such rows with ordinary ones integrates each row as
-        # mean does, bit for bit
+        # 8 cells near 1e308 would sum past the float range: such data are out
+        # of range. At the range's edge a block mixing large rows with ordinary
+        # ones integrates each row as mean does, bit for bit
         grid = Grid(8)
-        wide = constant(0.0, -1.5e308, 1.5e308)
-        u0 = sine_field(grid, 1e308, 1e300)
+        with pytest.raises(ValueError):
+            sine_field(grid, 1e308, 1e300)
+        wide = constant(0.0, -MAX_ABS, MAX_ABS)
+        u0 = sine_field(grid, 0.5 * MAX_ABS, 0.25 * MAX_ABS)
         res = run(wide, wide, u0, SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
         rep = conservation_monitor(res)
         assert rep.passed and rep.observed == 0.0
-        rows = np.vstack((res.values, 0.5 * res.values[:1] / 1e300, -res.values[1:]))
+        rows = np.vstack((res.values, res.values[:1] / MAX_ABS, -res.values[1:]))
         mixed = RunResult(np.column_stack((np.arange(len(rows)), rows)), grid, wide, wide,
                           0, 0.05, res.params)
         got = diagnostics._row_integrals(mixed, lambda U, r0: U)
@@ -407,6 +415,49 @@ class TestCutoffConvergence:
         dec = decay_metric(res)
         for (t1, v1), (t2, v2) in zip(rep.series, dec.series):
             assert t1 == t2 and v1 == pytest.approx(v2, abs=1e-15)
+
+
+def kernel_step(phi, g, values, dx, dt):
+    """One ``_apply_step`` of ``values``, without ``step``'s guard on ``dt``."""
+    ws = _Workspace(_kernel_table(phi, g), values, dx, dt)
+    _apply_step(ws, *ws.bufs)
+    return ws.bufs[1][1:-1]
+
+
+class TestCellEntropy:
+    """The discrete cell entropy inequality of a monotone conservative step H
+    with H(k) = k (Crandall & Majda, Math. Comp. 34, 1980):
+    ``|H(u)_j - k| <= H(u v k)_j - H(u ^ k)_j`` for every constant k."""
+
+    @staticmethod
+    def worst_violation(u0, stepper):
+        """The largest ``|H(u) - k| - (H(u v k) - H(u ^ k))`` over the cells and
+        9 constants k inside the data range, so that ``step`` admits both
+        companions (their range lies in that of ``u0``)."""
+        v = u0.values
+        h, worst = stepper(v), -math.inf
+        for k in np.linspace(v.min(), v.max(), 11)[1:-1]:
+            gap = np.abs(h - k) - (stepper(np.maximum(v, k)) - stepper(np.minimum(v, k)))
+            worst = max(worst, float(gap.max()))
+        return worst
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0 - 1e-12])
+    def test_holds_at_a_stable_step(self, factor):
+        cases = TestCutoffConvergence.plateau_cases()
+        assert {rough for rough, *_ in cases} == {False, True}
+        for _, phi, g, u0, limit in cases:
+            dt = factor * limit
+            worst = self.worst_violation(
+                u0, lambda v: step(phi, g, Field(u0.grid, v), dt).values)
+            assert worst <= 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(u0.values).max()))
+
+    def test_fails_above_the_step_limit(self):
+        # negative control: at 1.1 x the limit the update is not monotone, and
+        # on rough data the inequality breaks by far more than roundoff
+        worst = max(self.worst_violation(
+            u0, lambda v: kernel_step(phi, g, v, u0.grid.dx, 1.1 * limit))
+            for rough, phi, g, u0, limit in TestCutoffConvergence.plateau_cases() if rough)
+        assert worst > 1e-3
 
 
 class TestSqueezeBounds:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,21 @@ from degenwave import (
     Field,
     Grid,
     GridMismatchError,
+    SchemeParams,
+    TestBump,
+    constant,
     constant_field,
     l1_distance,
+    linear,
     mean,
     positive_part_distance,
     shift,
     total_variation,
+    weak_form_residual,
 )
-from degenwave.grid import exact_row_sums, integral, l1_to_constant
+from degenwave.diagnostics import _time_weights
+from degenwave.grid import MAX_ABS, exact_row_sums, integral, l1_to_constant
+from degenwave.solver import RunResult
 
 
 def test_grid_rejects_tiny():
@@ -40,6 +48,15 @@ def test_field_validates_shape_and_finiteness():
         Field(g, [1.0, 2.0])
     with pytest.raises(ValueError):
         Field(g, [1.0, 2.0, np.nan, 0.0])
+
+
+def test_field_values_lie_in_the_value_range():
+    g = Grid(4)
+    assert Field(g, [MAX_ABS, -MAX_ABS, 0.0, 1.0]).values.tolist() == [MAX_ABS, -MAX_ABS, 0.0, 1.0]
+    for bad in (math.nextafter(MAX_ABS, math.inf), -math.nextafter(MAX_ABS, math.inf),
+                math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"field values must lie in \[-2\^64, 2\^64\]"):
+            Field(g, [0.0, bad, 0.0, 0.0])
 
 
 class TestDistances:
@@ -86,12 +103,15 @@ class TestDistances:
             assert l1_distance(u, w) <= l1_distance(u, v) + l1_distance(v, w) + 1e-12
 
     def test_distances_whose_cell_sum_overflows(self):
-        # 8 cells of 1e308 sum past the float range; their integrals do not
+        # 8 cells of 1e308 would sum past the float range: such data are out
+        # of range. At its edges, |u - v| = 2^65 and its sum stay exact
         g = Grid(8)
-        u, zero = constant_field(g, 1e308), constant_field(g, 0.0)
-        assert l1_to_constant(u, 0.0) == l1_distance(u, zero) == 1e308
-        assert positive_part_distance(u, zero) == 1e308
-        assert positive_part_distance(zero, u) == 0.0
+        with pytest.raises(ValueError):
+            constant_field(g, 1e308)
+        u, v = constant_field(g, MAX_ABS), constant_field(g, -MAX_ABS)
+        assert l1_to_constant(u, -MAX_ABS) == l1_distance(u, v) == 2.0 * MAX_ABS
+        assert positive_part_distance(u, v) == 2.0 * MAX_ABS
+        assert positive_part_distance(v, u) == 0.0
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
@@ -129,34 +149,40 @@ class TestShift:
         assert mean(shift(u, 13)) == mean(u)
 
     def test_mean_of_a_cell_sum_past_the_float_range(self):
-        # the fsum of the cells overflows; the mean is the same exactly rounded value
+        # data whose cell sum could leave the float range are out of range;
+        # at the edge, the mean is the exactly rounded value
+        with pytest.raises(ValueError):
+            Field(Grid(12), np.full(12, 1e308))
         g = Grid(12)
-        values = 1e308 + 5e307 * np.sin(2.0 * np.pi * g.cell_centers())
-        with pytest.raises(OverflowError):
-            math.fsum(values.tolist())
-        exact = math.fsum((values / 16).tolist()) * g.dx * 16
-        assert mean(Field(g, values)) == exact
-        assert mean(Field(g, -values)) == -exact
-        assert math.isclose(exact, 1e308, rel_tol=1e-15)
-        big = Field(Grid(8), np.full(8, 1.7976931348623157e308))  # dx exact: no rounding
-        assert mean(big) == 1.7976931348623157e308
+        values = MAX_ABS / 2 + MAX_ABS / 4 * np.sin(2.0 * np.pi * g.cell_centers())
+        exact = math.fsum(values.tolist()) * g.dx
+        assert mean(Field(g, values)) == exact == -mean(Field(g, -values))
+        assert mean(constant_field(Grid(8), MAX_ABS)) == MAX_ABS
 
     def test_integral_of_values_whose_sum_overflows(self):
-        # fsum times dx where the sum is finite, bit for bit; the scaled sum of
-        # mean where it is not. The row sums raise as fsum does, and a block of
-        # rows falls back to integrating each row alone
-        g = Grid(8)
-        values = 1e308 + 1e300 * np.sin(2.0 * np.pi * g.cell_centers())
+        # data and times in range, but phi's slope of 2e305 drives the weak
+        # form's terms: the time sum of the trapezoid overflows between its
+        # rising and falling halves, and integral sums it scaled, exactly
+        grid = Grid(16)
+        x, times = grid.cell_centers(), 200.0 * np.arange(10)
+        bump = TestBump(900.0, 0.5, 880.0, 0.3)
+        rows = np.array([(1.0 if r < 5 else -0.5) * np.sign(bump._space(x, 1))
+                         for r in range(10)])
+        phi, g = linear(2e305), constant(0.0)
+        res = RunResult(np.column_stack([times, rows]), grid, phi, g, 9, 200.0,
+                        SchemeParams(t_end=1800.0, snapshot_times=tuple(times)))
+        terms = (rows * bump._time(times, 1)[:, None] * bump._space(x, 0)
+                 + phi.eval(rows) * bump._time(times, 0)[:, None] * bump._space(x, 1))
+        w_s = (_time_weights(times) * (terms.sum(axis=1) * grid.dx)).tolist()
         with pytest.raises(OverflowError):
-            exact_row_sums(values[None, :])
-        assert integral(values, g.dx) == mean(Field(g, values)) == 1e308
-        assert integral(-values, g.dx) == -1e308
-        small = values / 1e300
-        assert integral(small, g.dx) == math.fsum(small.tolist()) * g.dx
-        assert integral(np.stack([small, values, -values]), g.dx) == [
-            integral(small, g.dx), 1e308, -1e308]
-        assert integral(np.stack([small, -small]), g.dx) == [
-            integral(small, g.dx), integral(-small, g.dx)]
+            math.fsum(w_s)
+        exact = float(sum(map(Fraction, w_s)))
+        assert weak_form_residual(res, bump) == integral(np.array(w_s), 1.0) == exact
+        assert math.isfinite(exact) and exact > 1e307
+        small = np.array(w_s) / 1e300
+        assert integral(small, grid.dx) == math.fsum(small.tolist()) * grid.dx
+        assert integral(np.stack([small, -small]), grid.dx) == [
+            integral(small, grid.dx), integral(-small, grid.dx)]
 
     def test_distance_invariant_exact(self):
         rng = np.random.default_rng(6)
@@ -224,18 +250,22 @@ class TestExactRowSums:
         assert_matches_fsum(rng.normal(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-20, 20, (3, n)))
 
     def test_rows_left_to_fsum(self):
-        big = 1.7976931348623157e308
-        inf, nan = float("inf"), float("nan")
-        rows = [[1.0, inf], [nan, 1.0], [-inf, -inf], [big, -big], [big, 1.0],
-                [2.0 ** 960, -(2.0 ** 960), 0.5], [2.0 ** 961, 1.0], [0.25, 0.5]]
+        # all-zero rows go to fsum, which keeps the sign of a sum of -0.0;
+        # every other row splits, up to the largest magnitude the split allows
+        edge = 2.0 ** 1019  # s = 2^(e+M) = 2^1023 for rows of 3 values
+        rows = [[-0.0, -0.0], [0.0, -0.0], [edge, -edge, 0.5], [edge, 1.0], [0.25, 0.5]]
         assert_matches_fsum(rows)
-        assert exact_rows([[0.5, 1.0], [inf, -inf]]) == fsum_rows([[inf, -inf]]) == ValueError
-        assert exact_rows([[big, big, -big]]) == fsum_rows([[big, big, -big]]) == OverflowError
+        assert exact_rows([[4 * MAX_ABS, -4 * MAX_ABS, 1.0]]) == fsum_rows([[1.0]])
+
+
+# every bit pattern of a float below 2^992 in magnitude: finite, and within
+# the split's limit 2^(1023-M) for rows of up to 6 values
+PATTERNS = st.integers(0, 2 ** 64 - 1).filter(lambda b: (b >> 52) & 0x7FF < 1023 + 992)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda k: st.lists(
-    st.lists(st.integers(0, 2 ** 64 - 1), min_size=k, max_size=k), min_size=1, max_size=12)))
+    st.lists(PATTERNS, min_size=k, max_size=k), min_size=1, max_size=12)))
 def test_exact_row_sums_random_bit_patterns(rows):
     assert_matches_fsum(np.array(rows, dtype=np.uint64).view(np.float64))
 

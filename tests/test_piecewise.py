@@ -1,10 +1,13 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import randmodels as rm
 from degenwave import (
+    Field,
+    Grid,
     OutOfRangeError,
     PiecewiseFunction,
     burgers,
@@ -17,7 +20,9 @@ from degenwave import (
     maximal_affine_interval,
     maximal_constant_interval,
     monotone_split,
+    step,
 )
+from degenwave.grid import MAX_ABS
 from degenwave.piecewise import _poly_val, _shift_poly
 from kernel_reference import total_variation_between
 
@@ -54,10 +59,27 @@ class TestEval:
         assert f.eval(np.nextafter(0.0, -1)) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_on_a_range_wider_than_the_floats(self):
-        # u - lo overflows; a constant never forms it (RuntimeWarnings are errors here)
-        f = constant(0.25, -1.5e308, 1.5e308)
-        assert f.eval(1.5e308) == 0.25
-        assert f.eval(np.array([-1.5e308, 1e308])).tolist() == [0.25, 0.25]
+        # u - lo would overflow there, so such a range is out of range; at its
+        # edges every offset is finite (RuntimeWarnings are errors here)
+        with pytest.raises(ValueError, match="breakpoints must lie in"):
+            constant(0.25, -1.5e308, 1.5e308)
+        f = constant(0.25, -MAX_ABS, MAX_ABS)
+        assert f.eval(MAX_ABS) == 0.25
+        assert f.eval(np.array([-MAX_ABS, MAX_ABS])).tolist() == [0.25, 0.25]
+        assert linear(1.0, 0.0, -MAX_ABS, MAX_ABS).eval(MAX_ABS) == MAX_ABS
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the piece-local t = u - lo rounds to a multiple of 4096 on a "
+                              "piece that starts at -2^64, so phi is a staircase there")
+    def test_a_range_far_wider_than_the_data_keeps_the_flux(self):
+        # inside the value range, slope-1 transport of amplitude-1 data stands
+        # still: phi(0.5) is 0.0 and phi(3000) is 4096.0
+        phi, g = linear(1.0, 0.0, -MAX_ABS, MAX_ABS), constant(0.0, -MAX_ABS, MAX_ABS)
+        grid = Grid(16)
+        u = Field(grid, np.sin(2 * np.pi * grid.cell_centers()))
+        moved = step(phi, g, u, 0.5 * grid.dx)
+        assert phi(0.5) == 0.5
+        assert not np.array_equal(moved.values, u.values)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
@@ -77,6 +99,19 @@ class TestEval:
 
 
 class TestConstruction:
+    def test_breakpoints_lie_in_the_value_range(self):
+        assert PiecewiseFunction((-MAX_ABS, MAX_ABS), ((0.0, 1.0),)).hi == MAX_ABS
+        beyond = math.nextafter(MAX_ABS, math.inf)
+        for bp in ((-1.0, beyond), (-beyond, 1.0), (math.nan, 1.0), (-1.0, math.inf),
+                   (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match=r"breakpoints must lie in \[-2\^64, 2\^64\]"):
+                PiecewiseFunction(bp, ((0.0, 1.0),))
+
+    def test_rejects_a_piece_that_overflows_at_its_right_end(self):
+        # coefficients are not range-checked: 2 + 1e308 * 2 is inf on a small range
+        with pytest.raises(ValueError, match="piece 0 overflows at its right end: inf"):
+            PiecewiseFunction((-2.0, 0.0, 2.0), ((2.0, 1e308), (0.0, 2.0)))
+
     def test_rejects_nonincreasing_breakpoints(self):
         with pytest.raises(ValueError, match="increasing"):
             PiecewiseFunction((0.0, 0.0, 1.0), ((0.0,), (0.0,)))

@@ -25,6 +25,7 @@ from degenwave import (
     shift,
     step,
 )
+from degenwave.grid import MAX_ABS
 from kernel_reference import eo_flux
 
 
@@ -288,3 +289,13 @@ class TestSchemeParams:
         # every ordering and range comparison with NaN is False
         with pytest.raises(ValueError, match="finite"):
             SchemeParams(t_end=1.0, snapshot_times=(0.0, bad))
+
+    def test_times_lie_in_the_value_range(self):
+        edge = SchemeParams(t_end=MAX_ABS, snapshot_times=(0.0, MAX_ABS))
+        assert edge.snapshot_times == (0.0, MAX_ABS)
+        beyond = math.nextafter(MAX_ABS, math.inf)
+        for bad in (beyond, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"t_end must be finite and lie in \[0, 2\^64\]"):
+                SchemeParams(t_end=bad)
+            with pytest.raises(ValueError, match=r"snapshot_times must be finite and lie in"):
+                SchemeParams(t_end=MAX_ABS, snapshot_times=(0.0, bad))
