@@ -42,6 +42,13 @@ class Grid:
         return (np.arange(self.n_cells) + 0.5) * self.dx
 
 
+def require_in_range(values: np.ndarray) -> None:
+    """ValueError unless every value lies in [-MAX_ABS, MAX_ABS]; NaN fails too.
+    The one test of stored values: ``Field``'s and each snapshot of a run."""
+    if not -MAX_ABS <= values.min() <= values.max() <= MAX_ABS:
+        raise ValueError("field values must lie in [-2^64, 2^64]")
+
+
 class Field:
     """Cell averages of a periodic function, attached to one grid; each lies
     in [-MAX_ABS, MAX_ABS] (ValueError otherwise)."""
@@ -52,8 +59,7 @@ class Field:
         arr = np.asarray(values, dtype=float).copy()
         if arr.shape != (grid.n_cells,):
             raise ValueError(f"expected {grid.n_cells} values, got shape {arr.shape}")
-        if not -MAX_ABS <= arr.min() <= arr.max() <= MAX_ABS:  # NaN fails too
-            raise ValueError("field values must lie in [-2^64, 2^64]")
+        require_in_range(arr)
         self.grid = grid
         self.values = arr
 
@@ -129,8 +135,8 @@ def exact_row_sums(rows) -> list[float]:
     any order; each pass takes at least 52 - M bits off the remainder. The
     few exact partial sums of a row then go to ``math.fsum``. Rows that are
     all zeros are summed by ``math.fsum`` directly. Every value must lie
-    below ``2^(1023-M)`` in magnitude, so that ``s`` is finite; maps of data
-    in range lie far below.
+    below ``2^(1023-M)`` in magnitude, so that ``s`` is finite; maps of values
+    that pass ``require_in_range`` lie far below.
     """
     rows = np.asarray(rows, dtype=float)
     m = (rows.shape[1] + 1).bit_length()

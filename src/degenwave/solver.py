@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CflViolationError, GridMismatchError
-from .grid import MAX_ABS, Field, Grid
+from .grid import MAX_ABS, Field, Grid, require_in_range
 from .piecewise import PiecewiseFunction, lipschitz_on, monotone_split
 from .structure import StructureReport, analyze
 
@@ -293,7 +293,7 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
         raise CflViolationError(f"dt={dt!r} lies outside [0, {dt_max!r}], the monotone "
                                 f"range for data in [{u_min!r}, {u_max!r}]")
     ws = _Workspace(_kernel_table(phi, g), u.values, u.grid.dx, dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # Field rejects non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):  # Field rejects values out of range
         _apply_step(ws, *ws.bufs)
     return Field(u.grid, ws.bufs[1][1:-1])
 
@@ -414,7 +414,7 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
     if marks:
         ws = _Workspace(_kernel_table(phi, g), u0.values, u0.grid.dx, dt)
         cur, nxt = ws.bufs
-        # an overflow shows as non-finite values at the next snapshot, not as a warning
+        # an overflow shows as values out of range at the next snapshot, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for s, mark in enumerate(marks, 1):
                 for _ in range(mark - k):
@@ -423,8 +423,7 @@ def run(phi: PiecewiseFunction, g: PiecewiseFunction, u0: Field,
                 k = mark
                 t = k * dt
                 table[s, 0], table[s, 1:] = t, cur[1:-1]
-                if not np.isfinite(table[s, 1:]).all():
-                    raise ValueError("field values must be finite")
+                require_in_range(table[s, 1:])
                 if ws.piece is not None and \
                         _piece_span(ws.search, table[s, 1:]) != (ws.piece, ws.piece):
                     raise RuntimeError(f"the state at t={t!r} left kernel piece {ws.piece}, "

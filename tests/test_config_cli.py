@@ -34,6 +34,7 @@ from degenwave import (
     scenarios,
     solver,
 )
+from degenwave import cli as cli_module
 from degenwave.cli import cli
 from degenwave.grid import MAX_ABS, MAX_CELLS
 from degenwave.scenarios import (
@@ -1045,7 +1046,17 @@ class TestCli:
         return minimal(name="big", phi=phi, g={"kind": "constant", "value": 0.0, **rng},
                        initial={"sine": {"mean": 0.0, "amplitude": amplitude}}, **overrides)
 
-    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
+    def test_analyze_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("the analysis failed")
+
+        monkeypatch.setattr(cli_module, "analyze", failing)
+        assert cli(["analyze", "--config", self.write(tmp_path, minimal())]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ValueError: the analysis failed\n"
+
+    def test_models_past_the_range_exit_2_at_their_first_number(self, tmp_path, capsys):
         # a linear flux over [-1e104, 1e104] would overflow analyze's span ** 3,
         # and a constant one over [-1.5e308, 1.5e308] would read as degenerate
         # (0 * inf is NaN); both ranges stop at their first number past 2^64
@@ -1440,8 +1451,8 @@ class TestCli:
     @pytest.mark.parametrize("model, message", [
         # no config number overflows a run; a library g does, on data in range:
         # c + c is not finite, so neither is the Laplacian
-        ({"g": constant(1e308, -1, 1)}, "ValueError: field values must be finite"),
-        ({"g": constant(-1e308, -1, 1)}, "ValueError: field values must be finite"),
+        ({"g": constant(1e308, -1, 1)}, "ValueError: field values must lie in [-2^64, 2^64]"),
+        ({"g": constant(-1e308, -1, 1)}, "ValueError: field values must lie in [-2^64, 2^64]"),
     ])
     def test_run_exception_is_reported_and_suite_continues(self, model, message,
                                                            tmp_path, capsys):

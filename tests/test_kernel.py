@@ -308,7 +308,7 @@ def test_flat_g_step_adds_the_plus_zero_diffusion_term(phi, lookup):
 @pytest.mark.parametrize("c", [1e308, -1e308])
 def test_flat_g_whose_doubling_overflows_keeps_the_full_path(c):
     # c + c is not finite, so neither is the Laplacian: the step must keep it,
-    # and the run reports "field values must be finite"
+    # and the run reports "field values must lie in [-2^64, 2^64]"
     values = 0.5 + 0.25 * np.sin(2 * np.pi * Grid(16).cell_centers())
     with np.errstate(over="ignore", invalid="ignore"):
         ws = steps_match_reference(linear(1.0), constant(c), values, 1e-3, 1)
