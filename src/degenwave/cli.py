@@ -68,7 +68,7 @@ def _cmd_analyze(args) -> int:
     cfg = _load_single(args.config)
     try:
         report = analyze(cfg.phi, cfg.g, cfg.initial)
-        cost = predict_cost(cfg.phi, cfg.g, cfg.fields, *cfg.step)
+        cost = predict_cost(cfg.phi, cfg.g, cfg.fields, *cfg.step, cfg.scheme.t_end)
     except ValueError as e:  # as a run reports its analysis errors
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

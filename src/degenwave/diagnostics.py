@@ -29,7 +29,7 @@ CONSERVATION_TOL = 1e-10
 DOMINATION_TOL = 1e-10
 ENTROPY_COMPARISON_CONSTANT = 10.0
 ENTROPY_K_COUNT = 9  # entropy constants of default_k_values
-_BLOCK_CELLS = 1 << 16  # snapshot cells per stacked row block
+_BLOCK_CELLS = 1 << 14  # snapshot cells per stacked row block: 128 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,25 @@ class CheckReport:
         return d
 
 
-def _bump(s: np.ndarray, order: int) -> np.ndarray:
-    """The standard bump exp(1 - 1/(1 - s^2)) on (-1, 1), or its derivative of ``order``.
-    ``math.exp`` keeps the bytes off numpy's SIMD dispatch, by which ``np.exp`` rounds per CPU."""
-    out = np.zeros_like(s)
+def _bump(s: np.ndarray, top: int) -> list[np.ndarray]:
+    """The standard bump exp(1 - 1/(1 - s^2)) on (-1, 1) and its derivatives up to
+    order ``top`` (at most 2), all from one ``exp`` pass. ``math.exp`` keeps the
+    bytes off numpy's SIMD dispatch, by which ``np.exp`` rounds per CPU."""
     m = np.abs(s) < 1.0
     sm = s[m]
     w = 1.0 - sm ** 2
     b = np.fromiter(map(math.exp, (1.0 - 1.0 / w).tolist()), float, w.size)
-    if order == 1:
-        b = b * (-2.0 * sm / w ** 2)
-    elif order == 2:
-        b = b * (4.0 * sm ** 2 / w ** 4 - 2.0 / w ** 2 - 8.0 * sm ** 2 / w ** 3)
-    out[m] = b
-    return out
+    parts = [b]
+    if top >= 1:
+        parts.append(b * (-2.0 * sm / w ** 2))
+    if top >= 2:
+        parts.append(b * (4.0 * sm ** 2 / w ** 4 - 2.0 / w ** 2 - 8.0 * sm ** 2 / w ** 3))
+    outs = []
+    for part in parts:
+        out = np.zeros_like(s)
+        out[m] = part
+        outs.append(out)
+    return outs
 
 
 @dataclass(frozen=True)
@@ -96,19 +101,22 @@ class TestBump:
         k = int(math.ceil(self.sigma_x)) + 1
         return range(-k, k + 1)
 
-    def _space(self, x: np.ndarray, deriv: int) -> np.ndarray:
-        acc = np.zeros_like(x)
+    def _space(self, x: np.ndarray, top: int) -> list[np.ndarray]:
+        """The spatial factor and its derivatives up to order ``top``: one
+        ``_bump`` pass per periodic shift."""
+        accs = [np.zeros_like(x) for _ in range(top + 1)]
         for m in self._shifts():
-            acc = acc + _bump((x - self.x_center + m) / self.sigma_x, deriv)
-        return acc / self.sigma_x ** deriv
+            parts = _bump((x - self.x_center + m) / self.sigma_x, top)
+            accs = [acc + part for acc, part in zip(accs, parts)]
+        return [acc / self.sigma_x ** deriv for deriv, acc in enumerate(accs)]
 
     def _time(self, t: np.ndarray, deriv: int) -> np.ndarray:
-        return _bump((t - self.t_center) / self.sigma_t, deriv) / self.sigma_t ** deriv
+        return _bump((t - self.t_center) / self.sigma_t, deriv)[deriv] / self.sigma_t ** deriv
 
     def _product(self, t, x, t_deriv: int, x_deriv: int):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        return self._time(t, t_deriv) * self._space(x, x_deriv)
+        return self._time(t, t_deriv) * self._space(x, x_deriv)[x_deriv]
 
     def value(self, t, x):
         return self._product(t, x, 0, 0)
@@ -123,17 +131,27 @@ class TestBump:
         return self._product(t, x, 0, 2)
 
     def c2_norm(self) -> float:
-        """Upper bound for the sup of f and its derivatives up to order two."""
+        """Upper bound for the sup of f and its derivatives up to order two.
+
+        Raises UnsupportedTestFnError, naming the narrower width, when the
+        bound is not finite."""
         overlap = max(1.0, math.ceil(2.0 * self.sigma_x))
         st, sx = self.sigma_t, self.sigma_x
-        return overlap * max(
-            BUMP_SUP,
-            BUMP_SUP_D1 / st,
-            BUMP_SUP_D1 / sx,
-            BUMP_SUP_D2 / (st * st),
-            BUMP_SUP_D1 * BUMP_SUP_D1 / (st * sx),
-            BUMP_SUP_D2 / (sx * sx),
-        )
+        name, width = min(("sigma_t", st), ("sigma_x", sx), key=lambda p: p[1])
+        bound = math.inf
+        if width * width > 0.0:  # else a term below divides by zero
+            bound = overlap * max(
+                BUMP_SUP,
+                BUMP_SUP_D1 / st,
+                BUMP_SUP_D1 / sx,
+                BUMP_SUP_D2 / (st * st),
+                BUMP_SUP_D1 * BUMP_SUP_D1 / (st * sx),
+                BUMP_SUP_D2 / (sx * sx),
+            )
+        if not math.isfinite(bound):
+            raise UnsupportedTestFnError(
+                f"bump width {name} = {width!r} is too narrow: its C2 bound is not finite")
+        return bound
 
     def require_supported_inside(self, t_end: float) -> None:
         if self.t_center - self.sigma_t <= 0.0:
@@ -187,10 +205,12 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     A, S, G = u, phi(u), g(u). The quadrature is the trapezoid rule in time,
     summed by ``grid.integral``, of midpoint (numpy pairwise) sums in space.
 
-    Rows go in blocks of ``_BLOCK_CELLS`` cells; A, S and G are built
-    once per block and entry, and a bump skips the rows outside its time
-    support (all +0.0 there), so every value equals the full-matrix
-    formula's bitwise.
+    Rows go in blocks of ``_BLOCK_CELLS`` cells, one row at least; A, S and
+    G are built once per block and entry, and a bump skips the rows outside
+    its time support (all +0.0 there), so every value equals the
+    full-matrix formula's bitwise. Each block's arrays are written into
+    buffers made once per call, and a bump's ``f_xx`` block only when a
+    pair uses G.
 
     When ``g(U)`` is one finite value ``g(k)`` over a block, G is +0.0 in
     every cell and ``G f_xx`` a zero, wherever ``f_xx`` is finite; then the
@@ -212,44 +232,58 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
         # the rows where the time factor is live; every other row sums to +0.0
         live = np.flatnonzero(np.abs((times - b.t_center) / b.sigma_t) < 1.0)
         lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        factors.append((lo, hi, b._time(times, 1), b._time(times, 0),
-                        b._space(centers, 0), b._space(centers, 1), b._space(centers, 2)))
+        factors.append((lo, hi, b._time(times, 1), b._time(times, 0), *b._space(centers, 2)))
     # f_xx = t0 * s2, and the bump's time factor t0 lies in [0, 1]: finite where s2 is
     finite_fxx = all(np.isfinite(f[-1]).all() for f in factors)
     spatial = [[np.zeros(len(times)) for _ in entries] for _ in bumps]
     block = max(1, _BLOCK_CELLS // len(centers))
+    # one block's arrays, and each bump's f_t, f_x and f_xx over the block
+    shape = (min(block, len(times)), len(centers))
+    d_buf, A_buf, S_buf, G_buf, rows_buf, term_buf = (np.empty(shape) for _ in range(6))
+    f_bufs = [tuple(np.empty(shape) for _ in range(3)) for _ in bumps]
     for r0 in range(0, len(times), block):
         r1 = min(r0 + block, len(times))
         live_blocks = []
-        for bi, (lo, hi, t1, t0, s0, s1, s2) in enumerate(factors):
+        for bi, ((lo, hi, t1, t0, s0, s1, s2), bufs) in enumerate(zip(factors, f_bufs)):
             a, z = max(lo, r0), min(hi, r1)
             if a < z:
-                live_blocks.append((bi, slice(a - r0, z - r0), slice(a, z),
-                                    t1[a:z, None] * s0, t0[a:z, None] * s1,
-                                    t0[a:z, None] * s2))
+                ft, fx, fxx = (buf[:z - a] for buf in bufs)
+                np.multiply(t1[a:z, None], s0, out=ft)
+                np.multiply(t0[a:z, None], s1, out=fx)
+                live_blocks.append((bi, slice(a - r0, z - r0), slice(a, z), t0[a:z], s2,
+                                    ft, fx, fxx))
         if not live_blocks:
             continue
+        h = r1 - r0
         U = run_result.values[r0:r1]
         phi_u, g_u = phi.eval(U), g.eval(U)
         g_lo, g_hi = g_u.min(), g_u.max()   # NaN if any g(U) is
+        flat = [const is not None and finite_fxx and g_lo == g_hi == const[2]
+                and math.isfinite(const[2]) for const in consts]
+        if not all(flat):
+            for *_, t0, s2, _, _, fxx in live_blocks:
+                np.multiply(t0[:, None], s2, out=fxx)
         for ki, const in enumerate(consts):
             if const is None:
                 A, S, G = U, phi_u, g_u
             else:
                 k, phi_k, g_k = const
-                d = U - k
-                A, S = np.abs(d), np.sign(d) * (phi_u - phi_k)
-                flat = finite_fxx and g_lo == g_hi == g_k and math.isfinite(g_k)
-                G = None if flat else np.abs(g_u - g_k)
-            for bi, local, rows_at, ft, fx, fxx in live_blocks:
-                rows = A[local] * ft + S[local] * fx
+                dk = np.subtract(U, k, out=d_buf[:h])
+                A = np.abs(dk, out=A_buf[:h])
+                S = np.multiply(np.sign(dk, out=dk), np.subtract(phi_u, phi_k, out=S_buf[:h]),
+                                out=S_buf[:h])
+                G = None if flat[ki] else \
+                    np.abs(np.subtract(g_u, g_k, out=G_buf[:h]), out=G_buf[:h])
+            for bi, local, rows_at, t0, s2, ft, fx, fxx in live_blocks:
+                rows = np.multiply(A[local], ft, out=rows_buf[:len(ft)])
+                rows += np.multiply(S[local], fx, out=term_buf[:len(ft)])
                 if G is not None:
-                    rows += G[local] * fxx
+                    rows += np.multiply(G[local], fxx, out=term_buf[:len(ft)])
                 sums = rows.sum(axis=1)
                 if G is None:
                     zero = sums == 0.0
-                    if zero.any():
-                        sums[zero] = (rows[zero] + 0.0 * fxx[zero]).sum(axis=1)
+                    if zero.any():  # the rows of f_xx = t0 * s2 that the sums need
+                        sums[zero] = (rows[zero] + 0.0 * (t0[zero, None] * s2)).sum(axis=1)
                 spatial[bi][ki][rows_at] = sums * dx
     w = _time_weights(times)
     return [[gridmod.integral(w * s, 1.0) for s in row] for row in spatial]
@@ -290,28 +324,35 @@ def entropy_residual(run_result: RunResult, k_values=None, test_fns=None) -> Che
         C * (dx + snapshot_spacing) * ||f||_C2 * (1 + |k|),
 
     so the report normalizes each violation by that budget: observed is the
-    largest normalized violation and the threshold is 1.
+    largest normalized violation, +0.0 at least, and the threshold is 1. A
+    bump whose C2 bound, or a pair whose budget, is not finite gives no
+    verdict: UnsupportedTestFnError.
     """
     if k_values is None:
         k_values = default_k_values(run_result.initial)
     if test_fns is None:
         test_fns = default_bumps(run_result.params.t_end)
     ks = [float(k) for k in k_values]
+    budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.grid.dx
+                                                  + snapshot_spacing(run_result))
+    budgets = [[budget_scale * c2 * (1.0 + abs(k)) for k in ks]
+               for c2 in [b.c2_norm() for b in test_fns]]
+    for bi, row in enumerate(budgets):
+        for k, budget in zip(ks, row):
+            if not math.isfinite(budget):  # every violation would read 0: no verdict
+                raise UnsupportedTestFnError(
+                    f"the entropy budget of bump {bi} at k = {k!r} is not finite")
     # terms that model coefficients drive can overflow; such a residual reads NaN below
     with np.errstate(over="ignore", invalid="ignore"):
         values = _bump_integrals(run_result, test_fns, ks)
-    budget_scale = ENTROPY_COMPARISON_CONSTANT * (run_result.grid.dx
-                                                  + snapshot_spacing(run_result))
     rows_extra = []
     worst = -math.inf
-    for bi, b in enumerate(test_fns):
-        c2 = b.c2_norm()
-        for k, value in zip(ks, values[bi]):
-            budget = budget_scale * c2 * (1.0 + abs(k))
+    for bi, row in enumerate(budgets):
+        for k, value, budget in zip(ks, values[bi], row):
             violation = -value / budget
             worst = max(worst, math.inf if math.isnan(violation) else violation)  # NaN fails
             rows_extra.append({"k": k, "bump": bi, "residual": value, "budget": budget})
-    return CheckReport("entropy_residual", observed=max(worst, 0.0), threshold=1.0,
+    return CheckReport("entropy_residual", observed=max(0.0, worst), threshold=1.0,
                        extra={"pairs": rows_extra})
 
 

@@ -301,14 +301,15 @@ def step(phi: PiecewiseFunction, g: PiecewiseFunction, u: Field, dt: float) -> F
 def shared_dt(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
               params: SchemeParams) -> float:
     """One time step admissible for every field of ``u0s``: the smallest
-    ``cfl_safety * max_stable_dt`` of a member; when that is infinite, ``t_end``
-    (or 1 for a zero horizon)."""
+    ``cfl_safety * max_stable_dt`` of a member, capped at ``t_end`` when that
+    is positive, so that no run steps past its horizon; for a zero horizon,
+    1 in place of an infinite step."""
     dt = params.cfl_safety * min(
         max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), u.grid.dx)
         for u in u0s)
-    if math.isinf(dt):
-        return params.t_end if params.t_end > 0.0 else 1.0
-    return dt
+    if params.t_end > 0.0:
+        return min(dt, params.t_end)
+    return 1.0 if math.isinf(dt) else dt
 
 
 def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
@@ -330,16 +331,17 @@ def require_step_budget(dt: float, t_end: float, n_cells: int) -> int:
 
 
 def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
-                 dt: float, steps: int) -> dict:
+                 dt: float, steps: int, t_end: float) -> dict:
     """What ``steps`` steps of ``dt`` from every field of ``u0s`` take, without stepping.
 
     ``cell_updates`` is steps times cells. ``Lphi/dx`` and ``2Lg/dx^2`` are
     the step-limit terms of the binding member, whose terms have the largest
-    sum, and ``binding`` names the larger of the two (None when both are 0 and
-    the step is the horizon). ``pieces`` is the most merged kernel pieces that
-    one member's data range touches; at 1, every member steps without the
-    piece lookup. ``flat_g`` is true when every member steps without the
-    diffusion terms, as ``g`` is flat on its data range (``_flat_g``).
+    sum, and ``binding`` names the larger of the two (None when the step is
+    the horizon ``t_end``, or both are 0). ``pieces`` is the most merged
+    kernel pieces that one member's data range touches; at 1, every member
+    steps without the piece lookup. ``flat_g`` is true when every member
+    steps without the diffusion terms, as ``g`` is flat on its data range
+    (``_flat_g``).
     """
     n, dx = u0s[0].grid.n_cells, u0s[0].grid.dx
     terms = max((_cfl_terms(phi, g, float(u.values.min()), float(u.values.max()), dx)
@@ -349,7 +351,8 @@ def predict_cost(phi: PiecewiseFunction, g: PiecewiseFunction, u0s,
     return {
         "dt": dt, "steps": steps, "cell_updates": steps * n,
         "Lphi/dx": terms[0], "2Lg/dx^2": terms[1],
-        "binding": None if not any(terms) else "Lphi/dx" if terms[0] >= terms[1] else "2Lg/dx^2",
+        "binding": None if dt == t_end or not any(terms) else
+                   "Lphi/dx" if terms[0] >= terms[1] else "2Lg/dx^2",
         "pieces": max(hi - lo + 1 for lo, hi in spans),
         "flat_g": all(_flat_g(coeffs, lo, hi, dt / (dx * dx)) for lo, hi in spans),
     }

@@ -1183,6 +1183,32 @@ class TestCli:
         assert not rep.passed and (rep.observed, rep.threshold) == (math.inf, 1.0)
         assert all(math.isnan(p["residual"]) for p in rep.extra["pairs"])
 
+    def test_a_nearly_flat_flux_steps_to_t_end_not_past_it(self, tmp_path, capsys):
+        # Lphi/dx = 6.4e-299 allows a step of 7.8e297, which the run once took,
+        # writing its last row there; the step is capped at the horizon
+        doc = minimal(name="big", phi={"kind": "linear", "slope": 1e-300, "lo": -1, "hi": 1})
+        assert cli(["analyze", "--config", self.write(tmp_path, doc)]) == 0
+        cost = json.loads(capsys.readouterr().out)["cost"]
+        assert (cost["dt"], cost["steps"], cost["binding"]) == (0.5, 1, None)
+        assert cost["Lphi/dx"] > 0.0
+        code, _, checks = self.run_without_warnings(tmp_path, capsys, doc)
+        assert code == 0 and checks[0]["passed"]
+        rows = (tmp_path / "out" / "big" / "snapshots.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["0.0", "0.5"]
+
+    @pytest.mark.parametrize("t_end, sigma_t", [(1e-200, "2.5e-201"), (1e-160, "2.5e-161")])
+    def test_entropy_budget_that_is_not_finite_fails(self, t_end, sigma_t, tmp_path, capsys):
+        # the default bumps' sigma_t is t_end / 4: at 1e-200 its square underflows
+        # to 0 (once ZeroDivisionError), at 1e-160 the C2 bound is inf and every
+        # budget was inf, so every violation read -0.0 and the check passed
+        doc = minimal(name="big", scheme={"t_end": t_end}, checks=["entropy_residual"])
+        code, out, checks = self.run_without_warnings(tmp_path, capsys, doc)
+        assert code == 1 and "Traceback" not in out
+        ((check,),) = [checks]
+        assert not check["passed"]
+        assert check["extra"]["error"] == (f"UnsupportedTestFnError: bump width sigma_t = "
+                                           f"{sigma_t} is too narrow: its C2 bound is not finite")
+
     def test_pair_distances_that_overflow_fail(self, tmp_path, capsys):
         # |u - v| would reach 2e308 and overflow: such data are out of range. A
         # pair at +-2^63 has finite distances, and both checks judge them

@@ -1,22 +1,31 @@
 """Byte identity of the row-blocked entropy and weak-form residuals against full-matrix loops."""
 
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randmodels as rm
 from degenwave import (DegenwaveError, Field, Grid, PiecewiseFunction, SchemeParams, TestBump,
-                       burgers, diagnostics, parse_config, run)
+                       UnsupportedTestFnError, burgers, diagnostics, parse_config, run)
 from degenwave.solver import RunResult
 from entropy_reference import entropy_residual as entropy_residual_reference
-from entropy_reference import snapshot_matrix
+from entropy_reference import snapshot_matrix, space_factor, time_factor
 from entropy_reference import weak_form_residual as weak_form_residual_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
+# cells per row block: one cell, a few, one row of the run ("row"), the former
+# 2^16 and the current constant; a block always holds one row at least
+BLOCK_CELLS = st.sampled_from([1, 100, "row", 1 << 16, diagnostics._BLOCK_CELLS])
+
+
+def block_of(block_cells, n):
+    return n if block_cells == "row" else block_cells
 
 
 def edge_bumps(rng, t_end):
@@ -61,7 +70,7 @@ def outcome(fn, *args, **kwargs):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 37, 1000, 5000]), count=st.integers(2, 40),
-       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
+       block_cells=BLOCK_CELLS,
        k_kind=st.sampled_from(["default", "random", "empty", "outside"]),
        bump_kind=st.sampled_from(["default", "edges", "empty"]))
 def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
@@ -81,7 +90,7 @@ def test_blocked_residual_matches_reference_bytes(seed, n, count, block_cells,
     test_fns = None if bump_kind == "default" else bumps
     kwargs = dict(k_values=k_values, test_fns=test_fns)
     want = outcome(entropy_residual_reference, res, phi, g, **kwargs)
-    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_of(block_cells, n)):
         got = outcome(diagnostics.entropy_residual, res, **kwargs)
     assert got == want
 
@@ -96,7 +105,7 @@ def dead_bump(rng, times):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 37, 1000, 5000]), count=st.integers(2, 40),
-       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
+       block_cells=BLOCK_CELLS,
        bump_kind=st.sampled_from(["edges", "dead"]))
 def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_kind):
     rng = np.random.default_rng(seed)
@@ -108,7 +117,7 @@ def test_weak_form_matches_full_matrix_repr(seed, n, count, block_cells, bump_ki
         bumps = [dead_bump(rng, res.times)]
     for bump in bumps:
         want = weak_form_residual_reference(res, phi, g, bump)
-        with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_of(block_cells, n)):
             got = diagnostics.weak_form_residual(res, bump)
         assert repr(got) == repr(want)
 
@@ -156,7 +165,7 @@ def entropy_matches_reference(res, k_values=None):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, n=st.sampled_from([4, 37, 1000]),
-       block_cells=st.sampled_from([1, 100, diagnostics._BLOCK_CELLS]),
+       block_cells=BLOCK_CELLS,
        k_kind=st.sampled_from(["default", "random"]))
 def test_flat_g_runs_match_reference_hex(seed, n, block_cells, k_kind):
     # g holds one constant on the data range, so G drops for every k where g
@@ -170,7 +179,7 @@ def test_flat_g_runs_match_reference_hex(seed, n, block_cells, k_kind):
     res = run(phi, g, u0, SchemeParams(t_end=0.05, snapshot_times=tuple(np.linspace(0, 0.05, 9))))
     k_values = None if k_kind == "default" else \
         list(rng.uniform(-1.9, 1.9, size=3)) + list(rng.choice(res.values.ravel(), 3))
-    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", block_of(block_cells, n)):
         entropy_matches_reference(res, k_values)
 
 
@@ -187,16 +196,21 @@ def test_constant_data_take_the_zero_sum_fallback():
 
 def test_flat_g_keeps_g_where_f_xx_is_not_finite():
     # sigma_x = 1e-160 overflows f_xx to -inf at the cell the bump is centred
-    # on; the full formula's +0.0 * -inf is NaN there, which skipping G would hide
+    # on; the full formula's +0.0 * -inf is NaN there, which skipping G would
+    # hide. entropy_residual refuses the bump, as its C2 bound is not finite,
+    # so the quadrature is asked directly
     grid = Grid(64)
     u0 = Field(grid, 0.3 + 0.2 * np.sin(2 * np.pi * grid.cell_centers()))
     res = run(burgers(), PiecewiseFunction((-2.0, 0.0, 2.0), ((0.0,), (0.0,)), True), u0,
               SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
     bump = TestBump(0.05, float(grid.cell_centers()[7]), 0.04, 1e-160)
     with np.errstate(all="ignore"):
-        got = diagnostics.entropy_residual(res, k_values=[0.3], test_fns=[bump])
-        want = entropy_residual_reference(res, res.phi, res.g, k_values=[0.3], test_fns=[bump])
-    assert pair_hexes(got) == pair_hexes(want) == ["nan"]
+        ((got,),) = diagnostics._bump_integrals(res, [bump], [0.3])
+    assert math.isnan(got)
+    for fn, args in ((diagnostics.entropy_residual, ()),
+                     (entropy_residual_reference, (res.phi, res.g))):
+        with pytest.raises(UnsupportedTestFnError, match=r"sigma_x = 1e-160 is too narrow"):
+            fn(res, *args, k_values=[0.3], test_fns=[bump])
 
 
 def test_g_that_overflows_everywhere_keeps_the_g_term():
@@ -225,3 +239,64 @@ def test_mixed_band_keeps_the_g_term():
     assert np.ptp(res.g.eval(res.values)) > 0.0
     with mock.patch.object(diagnostics, "_BLOCK_CELLS", 64):
         entropy_matches_reference(res)
+
+
+@pytest.mark.parametrize("bump", [TestBump(0.5, 0.3, 0.2, 0.3), TestBump(0.5, 0.97, 0.45, 0.6),
+                                  TestBump(0.5, 0.5, 0.3, 1.7)],
+                         ids=["narrow", "wraps", "wide"])
+def test_factors_match_the_per_order_bump_bitwise(bump):
+    """``_time`` and ``_space`` give every order from one exp pass, bit for bit
+    the per-order formula, on the 16384-cell grid and at the edges of the support."""
+    centers = Grid(16384).cell_centers()
+    # each end of the support, one ulp either side, and 1% of the width inside
+    edges = [bump.x_center + sign * bump.sigma_x + m for sign in (-1.0, 1.0) for m in (-1, 0, 1)]
+    inside = [bump.x_center + sign * 0.99 * bump.sigma_x for sign in (-1.0, 1.0)]
+    xs = np.concatenate([centers, [float(np.nextafter(e, d)) for e in edges
+                                   for d in (-np.inf, np.inf)], edges, inside])
+    t_edges = [bump.t_center - bump.sigma_t, bump.t_center + bump.sigma_t]
+    ts = np.concatenate([np.linspace(0.0, 1.0, 97), t_edges,
+                         [float(np.nextafter(e, d)) for e in t_edges for d in (-np.inf, np.inf)]])
+    spaces = bump._space(xs, 2)
+    assert len(spaces) == 3
+    for order in range(3):
+        assert spaces[order].tobytes() == space_factor(bump, xs, order).tobytes()
+        assert bump._space(xs, order)[order].tobytes() == spaces[order].tobytes()
+        assert bump._time(ts, order).tobytes() == time_factor(bump, ts, order).tobytes()
+    assert (spaces[0][-2:] > 0.0).all() and (spaces[2][-2:] != 0.0).all()
+
+
+def test_observed_of_zero_residuals_is_positive_zero():
+    # u = k in every cell: every residual is +0.0, every violation -0.0
+    grid = Grid(64)
+    res = run(burgers(), PiecewiseFunction((-2.0, 0.0, 2.0), ((0.0,), (0.0,)), True),
+              Field(grid, np.full(64, 0.3)),
+              SchemeParams(t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)))
+    rep = entropy_matches_reference(res, k_values=[0.3])
+    assert {p["residual"] for p in rep.extra["pairs"]} == {0.0}
+    assert rep.passed and math.copysign(1.0, rep.observed) == 1.0
+
+
+@pytest.mark.parametrize("sigma_t, k, message", [
+    # budget_scale is 10 * (1/16 + 1/4) and C2 about 3.7e307 at sigma_t = 7.5e-154:
+    # the budget is finite for k = 0.5, past the float range for k = 1
+    (7.5e-154, 0.5, None),
+    (7.5e-154, 1.0, "the entropy budget of bump 1 at k = 1.0 is not finite"),
+    (1e-154, 0.5, "bump width sigma_t = 1e-154 is too narrow: its C2 bound is not finite"),
+    (1e-200, 0.5, "bump width sigma_t = 1e-200 is too narrow: its C2 bound is not finite"),
+])
+def test_a_budget_that_is_not_finite_gives_no_verdict(sigma_t, k, message):
+    # a budget of inf would make every violation -0.0 and the check pass; at
+    # sigma_t = 1e-200 the C2 bound's sigma_t * sigma_t underflows to 0
+    rng = np.random.default_rng(2)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    table = np.column_stack([times, rng.uniform(0.2, 0.8, size=(len(times), 16))])
+    res = RunResult(table, Grid(16), burgers(), PiecewiseFunction((-2.0, 2.0), ((0.0,),), True),
+                    step_count=4, dt=0.25, params=SchemeParams(t_end=1.0, snapshot_times=times))
+    kwargs = dict(k_values=[0.25, k],
+                  test_fns=[TestBump(0.5, 0.5, 0.2, 0.3), TestBump(0.5, 0.5, sigma_t, 0.3)])
+    got = outcome(diagnostics.entropy_residual, res, **kwargs)
+    assert got == outcome(entropy_residual_reference, res, res.phi, res.g, **kwargs)
+    if message is None:
+        assert all(math.isfinite(p["budget"]) for p in json.loads(got)["extra"]["pairs"])
+    else:
+        assert got == f"UnsupportedTestFnError: {message}"

@@ -166,13 +166,13 @@ class TestShift:
         grid = Grid(16)
         x, times = grid.cell_centers(), 200.0 * np.arange(10)
         bump = TestBump(900.0, 0.5, 880.0, 0.3)
-        rows = np.array([(1.0 if r < 5 else -0.5) * np.sign(bump._space(x, 1))
-                         for r in range(10)])
+        s0, s1 = bump._space(x, 1)
+        rows = np.array([(1.0 if r < 5 else -0.5) * np.sign(s1) for r in range(10)])
         phi, g = linear(2e305), constant(0.0)
         res = RunResult(np.column_stack([times, rows]), grid, phi, g, 9, 200.0,
                         SchemeParams(t_end=1800.0, snapshot_times=tuple(times)))
-        terms = (rows * bump._time(times, 1)[:, None] * bump._space(x, 0)
-                 + phi.eval(rows) * bump._time(times, 0)[:, None] * bump._space(x, 1))
+        terms = (rows * bump._time(times, 1)[:, None] * s0
+                 + phi.eval(rows) * bump._time(times, 0)[:, None] * s1)
         w_s = (_time_weights(times) * (terms.sum(axis=1) * grid.dx)).tolist()
         with pytest.raises(OverflowError):
             math.fsum(w_s)

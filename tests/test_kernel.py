@@ -802,8 +802,10 @@ class TestSharedDtRule:
         members = [Field(grid, random_values(rng, phi, g, n)) for _ in range(3)]
         want = cfl * min(max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()),
                                        grid.dx) for u in members)
-        if math.isinf(want):
-            want = t_end if t_end > 0.0 else 1.0
+        if t_end > 0.0:
+            want = min(want, t_end)
+        elif math.isinf(want):
+            want = 1.0
         params = SchemeParams(t_end=t_end, cfl_safety=cfl)
         assert solvermod.shared_dt(phi, g, members, params) == want
 
@@ -814,6 +816,21 @@ class TestSharedDtRule:
         u = self.sine(grid, 0.5, 0.2)
         assert math.isinf(max_stable_dt(phi, g, 0.3, 0.7, grid.dx))
         assert solvermod.shared_dt(phi, g, [u], SchemeParams(t_end=0.3)) == 0.3
+
+    def test_a_finite_limit_past_the_horizon_is_capped_at_t_end(self):
+        # Lphi/dx = 6.4e-299 gives a finite step of 7.8e297; the run takes one
+        # step of t_end instead of stepping past it
+        grid = Grid(64)
+        phi, g = linear(1e-300, 0.0, -1, 1), constant(0.0, -1, 1)
+        u = self.sine(grid, 0.5, 0.25)
+        params = SchemeParams(t_end=0.5)
+        assert 1e297 < 0.5 * max_stable_dt(phi, g, 0.25, 0.75, grid.dx) < math.inf
+        assert solvermod.shared_dt(phi, g, [u], params) == 0.5
+        res = run(phi, g, u, params)
+        assert (res.dt, res.step_count, res.times.tolist()) == (0.5, 1, [0.0, 0.5])
+        # a zero horizon keeps the finite step
+        assert solvermod.shared_dt(phi, g, [u], SchemeParams(t_end=0.0)) == \
+            0.5 * max_stable_dt(phi, g, float(u.values.min()), float(u.values.max()), grid.dx)
 
     def test_infinite_member_limit_is_ignored(self):
         # phi is flat below 0, so data there has no step limit; the shared
