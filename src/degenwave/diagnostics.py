@@ -84,8 +84,8 @@ class TestBump:
     """Smooth nonnegative space-time test function, periodic in space.
 
     ``f(t, x) = B((t - t_center)/sigma_t) * sum_m B((x - x_center + m)/sigma_x)``
-    with B the standard bump on (-1, 1). All derivatives are analytic, and
-    the C2 norm has a closed-form upper bound from the bump constants.
+    with B the standard bump on (-1, 1) and 0 < sigma_x <= 1/2. All derivatives
+    are analytic; the C2 norm has a closed-form upper bound from the bump constants.
     """
 
     t_center: float
@@ -96,16 +96,15 @@ class TestBump:
     def __post_init__(self):
         if self.sigma_t <= 0.0 or self.sigma_x <= 0.0:
             raise ValueError("bump widths must be positive")
-
-    def _shifts(self) -> range:
-        k = int(math.ceil(self.sigma_x)) + 1
-        return range(-k, k + 1)
+        if self.sigma_x > 0.5:
+            raise ValueError("the bump width sigma_x must be at most half the period")
 
     def _space(self, x: np.ndarray, top: int) -> list[np.ndarray]:
         """The spatial factor and its derivatives up to order ``top``: one
-        ``_bump`` pass per periodic shift."""
+        ``_bump`` pass per periodic shift. For ``x`` and ``x_center`` on [0, 1), a
+        width of at most half the period leaves no other shift within reach."""
         accs = [np.zeros_like(x) for _ in range(top + 1)]
-        for m in self._shifts():
+        for m in (-1, 0, 1):
             parts = _bump((x - self.x_center + m) / self.sigma_x, top)
             accs = [acc + part for acc, part in zip(accs, parts)]
         return [acc / self.sigma_x ** deriv for deriv, acc in enumerate(accs)]
@@ -135,12 +134,11 @@ class TestBump:
 
         Raises UnsupportedTestFnError, naming the narrower width, when the
         bound is not finite."""
-        overlap = max(1.0, math.ceil(2.0 * self.sigma_x))
         st, sx = self.sigma_t, self.sigma_x
         name, width = min(("sigma_t", st), ("sigma_x", sx), key=lambda p: p[1])
         bound = math.inf
         if width * width > 0.0:  # else a term below divides by zero
-            bound = overlap * max(
+            bound = max(
                 BUMP_SUP,
                 BUMP_SUP_D1 / st,
                 BUMP_SUP_D1 / sx,

@@ -12,15 +12,18 @@ rounding interval is asymmetric). Tables are built on first use, so importing
 this module does no numpy work.
 
 Values are formatted in blocks of ``_CHUNK``, each value in a fixed-width row
-of bytes. A row template zeroes the bytes a value drops, and one
-``bytes.translate`` deletes them: no kept byte is NUL. Only a block that holds
-a certified value of at least 1 moves digits right to make room for the
-decimal point.
+of bytes, through arrays made once per call and reused by every block; the
+generator ``csv_blocks`` yields each block's bytes, so a caller can stream a
+table to a file without ever holding it whole. A row template zeroes the bytes
+a value drops, and one ``translate`` deletes them: no kept byte is NUL. Only a
+block that holds a certified value of at least 1 moves digits right to make
+room for the decimal point.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,8 +40,8 @@ def _tables():
     17 digits in columns 7-23 and a zero after them, its separator in column 25.
     A row template says which bytes to keep, given the sign, the digit count
     ``nd`` and the decimal exponent ``point`` (-3..17; the value is
-    0.d1d2... 10^point). ``before`` and ``at`` say which bytes stay in place
-    and where the decimal point goes; the digits after the point move right.
+    0.d1d2... 10^point). ``before`` says which bytes stay in place, the last
+    table the column of the decimal point; the digits after the point move right.
     """
     pow10 = np.array([float(10**k) for k in range(23)])  # exact up to 1e22
     split = pow10 * 134217729.0    # 2**27 + 1
@@ -53,91 +56,140 @@ def _tables():
     rows[..., 1:6] = np.arange(5) < np.where(point > 0, 0, 2 - point)
     rows[..., 7:25] = (col[7:25] >= 0) & (col[7:25] < end)
     before = (col < dot) | (col > 17)
-    return (pow10, hi, pow10 - hi, quads, rows.reshape(-1, _WIDTH),
-            before.astype(np.uint8), (col == dot).astype(np.uint8))
+    return (pow10, hi, pow10 - hi, quads, rows.reshape(-1, _WIDTH).view(np.uint8),
+            before.astype(np.uint8), 7 + dot.ravel())
 
 
-def _digits(a, chars):
-    """Write the 17 padded digits of ``a > 0`` to ``chars[:, 7:24]``; return point, nd, certified."""
+def _workspace(n):
+    """The arrays of a block of ``n`` values, made once per call: every op of
+    ``_digits`` and ``_chunk_bytes`` writes into them through ``out=``. ``out``
+    views ``text``, the bytearray that ``translate`` reads."""
+    text = bytearray(n * _WIDTH)
+    blank = np.frombuffer(b"-0.000".ljust(_WIDTH, b"0"), np.uint8)  # columns 7-23, 25 vary
+    w = SimpleNamespace(chars=np.tile(blank, (n, 1)), sel=np.empty((n, _WIDTH), np.uint8),
+                        base=np.arange(0, n * _WIDTH, _WIDTH),
+                        out=np.frombuffer(text, np.uint8).reshape(n, _WIDTH))
+    for dtype, names in ((np.float64, "a b p hi lo bh bl r j t half d15 d16 f"),
+                         (np.int64, "k n17 rem low n15 n16 nd idx row dot"),
+                         (bool, "fast ok15 ok16 cert bt"), (np.intc, "e"), (np.uint32, "q")):
+        vars(w).update((name, np.empty(n, dtype)) for name in names.split())
+    return w, text
+
+
+def _digits(a, w):
+    """Write the 17 padded digits of ``a > 0`` to ``w.chars[:, 7:24]``; return point,
+    nd, certified, all arrays of the workspace ``w``."""
     pow10, p_hi, p_lo, quads = _tables()[:4]
-    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 20)
-    b = pow10.take(k)
-    p, c = a * b, a * 134217729.0
-    a_hi = c - (c - a)
-    a_lo, b_hi, b_lo = a - a_hi, p_hi.take(k), p_lo.take(k)
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo  # S == p + err
-    half_ulp = np.ldexp(b, np.frexp(a)[1] - 54)
-    j = np.rint(err)
-    n17 = p.astype(np.int64) + j.astype(np.int64)
-    r = err - j  # S == n17 + r
-    rounded, dist = [], []
-    for q in (100, 10):
-        high = n17 // q
-        t = (n17 - high * q) + r  # S - q * high
-        j = np.rint(t / q)
-        rounded.append((high + j.astype(np.int64)) * q)
-        dist.append(np.abs(t - j * q))
-    (n15, n16), (d15, d16) = rounded, dist
-    ok15, ok16 = d15 < half_ulp, d16 < half_ulp
-    n = np.where(ok15, n15, np.where(ok16, n16, n17))
-    certified = ((n17 >= 10**16) & (n < 10**17) & (np.abs(np.abs(r) - 0.5) > _EPS)
-                 & (np.abs(d15 - half_ulp) > _EPS) & (np.abs(d16 - half_ulp) > _EPS)
-                 & ~(ok16 & (np.abs(d16 - 5.0) <= _EPS)))
-    groups = chars[:, 8:24].view(np.uint32)
+    f, k, chars, n15, n16, d15, d16 = w.f, w.k, w.chars, w.n15, w.n16, w.d15, w.d16
+    np.floor(np.log10(a, out=f), out=f)
+    np.copyto(k, np.clip(np.subtract(16.0, f, out=f), 0.0, 20.0, out=f), casting="unsafe")
+    b = np.take(pow10, k, out=w.b, mode="clip")
+    p = np.multiply(a, b, out=w.p)
+    a_hi = np.multiply(a, 134217729.0, out=w.hi)
+    np.subtract(a_hi, np.subtract(a_hi, a, out=f), out=a_hi)
+    a_lo = np.subtract(a, a_hi, out=w.lo)
+    b_hi, b_lo = np.take(p_hi, k, out=w.bh, mode="clip"), np.take(p_lo, k, out=w.bl, mode="clip")
+    err = np.subtract(np.multiply(a_hi, b_hi, out=w.r), p, out=w.r)  # S == p + err
+    for u, v in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo)):
+        err += np.multiply(u, v, out=f)
+    half_ulp = np.ldexp(b, np.subtract(np.frexp(a, out=(f, w.e))[1], 54, out=w.e), out=w.half)
+    j, n17, low = np.rint(err, out=w.j), w.n17, w.low
+    np.copyto(n17, p, casting="unsafe")
+    np.copyto(low, j, casting="unsafe")
+    n17 += low
+    r = np.subtract(err, j, out=err)  # S == n17 + r
+    # the one division gives rem = n17 % 100; n17 % 10 is rem - 10 (rem // 10),
+    # and rem // 10 == (rem * 103) >> 10 on 0..99
+    rem, t = np.floor_divide(n17, 100, out=w.rem), w.t
+    np.subtract(n17, np.multiply(rem, 100, out=rem), out=rem)
+    for q, rounded, dist in ((100, n15, d15), (10, n16, d16)):
+        if q == 10:
+            rem -= np.multiply(np.right_shift(np.multiply(rem, 103, out=low), 10, out=low), 10,
+                               out=low)
+        np.add(rem, r, out=t, dtype=np.float64)  # S - (n17 - rem)
+        np.rint(np.divide(t, q, out=j), out=j)
+        np.abs(np.subtract(t, np.multiply(j, q, out=dist), out=dist), out=dist)
+        np.copyto(rounded, j, casting="unsafe")  # n17 - rem + q j
+        np.subtract(np.add(np.multiply(rounded, q, out=rounded), n17, out=rounded), rem,
+                    out=rounded)
+    ok15, ok16 = np.less(d15, half_ulp, out=w.ok15), np.less(d16, half_ulp, out=w.ok16)
+    # n15 if ok15, else n16 if ok16, else n17, as arithmetic selects
+    n = np.add(np.multiply(np.subtract(n16, n17, out=n16), ok16, out=n16, dtype=np.int64), n17,
+               out=n16)
+    n += np.multiply(np.subtract(n15, n, out=n15), ok15, out=n15, dtype=np.int64)
+    cert, bt = np.greater_equal(n17, 10**16, out=w.cert), w.bt
+    cert &= np.less(n, 10**17, out=bt)
+    for d, mid in ((np.abs(r, out=f), 0.5), (d15, half_ulp), (d16, half_ulp)):
+        cert &= np.greater(np.abs(np.subtract(d, mid, out=f), out=f), _EPS, out=bt)
+    np.less_equal(np.abs(np.subtract(d16, 5.0, out=f), out=f), _EPS, out=bt)
+    cert &= np.logical_not(np.logical_and(ok16, bt, out=bt), out=bt)
+    groups, high = chars[:, 8:24].view(np.uint32), low
     for i in (3, 2, 1, 0):
-        high = n // 10**4
-        groups[:, i] = quads.take(n - high * 10**4)
-        n = high
-    chars[:, 7] = 48 + n
+        np.floor_divide(n, 10**4, out=high)
+        groups[:, i] = np.take(quads, np.subtract(n, np.multiply(high, 10**4, out=n15), out=n15),
+                               out=w.q, mode="clip")
+        n, high = high, n
+    np.add(n, 48, out=chars[:, 7], dtype=np.int64, casting="unsafe")
     # a 16- or 17-digit result ends in a nonzero digit, else a shorter one round-trips
-    nd = np.where(ok15, 15, np.where(ok16, 16, 17))
+    nd = np.subtract(17, ok16, out=w.nd, dtype=np.int64)
     short = np.flatnonzero(ok15)
     nd[short] = 17 - np.argmax(chars[short, 23:6:-1] != 48, axis=1)
-    return 17 - k, nd, certified
+    return np.subtract(17, k, out=k), nd, cert
 
 
-def _chunk_bytes(x, sep, chars):
-    """The repr text of each value of ``x`` and its separator; ``chars`` holds the rows' constants."""
-    rows, before, at = _tables()[4:]
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16) & (x.view(np.uint64) & np.uint64(2**52 - 1) != 0)
-    chars[:, 25] = sep
-    point, nd, certified = _digits(np.where(fast, a, 3.0), chars)
+def _chunk_bytes(x, w):
+    """Write the repr text of each value of ``x`` and its separator (``w.chars[:, 25]``)
+    to the rows of ``w.out``, padded with NULs."""
+    rows, before, dot_col = _tables()[4:]
+    a, fast, bt, chars, sel, out = np.abs(x, out=w.a), w.fast, w.bt, w.chars, w.sel, w.out
+    np.logical_and(np.greater_equal(a, 1e-4, out=fast), np.less(a, 1e16, out=bt), out=fast)
+    bits = np.bitwise_and(x.view(np.uint64), np.uint64(2**52 - 1), out=w.row.view(np.uint64))
+    fast &= np.not_equal(bits, np.uint64(0), out=bt)
+    np.copyto(a, 3.0, where=np.logical_not(fast, out=bt))
+    point, nd, certified = _digits(a, w)
     fast &= certified
-    mask = rows.take((np.signbit(x) * 21 + point + 3) * 18 + nd, axis=0)
-    if np.any(fast & (point > 0)):
+    idx = np.add(point, 3, out=w.idx)  # the row of the shift tables
+    row = np.multiply(np.signbit(x, out=bt), 21, out=w.row, dtype=np.int64)
+    np.add(np.multiply(np.add(row, idx, out=row), 18, out=row), nd, out=row)
+    if np.logical_and(np.greater(point, 0, out=bt), fast, out=bt).any():
         # each byte either stays, becomes the decimal point, or takes the byte before it
         cur, prev = chars.ravel()[1:], chars.ravel()[:-1]
-        out = np.empty_like(chars)
         out[0, 0] = 45  # the sign, the one byte with no byte before it
         flat = out.ravel()[1:]
         np.subtract(cur, prev, out=flat)
-        flat *= before.take(point + 3, axis=0).ravel()[1:]
+        flat *= np.take(before, idx, axis=0, out=sel, mode="clip").ravel()[1:]
         flat += prev
-        flat += (46 - prev) * at.take(point + 3, axis=0).ravel()[1:]
-        out *= mask
+        out.ravel()[np.add(np.take(dot_col, idx, out=w.dot, mode="clip"), w.base, out=w.dot)] = 46
+        out *= np.take(rows, row, axis=0, out=sel, mode="clip")
     else:
         # no certified value reaches 1: the point would go to column 24, which
         # their rows drop, so every kept byte stays; repr rewrites the others
-        out = chars * mask
-    slow = np.flatnonzero(~fast)
+        np.multiply(chars, np.take(rows, row, axis=0, out=sel, mode="clip"), out=out)
+    slow = np.flatnonzero(np.logical_not(fast, out=bt))
     if len(slow):
         # repr's text, padded with NULs up to the separator
         text = np.array([repr(v) for v in x[slow].tolist()], "S25")
         out[slow, :25] = text.view(np.uint8).reshape(len(slow), 25)
-    # no kept byte is NUL, so deleting the NULs leaves exactly the kept bytes
-    return out.tobytes().translate(None, b"\0")
+
+
+def csv_blocks(matrix, head: bytes = b""):
+    """Yield ``head``, then the rows of ``matrix`` as comma-separated ``repr`` text,
+    each ending in a newline, in blocks of at most ``_CHUNK`` values."""
+    flat, cols = np.ascontiguousarray(matrix, dtype=np.float64).ravel(), np.shape(matrix)[1]
+    yield head
+    w, text = _workspace(min(len(flat), _CHUNK))
+    for i in range(0, len(flat), _CHUNK):
+        x = flat[i:i + _CHUNK]
+        if len(x) < len(w.a):  # the last block: the head of every array
+            w = SimpleNamespace(**{name: v[:len(x)] for name, v in vars(w).items()})
+        w.chars[:, 25] = 44
+        w.chars[(cols - 1 - i) % cols::cols, 25] = 10
+        _chunk_bytes(x, w)
+        rows = text if len(x) * _WIDTH == len(text) else text[:len(x) * _WIDTH]
+        # no kept byte is NUL, so deleting the NULs leaves exactly the kept bytes
+        yield rows.translate(None, b"\0")
 
 
 def csv_bytes(matrix, head: bytes = b"") -> bytes:
     """``head``, then the rows of ``matrix`` as comma-separated ``repr`` text, each ending in a newline."""
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
-    sep = np.full(m.shape, 44, np.uint8)
-    sep[:, -1] = 10
-    flat, sep = m.ravel(), sep.ravel()
-    chars = np.empty((min(len(flat), _CHUNK), _WIDTH), np.uint8)
-    chars[:, :6] = np.frombuffer(b"-0.000", np.uint8)
-    chars[:, 24] = 48
-    return b"".join([head] + [_chunk_bytes(flat[i:i + _CHUNK], sep[i:i + _CHUNK],
-                                           chars[:len(flat) - i])
-                              for i in range(0, len(flat), _CHUNK)])
+    return b"".join(map(bytes, csv_blocks(matrix, head)))  # a block keeps its rows' allocation

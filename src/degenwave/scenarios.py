@@ -5,8 +5,9 @@ a list of named checks. Configs are plain JSON, floats round-trip through
 their shortest decimal form, and every artifact write is atomic (temp file
 plus rename), so repeated runs of the same config are byte-identical. CSV
 floats are ``repr`` bytes: a file of at least ``_VECTOR_CSV_MIN_VALUES``
-floats is written by the certified vectorized formatter in ``floatfmt``,
-which falls back to ``repr`` for every value it cannot certify.
+floats is streamed to its temp file block by block by the certified
+vectorized formatter in ``floatfmt``, which falls back to ``repr`` for every
+value it cannot certify.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -406,15 +408,23 @@ def parse_config(text):
 # -- execution -------------------------------------------------------------------
 
 
-def _write_text_atomic(path: Path, data: str | bytes) -> None:
-    """Write ``data`` (text as UTF-8) to ``path`` through a temp file and a rename."""
+@contextmanager
+def _atomic_path(path: Path):
+    """Yield a temp path beside ``path``, renamed to ``path`` when the block ends
+    and deleted if it fails: the one rule of every artifact write."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` through a temp file and a rename."""
+    with _atomic_path(path) as tmp:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -426,11 +436,11 @@ def _csv_text(header: list[str], rows) -> str:
 def _write_csv(path: Path, header: list[str], matrix: np.ndarray) -> None:
     """Write the rows of a float matrix under ``header``, each float as its ``repr`` text."""
     if matrix.size < _VECTOR_CSV_MIN_VALUES:
-        data = _csv_text(header, matrix.tolist()).encode()
-    else:
-        from .floatfmt import csv_bytes  # imported on first use: small runs never load it
-        data = csv_bytes(matrix, "".join(line + "\n" for line in header).encode())
-    _write_text_atomic(path, data)
+        _write_text_atomic(path, _csv_text(header, matrix.tolist()).encode())
+        return
+    from .floatfmt import csv_blocks  # imported on first use: small runs never load it
+    with _atomic_path(path) as tmp, tmp.open("wb") as f:
+        f.writelines(csv_blocks(matrix, "".join(line + "\n" for line in header).encode()))
 
 
 def _write_snapshots_csv(path: Path, result: RunResult) -> None:

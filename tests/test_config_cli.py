@@ -852,13 +852,13 @@ def test_csv_writers_keep_repr_bytes(tmp_path):
 def test_csv_formatter_is_chosen_by_value_count(tmp_path, monkeypatch):
     from degenwave import floatfmt
 
-    sizes, real = [], floatfmt.csv_bytes
+    sizes, real = [], floatfmt.csv_blocks
 
     def counting(matrix, head=b""):
         sizes.append(matrix.size)
         return real(matrix, head)
 
-    monkeypatch.setattr(floatfmt, "csv_bytes", counting)
+    monkeypatch.setattr(floatfmt, "csv_blocks", counting)
     cutoff = scenarios._VECTOR_CSV_MIN_VALUES
     for rows in (cutoff // 2 - 1, cutoff // 2):
         series = np.linspace(0.0, 1.0, 2 * rows).reshape(rows, 2)
@@ -898,6 +898,77 @@ def test_atomic_write_takes_text_or_bytes(tmp_path):
     scenarios._write_text_atomic(tmp_path / "a.txt", "\u00b5s\n")
     scenarios._write_text_atomic(tmp_path / "b.txt", "\u00b5s\n".encode())
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes() == b"\xc2\xb5s\n"
+
+
+@pytest.mark.parametrize("failure", ["second_block", "replace"])
+def test_failed_streamed_csv_keeps_the_previous_file(tmp_path, monkeypatch, failure):
+    from degenwave import floatfmt
+
+    calls, real = [], floatfmt._chunk_bytes
+
+    def second_block_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(*args)
+
+    def failed_replace(src, dst):
+        raise OSError("rename failed")
+
+    if failure == "second_block":
+        monkeypatch.setattr(floatfmt, "_chunk_bytes", second_block_fails)
+    else:
+        monkeypatch.setattr(scenarios.os, "replace", failed_replace)
+    target = tmp_path / "snapshots.csv"
+    target.write_bytes(b"0.0,1.0\n")
+    with pytest.raises(OSError):
+        scenarios._write_csv(target, [], np.full((3, floatfmt._CHUNK), 0.1))
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"0.0,1.0\n"
+
+
+def test_streamed_snapshot_table_reuses_every_buffer_case(tmp_path):
+    # one call through every case of the reused block buffers: three blocks,
+    # the last one short, rows ending inside blocks, the decimal-point shift
+    # first needed in the last block (the only time >= 1), and repr fallbacks
+    # in the second block after a fully certified first one
+    from degenwave import floatfmt
+
+    rng = np.random.default_rng(23)
+    n = 12000
+    values = rng.choice([-1.0, 1.0], (4, n)) * rng.uniform(0.01, 0.99, (4, n))
+    # repr writes the edge values, those >= 1 included, from flat index 18001: block 1
+    values[1, 6000:6000 + len(EDGE_VALUES)] = EDGE_VALUES
+    times = (0.1, 0.3, 0.7, 2.5)
+    table = np.column_stack([times, values])
+    chunk = floatfmt._CHUNK
+    assert 2 * chunk < table.size < 3 * chunk and table.size % chunk and n + 1 < chunk
+    assert 3 * (n + 1) > 2 * chunk  # the last row, and its time, start in block 2
+    w, _ = floatfmt._workspace(chunk)
+    assert floatfmt._digits(np.abs(table.ravel()[:chunk]), w)[2].all()
+    result = RunResult(table, Grid(n), phi=None, g=None, step_count=2, dt=0.1,
+                       params=SchemeParams(t_end=2.5, snapshot_times=times))
+    _write_snapshots_csv(tmp_path / "snapshots.csv", result)
+    assert (tmp_path / "snapshots.csv").read_bytes() == csv_of([], table.tolist())
+
+
+def test_atomic_writes_get_what_the_benchmark_tracer_measures(tmp_path, monkeypatch):
+    # perfbench's tracer wraps _write_text_atomic and takes len() of every
+    # argument that is not str: a generator handed to it would crash every
+    # traced batch, so the streamed snapshot table must bypass it
+    kinds, real = [], scenarios._write_text_atomic
+
+    def traced(path, data, *args, **kwargs):
+        kinds.append(type(data))
+        len(data.encode("utf-8") if isinstance(data, str) else data)
+        return real(path, data, *args, **kwargs)
+
+    patch_everywhere(monkeypatch, real, traced)
+    doc = minimal(grid={"n_cells": 1024}, scheme={"t_end": 0.05})
+    run_suite([parse_config(json.dumps(doc))], tmp_path)
+    table = np.loadtxt(tmp_path / "burgers_min" / "snapshots.csv", delimiter=",")
+    assert table.size >= scenarios._VECTOR_CSV_MIN_VALUES
+    assert kinds and set(kinds) <= {str, bytes}
 
 
 class TestSuite:

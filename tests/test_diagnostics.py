@@ -121,6 +121,27 @@ class TestBumpFamily:
             assert np.max(np.abs(b.d_dx(t, xs))) <= bound + 1e-12
             assert np.max(np.abs(b.d_dxx(t, xs))) <= bound + 1e-12
 
+    def test_width_is_at_most_half_the_period(self):
+        with pytest.raises(ValueError, match="half the period"):
+            TestBump(0.5, 0.5, 0.1, 1e308)
+        with pytest.raises(ValueError, match="half the period"):
+            TestBump(0.5, 0.5, 0.1, np.nextafter(0.5, 1.0))
+
+    def test_half_period_width_covers_the_circle_once(self):
+        # at sigma_x = 1/2 the supports of neighbouring copies meet at one point,
+        # where both vanish: the spatial factor is the nearest copy alone, nonzero
+        # away from that point, and the C2 bound needs no overlap factor
+        b = TestBump(0.5, 0.3, 0.2, 0.5)
+        xs = Grid(4096).cell_centers()
+        s = (xs - 0.3 + np.rint(0.3 - xs)) / 0.5  # the nearest copy, in units of sigma_x
+        for order, space in enumerate(b._space(xs, 2)):
+            assert np.array_equal(space, diagnostics._bump(s, order)[order] / 0.5**order)
+        assert (b.value(0.5, xs)[np.abs(xs - 0.8) > 0.05] > 0.0).all()
+        assert b.c2_norm() == max(diagnostics.BUMP_SUP_D2 / 0.2**2, diagnostics.BUMP_SUP_D1**2 / (0.2 * 0.5))
+        ts = np.linspace(0.31, 0.69, 40)
+        for deriv in (b.value, b.d_dt, b.d_dx, b.d_dxx):
+            assert max(np.max(np.abs(deriv(t, xs))) for t in ts) <= b.c2_norm()
+
     def test_support_validation(self):
         with pytest.raises(UnsupportedTestFnError):
             TestBump(0.1, 0.5, 0.2, 0.3).require_supported_inside(1.0)

@@ -35,7 +35,7 @@ def edge_bumps(rng, t_end):
         lo, hi = (np.sort(rng.uniform(0.05, 0.95, size=2)) * t_end).tolist()
         if hi - lo > 1e-3 * t_end:
             bumps.append(TestBump(0.5 * (lo + hi), float(rng.uniform(0, 1)),
-                                  0.5 * (hi - lo), float(rng.uniform(0.05, 0.6))))
+                                  0.5 * (hi - lo), float(rng.uniform(0.05, 0.5))))
     return bumps
 
 
@@ -100,7 +100,7 @@ def dead_bump(rng, times):
     gaps = np.diff(times)
     i = int(np.argmax(gaps))
     return TestBump(float(times[i] + 0.5 * gaps[i]), float(rng.uniform(0, 1)),
-                    0.25 * float(gaps[i]), float(rng.uniform(0.05, 0.6)))
+                    0.25 * float(gaps[i]), float(rng.uniform(0.05, 0.5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,9 +241,8 @@ def test_mixed_band_keeps_the_g_term():
         entropy_matches_reference(res)
 
 
-@pytest.mark.parametrize("bump", [TestBump(0.5, 0.3, 0.2, 0.3), TestBump(0.5, 0.97, 0.45, 0.6),
-                                  TestBump(0.5, 0.5, 0.3, 1.7)],
-                         ids=["narrow", "wraps", "wide"])
+@pytest.mark.parametrize("bump", [TestBump(0.5, 0.3, 0.2, 0.3), TestBump(0.5, 0.97, 0.45, 0.5)],
+                         ids=["narrow", "half_period"])
 def test_factors_match_the_per_order_bump_bitwise(bump):
     """``_time`` and ``_space`` give every order from one exp pass, bit for bit
     the per-order formula, on the 16384-cell grid and at the edges of the support."""

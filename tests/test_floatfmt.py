@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenwave import floatfmt
+from degenwave import floatfmt, scenarios
 from degenwave.floatfmt import csv_bytes
 
 # every case where repr's rules or the formatter's certificate change
@@ -56,7 +56,8 @@ def test_import_builds_no_tables():
 
 def test_ties_fall_back_to_repr():
     a = np.array([1025 * 2.0**-20, 1234567890.00390625, 0.1, 0.3])
-    _, _, certified = floatfmt._digits(a, np.zeros((len(a), floatfmt._WIDTH), np.uint8))
+    w, _ = floatfmt._workspace(len(a))
+    _, _, certified = floatfmt._digits(a, w)
     assert certified.tolist() == [False, False, True, True]
 
 
@@ -125,6 +126,25 @@ def test_memory_stays_near_the_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * size + 8 * 2**20
+
+
+def test_streamed_file_memory_does_not_grow_with_the_table(tmp_path):
+    # the blocks go to the file as they are made, through buffers made once per
+    # call: a 97-row table peaks where a 24-row one does, well below its own size
+    rng = np.random.default_rng(19)
+    floatfmt._tables()
+    peaks = []
+    for rows in (97, 24):
+        table = rng.uniform(-1.0, 1.0, (rows, 16385))
+        tracemalloc.start()
+        try:
+            scenarios._write_csv(tmp_path / "snapshots.csv", [], table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "snapshots.csv").read_bytes() == csv_bytes(table)
+    assert max(peaks) - min(peaks) <= 2**20
+    assert max(peaks) <= 97 * 16385 * 8 / 2
 
 
 def test_many_bit_patterns_and_decimals():
