@@ -109,13 +109,15 @@ class TestBump:
             accs = [acc + part for acc, part in zip(accs, parts)]
         return [acc / self.sigma_x ** deriv for deriv, acc in enumerate(accs)]
 
-    def _time(self, t: np.ndarray, deriv: int) -> np.ndarray:
-        return _bump((t - self.t_center) / self.sigma_t, deriv)[deriv] / self.sigma_t ** deriv
+    def _time(self, t: np.ndarray, top: int) -> list[np.ndarray]:
+        """The time factor and its derivatives up to order ``top``, from one ``_bump`` pass."""
+        parts = _bump((t - self.t_center) / self.sigma_t, top)
+        return [part / self.sigma_t ** deriv for deriv, part in enumerate(parts)]
 
     def _product(self, t, x, t_deriv: int, x_deriv: int):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        return self._time(t, t_deriv) * self._space(x, x_deriv)[x_deriv]
+        return self._time(t, t_deriv)[t_deriv] * self._space(x, x_deriv)[x_deriv]
 
     def value(self, t, x):
         return self._product(t, x, 0, 0)
@@ -230,7 +232,7 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
         # the rows where the time factor is live; every other row sums to +0.0
         live = np.flatnonzero(np.abs((times - b.t_center) / b.sigma_t) < 1.0)
         lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-        factors.append((lo, hi, b._time(times, 1), b._time(times, 0), *b._space(centers, 2)))
+        factors.append((lo, hi, *b._time(times, 1), *b._space(centers, 2)))
     # f_xx = t0 * s2, and the bump's time factor t0 lies in [0, 1]: finite where s2 is
     finite_fxx = all(np.isfinite(f[-1]).all() for f in factors)
     spatial = [[np.zeros(len(times)) for _ in entries] for _ in bumps]
@@ -242,7 +244,7 @@ def _bump_integrals(run_result: RunResult, bumps, entries) -> list[list[float]]:
     for r0 in range(0, len(times), block):
         r1 = min(r0 + block, len(times))
         live_blocks = []
-        for bi, ((lo, hi, t1, t0, s0, s1, s2), bufs) in enumerate(zip(factors, f_bufs)):
+        for bi, ((lo, hi, t0, t1, s0, s1, s2), bufs) in enumerate(zip(factors, f_bufs)):
             a, z = max(lo, r0), min(hi, r1)
             if a < z:
                 ft, fx, fxx = (buf[:z - a] for buf in bufs)

@@ -8,8 +8,9 @@ the 15-digit rounding, stripped of zeros, is also every shorter answer. As in
 Grisu3's certify-or-fallback design (Loitsch, PLDI 2010), ``repr`` writes
 every value within ``_EPS`` of a rounding tie or of the half-ulp bound, and
 zero, subnormal, non-finite and out-of-range values and powers of two (whose
-rounding interval is asymmetric). Tables are built on first use, so importing
-this module does no numpy work.
+rounding interval is asymmetric). The tables below are built when this module
+is imported; ``scenarios`` imports it only for the first table large enough to
+use it, so small runs never build them.
 
 Values are formatted in blocks of ``_CHUNK``, each value in a fixed-width row
 of bytes, through arrays made once per call and reused by every block; the
@@ -22,7 +23,6 @@ room for the decimal point.
 
 from __future__ import annotations
 
-from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,33 +31,28 @@ _CHUNK = 16384  # values formatted per block
 _EPS = 1e-9     # margin, in units of the 17th digit, around ties and the half-ulp
 _WIDTH = 28     # bytes per value while it is built; a multiple of 4
 
-
-@cache
-def _tables():
-    """Powers of ten with their Veltkamp halves, 4-digit groups, and row templates.
-
-    A value is built in a row of ``_WIDTH`` bytes: "-0.000" in columns 0-5, its
-    17 digits in columns 7-23 and a zero after them, its separator in column 25.
-    A row template says which bytes to keep, given the sign, the digit count
-    ``nd`` and the decimal exponent ``point`` (-3..17; the value is
-    0.d1d2... 10^point). ``before`` says which bytes stay in place, the last
-    table the column of the decimal point; the digits after the point move right.
-    """
-    pow10 = np.array([float(10**k) for k in range(23)])  # exact up to 1e22
-    split = pow10 * 134217729.0    # 2**27 + 1
-    hi = split - (split - pow10)
-    quads = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)
-    point, nd = np.arange(-3, 18)[:, None, None], np.arange(18)[None, :, None]
-    col = np.arange(_WIDTH) - 7  # index into the digits
-    dot = np.where(point > 0, point, 17)[:, 0]
-    end = np.where(point > 0, np.maximum(nd, point + 1) + 1, nd)
-    rows = np.zeros((2, 21, 18, _WIDTH), bool)
-    rows[1, ..., 0] = rows[..., 25] = True
-    rows[..., 1:6] = np.arange(5) < np.where(point > 0, 0, 2 - point)
-    rows[..., 7:25] = (col[7:25] >= 0) & (col[7:25] < end)
-    before = (col < dot) | (col > 17)
-    return (pow10, hi, pow10 - hi, quads, rows.reshape(-1, _WIDTH).view(np.uint8),
-            before.astype(np.uint8), 7 + dot.ravel())
+# A value is built in a row of ``_WIDTH`` bytes: "-0.000" in columns 0-5, its
+# 17 digits in columns 7-23 and a zero after them, its separator in column 25.
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 1e22
+_SPLIT = _POW10 * 134217729.0  # 2**27 + 1: Veltkamp's split into halves
+_POW10_HI = _SPLIT - (_SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_QUADS = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)  # 4-digit groups
+# A row template says which bytes to keep, given the sign, the digit count nd
+# and the decimal exponent point (-3..17; the value is 0.d1d2... 10^point).
+# _BEFORE says which bytes stay in place, _DOT_COL the column of the decimal
+# point; the digits after the point move right.
+_POINT, _ND = np.arange(-3, 18)[:, None, None], np.arange(18)[None, :, None]
+_COL = np.arange(_WIDTH) - 7  # index into the digits
+_DOT = np.where(_POINT > 0, _POINT, 17)[:, 0]
+_END = np.where(_POINT > 0, np.maximum(_ND, _POINT + 1) + 1, _ND)
+_ROWS = np.zeros((2, 21, 18, _WIDTH), bool)
+_ROWS[1, ..., 0] = _ROWS[..., 25] = True
+_ROWS[..., 1:6] = np.arange(5) < np.where(_POINT > 0, 0, 2 - _POINT)
+_ROWS[..., 7:25] = (_COL[7:25] >= 0) & (_COL[7:25] < _END)
+_ROWS = _ROWS.reshape(-1, _WIDTH).view(np.uint8)
+_BEFORE = ((_COL < _DOT) | (_COL > 17)).astype(np.uint8)
+_DOT_COL = 7 + _DOT.ravel()
 
 
 def _workspace(n):
@@ -79,16 +74,16 @@ def _workspace(n):
 def _digits(a, w):
     """Write the 17 padded digits of ``a > 0`` to ``w.chars[:, 7:24]``; return point,
     nd, certified, all arrays of the workspace ``w``."""
-    pow10, p_hi, p_lo, quads = _tables()[:4]
     f, k, chars, n15, n16, d15, d16 = w.f, w.k, w.chars, w.n15, w.n16, w.d15, w.d16
     np.floor(np.log10(a, out=f), out=f)
     np.copyto(k, np.clip(np.subtract(16.0, f, out=f), 0.0, 20.0, out=f), casting="unsafe")
-    b = np.take(pow10, k, out=w.b, mode="clip")
+    b = np.take(_POW10, k, out=w.b, mode="clip")
     p = np.multiply(a, b, out=w.p)
     a_hi = np.multiply(a, 134217729.0, out=w.hi)
     np.subtract(a_hi, np.subtract(a_hi, a, out=f), out=a_hi)
     a_lo = np.subtract(a, a_hi, out=w.lo)
-    b_hi, b_lo = np.take(p_hi, k, out=w.bh, mode="clip"), np.take(p_lo, k, out=w.bl, mode="clip")
+    b_hi = np.take(_POW10_HI, k, out=w.bh, mode="clip")
+    b_lo = np.take(_POW10_LO, k, out=w.bl, mode="clip")
     err = np.subtract(np.multiply(a_hi, b_hi, out=w.r), p, out=w.r)  # S == p + err
     for u, v in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo)):
         err += np.multiply(u, v, out=f)
@@ -126,7 +121,7 @@ def _digits(a, w):
     groups, high = chars[:, 8:24].view(np.uint32), low
     for i in (3, 2, 1, 0):
         np.floor_divide(n, 10**4, out=high)
-        groups[:, i] = np.take(quads, np.subtract(n, np.multiply(high, 10**4, out=n15), out=n15),
+        groups[:, i] = np.take(_QUADS, np.subtract(n, np.multiply(high, 10**4, out=n15), out=n15),
                                out=w.q, mode="clip")
         n, high = high, n
     np.add(n, 48, out=chars[:, 7], dtype=np.int64, casting="unsafe")
@@ -140,7 +135,6 @@ def _digits(a, w):
 def _chunk_bytes(x, w):
     """Write the repr text of each value of ``x`` and its separator (``w.chars[:, 25]``)
     to the rows of ``w.out``, padded with NULs."""
-    rows, before, dot_col = _tables()[4:]
     a, fast, bt, chars, sel, out = np.abs(x, out=w.a), w.fast, w.bt, w.chars, w.sel, w.out
     np.logical_and(np.greater_equal(a, 1e-4, out=fast), np.less(a, 1e16, out=bt), out=fast)
     bits = np.bitwise_and(x.view(np.uint64), np.uint64(2**52 - 1), out=w.row.view(np.uint64))
@@ -157,14 +151,14 @@ def _chunk_bytes(x, w):
         out[0, 0] = 45  # the sign, the one byte with no byte before it
         flat = out.ravel()[1:]
         np.subtract(cur, prev, out=flat)
-        flat *= np.take(before, idx, axis=0, out=sel, mode="clip").ravel()[1:]
+        flat *= np.take(_BEFORE, idx, axis=0, out=sel, mode="clip").ravel()[1:]
         flat += prev
-        out.ravel()[np.add(np.take(dot_col, idx, out=w.dot, mode="clip"), w.base, out=w.dot)] = 46
-        out *= np.take(rows, row, axis=0, out=sel, mode="clip")
+        out.ravel()[np.add(np.take(_DOT_COL, idx, out=w.dot, mode="clip"), w.base, out=w.dot)] = 46
+        out *= np.take(_ROWS, row, axis=0, out=sel, mode="clip")
     else:
         # no certified value reaches 1: the point would go to column 24, which
         # their rows drop, so every kept byte stays; repr rewrites the others
-        np.multiply(chars, np.take(rows, row, axis=0, out=sel, mode="clip"), out=out)
+        np.multiply(chars, np.take(_ROWS, row, axis=0, out=sel, mode="clip"), out=out)
     slow = np.flatnonzero(np.logical_not(fast, out=bt))
     if len(slow):
         # repr's text, padded with NULs up to the separator
@@ -189,7 +183,3 @@ def csv_blocks(matrix, head: bytes = b""):
         # no kept byte is NUL, so deleting the NULs leaves exactly the kept bytes
         yield rows.translate(None, b"\0")
 
-
-def csv_bytes(matrix, head: bytes = b"") -> bytes:
-    """``head``, then the rows of ``matrix`` as comma-separated ``repr`` text, each ending in a newline."""
-    return b"".join(map(bytes, csv_blocks(matrix, head)))  # a block keeps its rows' allocation

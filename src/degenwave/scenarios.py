@@ -34,9 +34,11 @@ from .structure import analyze, require_coverage
 DEFAULT_SNAPSHOT_COUNT = 33
 # Files of fewer floats are written by repr. floatfmt is faster from about 200
 # floats (9 x 24: 60 against 65 us, best of 200 on one AMD EPYC core) and
-# slower only on series files (9 x 2: 50 against 7 us) and its one-time tables
-# (about 1.3 ms), but using it for small files lowers perfbench's speed probe
-# and so raises the scaled wall_s of pair_batch by 25% (ROADMAP item 1).
+# slower only on series files (9 x 2: 50 against 7 us) and its import, which
+# builds its tables (about 1.3 ms). Using it for small files lowers perfbench's
+# speed probe and so raises pair_batch's scaled wall_s (+9.5%, higher in 6 of 6
+# alternating pairs), while its unscaled wall_s fell in only 3 of the 6 (ROADMAP
+# items 1 and 17).
 _VECTOR_CSV_MIN_VALUES = 2**14
 
 # Every named check: name -> (accepted params, needs initial_b, callable). A
@@ -61,13 +63,13 @@ CHECKS = {
 _REQUIRED = object()
 SCENARIO_FIELDS = ("name", "phi", "g", "initial", "initial_b", "grid", "scheme", "checks", "seed")
 _GRID_FIELDS = ("n_cells",)
-_SCHEME_NUMBERS = {"t_end": _REQUIRED, "cfl_safety": 0.5}  # and snapshot_times
+_SCHEME_NUMBERS = {"t_end": _REQUIRED, "cfl_safety": None}  # and snapshot_times
 _EXPLICIT_FIELDS = ("breakpoints", "pieces", "monotone")  # a function without a kind
-_RANGE = {"lo": -2.0, "hi": 2.0}
+_RANGE = {"lo": None, "hi": None}
 _FUNCTION_KINDS = {  # kind -> (builder, its number parameters)
     "burgers": (burgers, _RANGE),
     "identity": (identity, _RANGE),
-    "linear": (linear, {**_RANGE, "slope": 1.0, "intercept": 0.0}),
+    "linear": (linear, {**_RANGE, "slope": 1.0, "intercept": None}),
     "constant": (constant, {**_RANGE, "value": 0.0}),
 }
 _INITIAL_PARAMS = {  # the initial-data kinds; sine and step are objects of numbers
@@ -421,26 +423,23 @@ def _atomic_path(path: Path):
         raise
 
 
-def _write_text_atomic(path: Path, data: str | bytes) -> None:
-    """Write ``data`` (text as UTF-8) to ``path`` through a temp file and a rename."""
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temp file and a rename."""
     with _atomic_path(path) as tmp:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    """One line per row of plain floats, each written as ``repr`` (shortest round trip)."""
-    lines = header + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+        tmp.write_bytes(text.encode("utf-8"))  # write_text would translate newlines
 
 
 def _write_csv(path: Path, header: list[str], matrix: np.ndarray) -> None:
-    """Write the rows of a float matrix under ``header``, each float as its ``repr`` text."""
+    """Write the lines of ``header``, then one line per row of a float matrix, each
+    float as its ``repr`` text (shortest round trip)."""
+    head = "".join(line + "\n" for line in header)
     if matrix.size < _VECTOR_CSV_MIN_VALUES:
-        _write_text_atomic(path, _csv_text(header, matrix.tolist()).encode())
+        _write_text_atomic(path, head + "".join(
+            ",".join(map(repr, row)) + "\n" for row in matrix.tolist()))
         return
     from .floatfmt import csv_blocks  # imported on first use: small runs never load it
     with _atomic_path(path) as tmp, tmp.open("wb") as f:
-        f.writelines(csv_blocks(matrix, "".join(line + "\n" for line in header).encode()))
+        f.writelines(csv_blocks(matrix, head.encode()))
 
 
 def _write_snapshots_csv(path: Path, result: RunResult) -> None:

@@ -109,7 +109,7 @@ def band_project_mean(u: Field, v: Field, a: float, b: float) -> Field:
 
     ``v`` must already take values in [a, b] (tolerance 1e-12) and the mean
     of ``u`` must lie in [a, b]. The result ``w`` stays in the band, has
-    mean(w) = mean(u) up to rounding, and satisfies
+    mean(w) = mean(u) within the slack, and satisfies
     ``l1(u, w) <= 2 * l1(u, v)``: blending with the constant ``a`` (or ``b``)
     costs at most the mean discrepancy again, which is itself bounded by
     the distance between ``u`` and ``v``.
@@ -127,6 +127,9 @@ def band_project_mean(u: Field, v: Field, a: float, b: float) -> Field:
     target = gridmod.mean(u)
     if not a - slack <= target <= b + slack:
         raise MeanOutOfBandError(f"mean(u)={target!r} outside the band [{a!r}, {b!r}]")
+    # a target within the slack outside the band moves to its end, so neither
+    # divisor below is 0 when its branch runs
+    target = min(max(target, a), b)
     current = gridmod.mean(v)
     if current == target:
         return v.copy()

@@ -26,8 +26,11 @@ from degenwave import (
     PiecewiseFunction,
     SchemaError,
     SchemeParams,
+    burgers,
     constant,
     diagnostics,
+    identity,
+    linear,
     parse_config,
     run_scenario,
     run_suite,
@@ -85,6 +88,14 @@ class TestParsing:
         assert cfg.scheme.cfl_safety == 0.5
         assert len(cfg.scheme.snapshot_times) == 33
         assert [c.name for c in cfg.checks] == ["conservation"]
+
+    def test_omitted_numbers_take_the_library_defaults(self):
+        # cfl_safety, lo/hi and intercept have their defaults in the library alone
+        cfg = parse_config(json.dumps(minimal(phi={"kind": "burgers"}, g={"kind": "constant"})))
+        assert cfg.scheme.cfl_safety == SchemeParams(t_end=0.5).cfl_safety
+        assert (cfg.phi, cfg.g) == (burgers(), constant(0.0))
+        for kind, built in (("linear", linear(1.0)), ("identity", identity())):
+            assert _build_function({"kind": kind}, "/phi") == built
 
     def test_t_end_at_the_range_edge_keeps_the_default_schedule(self):
         # a flat flux takes one step of t_end; i * t_end / 32 stays finite
@@ -890,14 +901,13 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch, failure)
     else:
         monkeypatch.setattr(scenarios.os, "replace", failed_replace)
     with pytest.raises(OSError):
-        scenarios._write_text_atomic(tmp_path / "checks.json", b"[]\n")
+        scenarios._write_text_atomic(tmp_path / "checks.json", "[]\n")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_atomic_write_takes_text_or_bytes(tmp_path):
+def test_atomic_write_takes_text_as_utf8(tmp_path):
     scenarios._write_text_atomic(tmp_path / "a.txt", "\u00b5s\n")
-    scenarios._write_text_atomic(tmp_path / "b.txt", "\u00b5s\n".encode())
-    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes() == b"\xc2\xb5s\n"
+    assert (tmp_path / "a.txt").read_bytes() == b"\xc2\xb5s\n"
 
 
 @pytest.mark.parametrize("failure", ["second_block", "replace"])
@@ -955,7 +965,8 @@ def test_streamed_snapshot_table_reuses_every_buffer_case(tmp_path):
 def test_atomic_writes_get_what_the_benchmark_tracer_measures(tmp_path, monkeypatch):
     # perfbench's tracer wraps _write_text_atomic and takes len() of every
     # argument that is not str: a generator handed to it would crash every
-    # traced batch, so the streamed snapshot table must bypass it
+    # traced batch, so the streamed snapshot table must bypass it, and every
+    # other write hands it text
     kinds, real = [], scenarios._write_text_atomic
 
     def traced(path, data, *args, **kwargs):
@@ -968,7 +979,7 @@ def test_atomic_writes_get_what_the_benchmark_tracer_measures(tmp_path, monkeypa
     run_suite([parse_config(json.dumps(doc))], tmp_path)
     table = np.loadtxt(tmp_path / "burgers_min" / "snapshots.csv", delimiter=",")
     assert table.size >= scenarios._VECTOR_CSV_MIN_VALUES
-    assert kinds and set(kinds) <= {str, bytes}
+    assert kinds and set(kinds) == {str}
 
 
 class TestSuite:

@@ -255,12 +255,13 @@ def test_factors_match_the_per_order_bump_bitwise(bump):
     t_edges = [bump.t_center - bump.sigma_t, bump.t_center + bump.sigma_t]
     ts = np.concatenate([np.linspace(0.0, 1.0, 97), t_edges,
                          [float(np.nextafter(e, d)) for e in t_edges for d in (-np.inf, np.inf)]])
-    spaces = bump._space(xs, 2)
-    assert len(spaces) == 3
+    spaces, times = bump._space(xs, 2), bump._time(ts, 2)
+    assert len(spaces) == len(times) == 3
     for order in range(3):
         assert spaces[order].tobytes() == space_factor(bump, xs, order).tobytes()
         assert bump._space(xs, order)[order].tobytes() == spaces[order].tobytes()
-        assert bump._time(ts, order).tobytes() == time_factor(bump, ts, order).tobytes()
+        assert bump._time(ts, order)[order].tobytes() == time_factor(bump, ts, order).tobytes()
+        assert times[order].tobytes() == time_factor(bump, ts, order).tobytes()
     assert (spaces[0][-2:] > 0.0).all() and (spaces[2][-2:] != 0.0).all()
 
 

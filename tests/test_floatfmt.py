@@ -1,11 +1,7 @@
 """The vectorized CSV formatter writes exactly the bytes of ``repr``."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenwave import floatfmt, scenarios
-from degenwave.floatfmt import csv_bytes
 
 # every case where repr's rules or the formatter's certificate change
 EDGES = [
@@ -28,6 +23,11 @@ EDGES = [
 # the EDGES of magnitude >= 1 that repr writes
 LARGE_FALLBACKS = [1.0, -1024.0, 2.0**53, 1e16, -1.7976931348623157e308, float("inf"),
                    float("nan"), 1234567890.00390625]
+
+
+def csv_bytes(matrix, head: bytes = b"") -> bytes:
+    # the whole text as one bytes object; each block is copied, as it keeps its rows' allocation
+    return b"".join(map(bytes, floatfmt.csv_blocks(matrix, head)))
 
 
 def repr_csv(matrix) -> bytes:
@@ -48,10 +48,14 @@ def test_named_edges():
     assert csv_bytes(edges[None, -2:]) == b"0.0009775161743164062,1234567890.0039062\n"
 
 
-def test_import_builds_no_tables():
-    code = "from degenwave import floatfmt; assert floatfmt._tables.cache_info().currsize == 0"
-    src = Path(__file__).resolve().parents[1] / "src"
-    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+def test_import_time_tables_are_exact():
+    assert floatfmt._POW10.tolist() == [10**k for k in range(23)]  # int == float is exact
+    assert (floatfmt._POW10_HI + floatfmt._POW10_LO == floatfmt._POW10).all()
+    # Veltkamp's halves: each holds at most 26 significant bits, so their products are exact
+    for half in (floatfmt._POW10_HI, floatfmt._POW10_LO):
+        mantissa, _ = np.frexp(half)
+        assert (mantissa * 2.0**26 == np.rint(mantissa * 2.0**26)).all()
+    assert floatfmt._QUADS.view("S4").tolist() == [b"%04d" % i for i in range(10000)]
 
 
 def test_ties_fall_back_to_repr():
@@ -118,7 +122,6 @@ def test_memory_stays_near_the_output():
     # matrix as one block
     rng = np.random.default_rng(19)
     table = rng.uniform(-1.0, 1.0, (97, 16385))
-    floatfmt._tables()
     tracemalloc.start()
     try:
         size = len(csv_bytes(table))
@@ -132,7 +135,6 @@ def test_streamed_file_memory_does_not_grow_with_the_table(tmp_path):
     # the blocks go to the file as they are made, through buffers made once per
     # call: a 97-row table peaks where a 24-row one does, well below its own size
     rng = np.random.default_rng(19)
-    floatfmt._tables()
     peaks = []
     for rows in (97, 24):
         table = rng.uniform(-1.0, 1.0, (rows, 16385))

@@ -171,8 +171,8 @@ class TestShift:
         phi, g = linear(2e305), constant(0.0)
         res = RunResult(np.column_stack([times, rows]), grid, phi, g, 9, 200.0,
                         SchemeParams(t_end=1800.0, snapshot_times=tuple(times)))
-        terms = (rows * bump._time(times, 1)[:, None] * s0
-                 + phi.eval(rows) * bump._time(times, 0)[:, None] * s1)
+        t0, t1 = bump._time(times, 1)
+        terms = rows * t1[:, None] * s0 + phi.eval(rows) * t0[:, None] * s1
         w_s = (_time_weights(times) * (terms.sum(axis=1) * grid.dx)).tolist()
         with pytest.raises(OverflowError):
             math.fsum(w_s)

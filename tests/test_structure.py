@@ -184,6 +184,22 @@ class TestBandProjectMean:
             assert np.all(w.values >= a - 1e-12) and np.all(w.values <= b + 1e-12)
             assert l1_distance(u, w) <= 2.0 * l1_distance(u, v) + 1e-12
 
+    @pytest.mark.parametrize("u_mean, v_mean, a, b", [
+        (-1e-13, 0.0, 0.0, 1.0),
+        (1.0 + 1e-13, 1.0, 0.0, 1.0),
+        (0.5 + 1e-13, 0.5, 0.5, 0.5),
+    ], ids=["below_a", "above_b", "point_band"])
+    def test_mean_within_the_slack_outside_the_band(self, u_mean, v_mean, a, b):
+        # mean(u) lies past the band end where v's mean sits: the blend toward
+        # that end once divided by 0
+        grid = Grid(4)
+        u, v = constant_field(grid, u_mean), constant_field(grid, v_mean)
+        slack = 1e-12 * max(1.0, abs(a), abs(b))
+        w = band_project_mean(u, v, a, b)
+        assert np.all(w.values >= a) and np.all(w.values <= b)
+        assert abs(mean(w) - mean(u)) <= slack
+        assert l1_distance(u, w) <= 2.0 * l1_distance(u, v)
+
     def test_band_violation_rejected(self):
         grid = Grid(8)
         u = constant_field(grid, 0.5)
